@@ -653,7 +653,20 @@ let inject_cmd =
   let target =
     Arg.(required & pos 2 (some target_conv) None & info [] ~docv:"TARGET")
   in
-  let n = Arg.(value & opt int 24 & info [ "n" ] ~doc:"Number of injections") in
+  let count =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ ->
+          Error (`Msg (Printf.sprintf "expected at least 1 injection, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  let n =
+    Arg.(
+      value & opt count 24
+      & info [ "n" ] ~docv:"N" ~doc:"Number of injections (at least 1)")
+  in
   let show_prov =
     Arg.(
       value & flag
@@ -851,10 +864,27 @@ let runfile_cmd =
   let global = Arg.(required & opt (some int) None & info [ "global" ] ~docv:"N") in
   let local = Arg.(required & opt (some int) None & info [ "local" ] ~docv:"N") in
   let args =
-    Arg.(value & opt_all runfile_arg_conv [] & info [ "arg" ] ~docv:"SPEC")
+    Arg.(
+      value
+      & opt_all runfile_arg_conv []
+      & info [ "arg" ] ~docv:"SPEC"
+          ~doc:
+            "Declare the next kernel parameter, in parameter order. \
+             $(b,buf:WORDS[:INIT]) allocates a global buffer of WORDS 32-bit \
+             words, initialised by INIT: $(b,zero) (the default), \
+             $(b,index) (word i holds i), $(b,findex) (word i holds the f32 \
+             value i), $(b,i32=V) or $(b,f32=X) (every word holds V or X). \
+             $(b,i32:V) and $(b,f32:X) pass a scalar. Repeatable.")
   in
   let shows =
-    Arg.(value & opt_all show_conv [] & info [ "show" ] ~docv:"IDX:LO:HI[:f32]")
+    Arg.(
+      value
+      & opt_all show_conv []
+      & info [ "show" ] ~docv:"IDX:LO:HI[:f32]"
+          ~doc:
+            "After the run, print words LO..HI-1 of the buffer passed as \
+             parameter IDX, as integers or, with $(b,:f32), as floats. \
+             Repeatable.")
   in
   Cmd.v
     (Cmd.info "runfile" ~doc:"Run a kernel written in the IR text format")

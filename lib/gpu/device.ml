@@ -57,7 +57,7 @@ type result = {
 
 type t = {
   cfg : Config.t;
-  data : Bytes.t;
+  image : Image.t;  (** sparse; shared with each launch's {!Memsys} *)
   mutable alloc_ptr : int;
   mutable san : Gpu_san.Shadow.t option;
       (** dynamic sanitizer shadow; attach with {!set_san} before the
@@ -66,10 +66,12 @@ type t = {
 }
 
 let create (cfg : Config.t) =
-  { cfg; data = Bytes.make cfg.memory_bytes '\000'; alloc_ptr = 256; san = None }
+  { cfg; image = Image.create cfg.memory_bytes; alloc_ptr = 256; san = None }
 
 (** Attach (or detach) the sanitizer shadow. *)
 let set_san dev s = dev.san <- s
+
+let resident_pages dev = Image.resident_pages dev.image
 
 (* ------------------------------------------------------------------ *)
 (* Buffers                                                             *)
@@ -79,7 +81,7 @@ let align_up v a = (v + a - 1) / a * a
 
 let alloc dev bytes =
   let addr = align_up dev.alloc_ptr 256 in
-  if addr + bytes > Bytes.length dev.data then
+  if addr + bytes > Image.size dev.image then
     failwith "Device.alloc: out of device memory";
   dev.alloc_ptr <- addr + bytes;
   (match dev.san with
@@ -103,11 +105,11 @@ let write_i32 dev buf i v =
   (match dev.san with
   | Some s -> Gpu_san.Shadow.host_write s (buf.addr + (i * 4))
   | None -> ());
-  Bytes.set_int32_le dev.data (buf.addr + (i * 4)) (Int32.of_int v)
+  Image.write32 dev.image (buf.addr + (i * 4)) v
 
 let read_i32 dev buf i =
   check_idx buf i;
-  F32.norm (Int32.to_int (Bytes.get_int32_le dev.data (buf.addr + (i * 4))))
+  F32.norm (Image.read32 dev.image (buf.addr + (i * 4)))
 
 let write_f32 dev buf i x = write_i32 dev buf i (F32.of_float x)
 let read_f32 dev buf i = F32.to_float (read_i32 dev buf i)
@@ -253,7 +255,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     invalid_arg "kernel does not fit on a compute unit (occupancy 0)";
   let div = Uniformity.analyze kernel in
   let counters = Counters.create () in
-  let ms = Memsys.create cfg counters ~data:dev.data in
+  let ms = Memsys.create cfg counters ~image:dev.image in
   let arg_values =
     Array.of_list
       (List.map

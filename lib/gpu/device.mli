@@ -20,6 +20,13 @@ val log_src : Logs.src
 type t
 
 val create : Config.t -> t
+(** A device whose global memory spans [cfg.memory_bytes] and reads as
+    all zeros. The image is sparse ({!Image}), so creation does not
+    zero-fill it. *)
+
+val resident_pages : t -> int
+(** Global-memory pages ({!Image.page_bytes} each) materialised so far:
+    those that have held a non-zero word. *)
 
 val set_san : t -> Gpu_san.Shadow.t option -> unit
 (** Attach (or detach) the dynamic sanitizer shadow. Attach it right

@@ -2,6 +2,13 @@
     of the per-CU write-through L1 caches, the shared L2, and DRAM
     bandwidth.
 
+    The image is sparse and page-granular ({!Image}): a page is
+    materialised on its first non-zero store and untouched words read as
+    0, so a run pays only for the pages it writes. Its bounds are still
+    the full configured size: any access outside [\[0, memory_bytes)] or
+    not 4-byte aligned raises {!Fault}, whether or not its page is
+    resident.
+
     Functional values are always served from the single memory image;
     caches are tag-only and decide latency. This makes execution
     deterministic and sequentially consistent at instruction-issue
@@ -26,7 +33,7 @@ type poison = {
 
 type t = {
   cfg : Config.t;
-  data : Bytes.t;
+  image : Image.t;
   l1s : Cache.t array;
   l2 : Cache.t;
   mutable dram_next_free : float;
@@ -36,10 +43,10 @@ type t = {
   mutable poison : poison option;
 }
 
-let create (cfg : Config.t) (counters : Counters.t) ~data =
+let create (cfg : Config.t) (counters : Counters.t) ~image =
   {
     cfg;
-    data;
+    image;
     l1s =
       Array.init cfg.n_cus (fun _ ->
           Cache.create ~bytes:cfg.l1_bytes ~line_bytes:cfg.line_bytes
@@ -54,7 +61,7 @@ let create (cfg : Config.t) (counters : Counters.t) ~data =
   }
 
 let check t addr what =
-  if addr < 0 || addr + 4 > Bytes.length t.data then
+  if addr < 0 || addr + 4 > Image.size t.image then
     raise (Fault (Printf.sprintf "%s out of bounds at address %d" what addr));
   if addr land 3 <> 0 then
     raise (Fault (Printf.sprintf "unaligned %s at address %d" what addr))
@@ -66,11 +73,11 @@ let check t addr what =
 (** Host/debug read, never poisoned. *)
 let read32 t addr =
   check t addr "load";
-  Gpu_ir.F32.norm (Int32.to_int (Bytes.get_int32_le t.data addr))
+  Gpu_ir.F32.norm (Image.read32 t.image addr)
 
 let write32 t addr v =
   check t addr "store";
-  Bytes.set_int32_le t.data addr (Int32.of_int v)
+  Image.write32 t.image addr v
 
 let apply_poison t ~cu addr v =
   match t.poison with

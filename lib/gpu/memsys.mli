@@ -2,7 +2,13 @@
     model of the per-CU write-through L1s, the shared L2 and DRAM
     bandwidth. Values are always served from the single image (caches
     are tag-only) except for injected L1 poison, which models a
-    corrupted cached copy. *)
+    corrupted cached copy.
+
+    The image is sparse and page-granular ({!Image}): pages are
+    materialised on their first non-zero store and untouched words read
+    as 0. Bounds do not depend on residency: every access is checked
+    against the configured size and alignment and raises {!Fault}
+    exactly as a dense image would. *)
 
 exception Fault of string
 (** Wild (out-of-bounds or unaligned) access; surfaces as a [Crashed]
@@ -10,7 +16,7 @@ exception Fault of string
 
 type t = {
   cfg : Config.t;
-  data : Bytes.t;
+  image : Image.t;  (** shared with the owning device *)
   l1s : Cache.t array;
   l2 : Cache.t;
   mutable dram_next_free : float;
@@ -28,14 +34,17 @@ and poison = {
   mutable p_active : bool;
 }
 
-val create : Config.t -> Counters.t -> data:Bytes.t -> t
+val create : Config.t -> Counters.t -> image:Image.t -> t
 
 (** {1 Functional access} *)
 
 val read32 : t -> int -> int
-(** Host/debug read; never poisoned. *)
+(** Host/debug read; never poisoned. Raises {!Fault} on an
+    out-of-bounds or unaligned address. *)
 
 val write32 : t -> int -> int -> unit
+(** Raises {!Fault} like {!read32}; storing 0 to an untouched page
+    materialises nothing. *)
 
 val load32 : t -> cu:int -> int -> int
 (** Device-side load (applies any active L1 poison for [cu]). *)
@@ -61,3 +70,4 @@ val atomic_timed : t -> cu:int -> now:int -> int list -> int
 
 val inject_l1_poison : t -> cu:int -> seed:int -> bool
 val inject_memory_bit : t -> addr:int -> bit:int -> unit
+(** Flip one bit of a global-memory word (resident or not). *)

@@ -1,0 +1,125 @@
+(* Tests that drive the built rmtgpu executable: usage errors and the
+   example commands documented in examples/kernels/*.rgk headers. *)
+
+let check = Alcotest.check
+let tc = Alcotest.test_case
+
+(* The build tree next to this test executable: bin/rmtgpu.exe and the
+   examples are its dependencies, so both sit under the same root. *)
+let root = Filename.concat (Filename.dirname Sys.executable_name) ".."
+let exe = Filename.concat root "bin/rmtgpu.exe"
+let time_limit_s = 120.0
+
+(* Run [sh -c cmd] in [root] with [rmtgpu] standing for the built
+   executable. Returns [Some (status, stdout, stderr)], or [None] when
+   the command is still running after [time_limit_s] (it is killed). *)
+let run_shell cmd =
+  let out = Filename.temp_file "rmtgpu_cli" ".out" in
+  let err = Filename.temp_file "rmtgpu_cli" ".err" in
+  let script =
+    Printf.sprintf "cd %s && rmtgpu() { %s \"$@\"; }; %s"
+      (Filename.quote root) (Filename.quote exe) cmd
+  in
+  let fd_out = Unix.openfile out [ O_WRONLY; O_TRUNC ] 0 in
+  let fd_err = Unix.openfile err [ O_WRONLY; O_TRUNC ] 0 in
+  let pid =
+    Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; script |] Unix.stdin
+      fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let deadline = Unix.gettimeofday () +. time_limit_s in
+  let rec wait () =
+    match Unix.waitpid [ WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () > deadline ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        None
+    | 0, _ ->
+        Unix.sleepf 0.02;
+        wait ()
+    | _, status -> Some status
+  in
+  let status = wait () in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let result =
+    Option.map (fun status -> (status, read out, read err)) status
+  in
+  Sys.remove out;
+  Sys.remove err;
+  result
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_inject_count_usage_error () =
+  List.iter
+    (fun n ->
+      match run_shell ("rmtgpu inject PS intra+lds lds -n" ^ n) with
+      | None -> Alcotest.failf "inject -n%s did not finish" n
+      | Some (status, out, err) ->
+          check Alcotest.bool
+            (Printf.sprintf "inject -n%s exits with a usage error" n)
+            true (status = Unix.WEXITED 2);
+          check Alcotest.bool "the error names -n" true (contains err "'-n'");
+          check Alcotest.string "no tally is printed" "" out)
+    [ " 0"; "-1" ]
+
+(* The "# run with:" command of an .rgk header: the comment lines after
+   the marker, joined across trailing backslashes. *)
+let documented_commands path =
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  let uncomment l =
+    let l = String.trim l in
+    String.trim (String.sub l 1 (String.length l - 1))
+  in
+  let rec collect acc = function
+    | l :: rest when String.length l > 0 && l.[0] = '#' ->
+        let l = uncomment l in
+        if String.ends_with ~suffix:"\\" l then
+          collect (String.sub l 0 (String.length l - 1) :: acc) rest
+        else String.concat " " (List.rev (l :: acc))
+    | _ -> Alcotest.failf "%s: unterminated run-with command" path
+  in
+  let rec scan = function
+    | [] -> []
+    | l :: rest when String.trim l = "# run with:" -> collect [] rest :: scan rest
+    | _ :: rest -> scan rest
+  in
+  scan lines
+
+let test_documented_commands () =
+  let dir = Filename.concat root "examples/kernels" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".rgk")
+    |> List.sort compare
+  in
+  check Alcotest.bool "example kernels found" true (files <> []);
+  List.iter
+    (fun f ->
+      match documented_commands (Filename.concat dir f) with
+      | [] -> Alcotest.failf "%s documents no run-with command" f
+      | cmds ->
+          List.iter
+            (fun cmd ->
+              match run_shell cmd with
+              | None -> Alcotest.failf "%s: %S did not finish" f cmd
+              | Some (status, out, err) ->
+                  if status <> Unix.WEXITED 0 then
+                    Alcotest.failf "%s: %S failed:\n%s" f cmd err;
+                  check Alcotest.bool
+                    (Printf.sprintf "%s: kernel finished" f)
+                    true (contains out "(finished)"))
+            cmds)
+    files
+
+let suite =
+  [
+    tc "inject -n below 1 is a usage error" `Quick test_inject_count_usage_error;
+    tc "documented example commands run" `Quick test_documented_commands;
+  ]

@@ -475,9 +475,9 @@ let suite =
 (* Memory-system timing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let mk_memsys ?(cfg = Sim.Config.small) () =
+let mk_memsys ?(cfg = Sim.Config.small) ?(bytes = 1 lsl 20) () =
   let counters = Sim.Counters.create () in
-  (Sim.Memsys.create cfg counters ~data:(Bytes.make (1 lsl 20) '\000'), counters, cfg)
+  (Sim.Memsys.create cfg counters ~image:(Sim.Image.create bytes), counters, cfg)
 
 let test_memsys_functional () =
   let ms, _, _ = mk_memsys () in
@@ -537,6 +537,97 @@ let test_memsys_atomic_invalidates_l1 () =
   (* after the atomic, the next load must miss the L1 again *)
   let t = Sim.Memsys.load_timed ms ~cu:0 ~now:1000 [ 0 ] in
   check Alcotest.bool "L1 copy invalidated" true (t > 1000 + cfg.l1_latency)
+
+(* ------------------------------------------------------------------ *)
+(* Sparse memory image                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let resident ms = Sim.Image.resident_pages ms.Sim.Memsys.image
+
+let test_image_untouched_reads_zero () =
+  let ms, _, cfg = mk_memsys ~bytes:Sim.Config.small.memory_bytes () in
+  List.iter
+    (fun a -> check Alcotest.int (Printf.sprintf "word %d" a) 0 (Sim.Memsys.read32 ms a))
+    [ 0; 4; Sim.Image.page_bytes; cfg.memory_bytes / 2; cfg.memory_bytes - 4 ];
+  check Alcotest.int "reads materialise nothing" 0 (resident ms)
+
+let test_image_zero_store_is_free () =
+  let ms, _, _ = mk_memsys () in
+  Sim.Memsys.write32 ms 4096 0;
+  Sim.Memsys.store32 ms ~cu:0 8192 0;
+  check Alcotest.int "zero stores materialise nothing" 0 (resident ms);
+  Sim.Memsys.write32 ms 4100 7;
+  check Alcotest.int "first non-zero store materialises its page" 1 (resident ms);
+  Sim.Memsys.write32 ms 4096 0;
+  check Alcotest.int "neighbour still reads back" 7 (Sim.Memsys.read32 ms 4100);
+  Sim.Memsys.write32 ms 65536 (1 lsl 32);
+  check Alcotest.int "a stored word is its low 32 bits" 0 (Sim.Memsys.read32 ms 65536);
+  check Alcotest.int "so a zero word materialises nothing" 1 (resident ms)
+
+let test_image_bounds () =
+  let cfg = Sim.Config.small in
+  let size = cfg.memory_bytes in
+  let ms, _, _ = mk_memsys ~bytes:size () in
+  Sim.Memsys.write32 ms (size - 4) (-9);
+  check Alcotest.int "last in-bounds word" (-9) (Sim.Memsys.read32 ms (size - 4));
+  let fault msg f = Alcotest.check_raises msg (Sim.Memsys.Fault msg) f in
+  fault (Printf.sprintf "load out of bounds at address %d" size) (fun () ->
+      ignore (Sim.Memsys.read32 ms size));
+  fault (Printf.sprintf "store out of bounds at address %d" size) (fun () ->
+      Sim.Memsys.write32 ms size 1);
+  fault (Printf.sprintf "store out of bounds at address %d" (size - 2)) (fun () ->
+      Sim.Memsys.write32 ms (size - 2) 1);
+  fault "load out of bounds at address -4" (fun () ->
+      ignore (Sim.Memsys.read32 ms (-4)));
+  fault "unaligned load at address 4098" (fun () ->
+      ignore (Sim.Memsys.read32 ms 4098));
+  fault "unaligned store at address 6" (fun () -> Sim.Memsys.write32 ms 6 1);
+  let dev = Sim.Device.create cfg in
+  Alcotest.check_raises "allocation beyond the image"
+    (Failure "Device.alloc: out of device memory") (fun () ->
+      ignore (Sim.Device.alloc dev size));
+  ignore (Sim.Device.alloc dev (size - 256));
+  check Alcotest.int "allocating materialises nothing" 0
+    (Sim.Device.resident_pages dev)
+
+let test_image_bit_flip_untouched () =
+  let ms, _, _ = mk_memsys () in
+  Sim.Memsys.inject_memory_bit ms ~addr:12288 ~bit:5;
+  check Alcotest.int "flipped bit reads back" 32 (Sim.Memsys.read32 ms 12288);
+  check Alcotest.int "neighbours stay zero" 0 (Sim.Memsys.read32 ms 12292);
+  check Alcotest.int "one page" 1 (resident ms);
+  Sim.Memsys.inject_memory_bit ms ~addr:12288 ~bit:31;
+  check Alcotest.int "sign bit flips too" (32 - (1 lsl 31))
+    (Sim.Memsys.read32 ms 12288)
+
+(* A registry run touches only the pages its buffers span. *)
+let test_image_registry_run_sparse () =
+  let dev = Sim.Device.create Sim.Config.default in
+  let b = Kernels.Registry.find "PS" in
+  let prep = b.prepare dev ~scale:1 in
+  let k = b.make_kernel () in
+  let pages = Hashtbl.create 64 in
+  List.iter
+    (fun (step : Kernels.Bench.step) ->
+      List.iter
+        (function
+          | Sim.Device.A_buf { addr; size } when size > 0 ->
+              for p = addr / Sim.Image.page_bytes
+                  to (addr + size - 1) / Sim.Image.page_bytes do
+                Hashtbl.replace pages p ()
+              done
+          | _ -> ())
+        step.args;
+      let r = Sim.Device.launch dev k ~nd:step.nd ~args:step.args in
+      check Alcotest.bool "finished" true (r.outcome = Sim.Device.Finished))
+    prep.steps;
+  check Alcotest.bool "output verifies" true (prep.verify ());
+  let n = Sim.Device.resident_pages dev in
+  check Alcotest.bool
+    (Printf.sprintf "%d resident pages within the %d spanned by buffers" n
+       (Hashtbl.length pages))
+    true
+    (n > 0 && n <= Hashtbl.length pages)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -604,5 +695,10 @@ let suite =
       tc "memsys: dram bandwidth" `Quick test_memsys_dram_bandwidth_serializes;
       tc "memsys: write backlog" `Quick test_memsys_write_backlog;
       tc "memsys: atomics invalidate L1" `Quick test_memsys_atomic_invalidates_l1;
+      tc "image: untouched reads zero" `Quick test_image_untouched_reads_zero;
+      tc "image: zero store materialises nothing" `Quick test_image_zero_store_is_free;
+      tc "image: bounds and faults" `Quick test_image_bounds;
+      tc "image: bit flip on untouched page" `Quick test_image_bit_flip_untouched;
+      tc "image: registry run stays sparse" `Quick test_image_registry_run_sparse;
     ]
   @ qsuite
