@@ -84,6 +84,12 @@ let micro_tests () =
             Gpu_sim.Wave.create ~wid:0 ~nregs:4 ~nlanes:64 ~flat_base:0
               ~body:[] ~simd:0
           in
+          let swizzle =
+            (Gpu_sim.Wave.decode
+               ~scalar:(fun _ -> false)
+               ~lds_offset:(fun _ -> None)
+               [| Gpu_ir.Types.Swizzle (Gpu_ir.Types.Dup_odd, 1, Gpu_ir.Types.Reg 0) |]).(0)
+          in
           let mem =
             {
               Gpu_sim.Wave.mload = (fun _ _ -> 0);
@@ -102,9 +108,7 @@ let micro_tests () =
           in
           fun () ->
             ignore
-              (Gpu_sim.Wave.exec w
-                 (Gpu_ir.Types.Swizzle (Gpu_ir.Types.Dup_odd, 1, Gpu_ir.Types.Reg 0))
-                 ~mem ~line_bytes:64)));
+              (Gpu_sim.Wave.exec w swizzle ~mem ~line_bytes:64)));
     (* Figure 9: FAST communication variant run *)
     Test.make ~name:"fig9/dwt-fast" (stage_run "DWT" T.intra_plus_lds_fast);
     (* Coverage: one injected run *)

@@ -603,10 +603,20 @@ let dump_cmd =
   Cmd.v (Cmd.info "dump" ~doc:"Print a (transformed) kernel's IR")
     Term.(const dump $ bench_arg $ variant_arg ~pos:1 $ alloc $ optimize)
 
-let run_cmd =
-  let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Problem-size multiplier")
+(* Problem-size multiplier of the simulating subcommands. Below 1 is a
+   usage error: a scale-0 problem has no work items to launch. *)
+let scale =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a scale of at least 1, got %S" s))
   in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) 1
+    & info [ "scale" ] ~docv:"N" ~doc:"Problem-size multiplier (at least 1)")
+
+let run_cmd =
   let run verbose b v s =
     setup_logs verbose;
     do_run b v s
@@ -615,9 +625,6 @@ let run_cmd =
     Term.(const run $ verbose_flag $ bench_arg $ variant_arg ~pos:1 $ scale)
 
 let trace_cmd =
-  let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Problem-size multiplier")
-  in
   let out =
     Arg.(
       value
@@ -690,9 +697,6 @@ let inject_cmd =
       $ sanitize)
 
 let profile_cmd =
-  let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Problem-size multiplier")
-  in
   let optimize =
     Arg.(value & flag & info [ "O" ] ~doc:"Run the optimizer pipeline first")
   in
@@ -733,9 +737,6 @@ let check_cmd =
           ~doc:
             "Check a single target (baseline, intra+lds, intra-lds, inter, \
              tmr); default: all five")
-  in
-  let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Problem-size multiplier")
   in
   let local =
     Arg.(

@@ -14,7 +14,9 @@
     scans from the oldest resident wavefront (GCN-like: prioritizes
     utilization, ignores contention — the behaviour the paper credits
     for some of RMT's accidental speedups and slowdowns);
-    [Round_robin] rotates the starting wavefront every turn. *)
+    [Round_robin] rotates the starting wavefront with the cycle: on
+    cycle [c] the scan starts at resident slot [c mod n], so the
+    schedule does not depend on which idle cycles the simulator skips. *)
 type sched_policy = Greedy | Round_robin
 
 type t = {

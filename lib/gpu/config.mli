@@ -7,7 +7,8 @@
 
 (** Wavefront pick order within a SIMD's issue turn. [Greedy] always
     scans from the oldest resident wavefront (GCN-like); [Round_robin]
-    rotates the starting wavefront every turn. *)
+    starts cycle [c]'s scan at resident slot [c mod n] ([n] resident
+    slots), so its schedule does not depend on idle skip-ahead. *)
 type sched_policy = Greedy | Round_robin
 
 type t = {

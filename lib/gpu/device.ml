@@ -13,7 +13,16 @@
     the effect the paper's memory-bound kernels exploit to get cheap RMT.
 
     The simulator is cycle-stepped but skips ahead over provably idle
-    periods, so spin-heavy Inter-Group RMT kernels remain tractable. *)
+    periods, so spin-heavy Inter-Group RMT kernels remain tractable.
+
+    The issue loop works from a per-site table ({!Wave.decode}) built once
+    per launch: the scoreboard check, the wake-time fold, the unit choice
+    and the destination all read it instead of re-examining the
+    instruction. Each wave gets its scheduler slot and memory interface
+    once, at dispatch; the per-CU schedule keeps one ordered sub-array
+    per SIMD, so a scan visits only the waves of the SIMD holding the
+    turn, and register files of completed groups are zero-filled and
+    reused. *)
 
 open Gpu_ir.Types
 module Regpressure = Gpu_ir.Regpressure
@@ -63,10 +72,19 @@ type t = {
       (** dynamic sanitizer shadow; attach with {!set_san} before the
           host initializes buffers so allocation ranges and host writes
           are tracked. [None] (the default) keeps every hook dormant. *)
+  mutable spare_waves : Wave.t list;
+      (** waves of the last launch, whose register files the next launch
+          of a kernel with as many registers reuses *)
 }
 
 let create (cfg : Config.t) =
-  { cfg; image = Image.create cfg.memory_bytes; alloc_ptr = 256; san = None }
+  {
+    cfg;
+    image = Image.create cfg.memory_bytes;
+    alloc_ptr = 256;
+    san = None;
+    spare_waves = [];
+  }
 
 (** Attach (or detach) the sanitizer shadow. *)
 let set_san dev s = dev.san <- s
@@ -129,12 +147,15 @@ type grp = {
   view : Geom.group_view;
   lds_mem : Bytes.t;
   g_waves : Wave.t array;
+  mutable g_slots : slot array;  (** one per wave, made at dispatch *)
   mutable barrier_arrived : int;
   mutable retired_waves : int;
   g_lds_account : int;  (** LDS bytes charged to the CU (incl. inflation) *)
 }
 
-type slot = { w : Wave.t; g : grp; mem : Wave.mem_ops; mutable live : bool }
+(* A resident wave's scheduler entry, made once at dispatch together with
+   its memory interface. *)
+and slot = { w : Wave.t; g : grp; mem : Wave.mem_ops; mutable live : bool }
 
 type cu_state = {
   cu_id : int;
@@ -144,10 +165,19 @@ type cu_state = {
   simd_vgprs : int array;
   simd_sgprs : int array;
   simd_busy_until : int array;
+  simd_running : int array;  (** waves in state [Running], per SIMD *)
   mutable salu_busy_until : int;
   mutable lds_busy_until : int;
   mutable sched : slot array;
-  mutable rr : int;  (** rotating scan start for [Round_robin] *)
+      (** the waves not yet retired at the last dispatch or group
+          retirement, in dispatch order; a round-robin scan starts at
+          position [now mod length] *)
+  simd_pos : int array array;
+      (** per SIMD, the ascending positions in [sched] of its waves *)
+  mutable sched_gen : int;  (** bumped whenever [sched] is rebuilt *)
+  mutable dispatch_full : bool;
+      (** the last dispatch attempt found no room; stays valid until a
+          wave retires, since only retirement frees resources *)
   mutable wake : int;
   mutable wstall_counted_until : int;
       (** write-stall cycles are charged as blocked spans; this marks the
@@ -155,9 +185,17 @@ type cu_state = {
           one episode never double-count *)
 }
 
-exception Trap_detected
+(* State of the scan in progress (one per launch: scans never nest). *)
+type scan = {
+  mutable s_wake : int;  (** earliest future cycle noted so far *)
+  mutable valu_used : bool;
+  mutable vmem_used : bool;
+  mutable lds_issued : bool;
+  mutable salu_used : bool;
+  mutable events : bool;  (** a retirement or barrier release happened *)
+}
 
-type unit_kind = U_valu | U_salu | U_vmem | U_lds
+exception Trap_detected
 
 (* Which hardware structure currently holds the injected corrupted value.
    Tracked only while a provenance record is attached and only until the
@@ -221,17 +259,6 @@ let atomic_eval op old v =
   | A_min_u -> if uo <= uv then old else v
   | A_poll -> old  (* tagged spin-poll: an L2-visible read, no write *)
 
-let classify_unit div (i : inst) : unit_kind =
-  match i with
-  | Load (Global, _, _) | Store (Global, _, _)
-  | Atomic (_, Global, _, _, _) | Cas (Global, _, _, _, _) ->
-      U_vmem
-  | Load (Local, _, _) | Store (Local, _, _)
-  | Atomic (_, Local, _, _, _) | Cas (Local, _, _, _, _) ->
-      U_lds
-  | Trap _ | Swizzle _ -> U_valu
-  | _ -> if Uniformity.inst_scalarizable div i then U_salu else U_valu
-
 (** Run [kernel] over [nd] with [args]. *)
 let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     ~(args : arg list) : result =
@@ -293,10 +320,13 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           simd_vgprs = Array.make cfg.simds_per_cu 0;
           simd_sgprs = Array.make cfg.simds_per_cu 0;
           simd_busy_until = Array.make cfg.simds_per_cu 0;
+          simd_running = Array.make cfg.simds_per_cu 0;
           salu_busy_until = 0;
           lds_busy_until = 0;
           sched = [||];
-          rr = 0;
+          simd_pos = Array.make cfg.simds_per_cu [||];
+          sched_gen = 0;
+          dispatch_full = false;
           wake = 0;
           wstall_counted_until = 0;
         })
@@ -327,6 +357,14 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
      wave; site ids are dense program-order indices, so the same kernel
      always charges into the same collector slots. *)
   let abody, nsites = Site.annotate kernel.body in
+  (* Per-site decoded table: what the issue loop needs of each static
+     instruction, computed once here instead of on every scan. *)
+  let code =
+    Wave.decode
+      ~scalar:(Uniformity.inst_scalarizable div)
+      ~lds_offset:(fun name -> List.assoc_opt name lds_layout)
+      (Site.insts kernel)
+  in
   let profiling = opts.profile <> None in
   let prof : Gpu_prof.Collector.t =
     match opts.profile with
@@ -387,30 +425,28 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
      consumption; a full overwrite of the tainted lanes before any read
      kills the fault (dead-value masking). Swizzle reads across lanes,
      so it consumes regardless of the tainted lane's active bit. *)
-  let prov_check_inst (w : Wave.t) i =
+  let prov_check_inst (w : Wave.t) (d : Wave.decoded) =
     match !taint with
     | Taint_reg { t_wave; t_reg; t_lanes }
       when t_wave == w && prov.first_use = None ->
-        let is_swizzle = match i with Swizzle _ -> true | _ -> false in
+        let is_swizzle = match d.inst with Swizzle _ -> true | _ -> false in
         let reads =
-          List.exists (function Reg r -> r = t_reg | _ -> false) (inst_uses i)
+          Array.mem t_reg d.uses
           && (is_swizzle || Int64.logand w.Wave.mask t_lanes <> 0L)
         in
         if reads then prov_record_use ()
-        else begin
-          match inst_def i with
-          | Some d
-            when d = t_reg
-                 && Int64.logand (Int64.lognot w.Wave.mask) t_lanes = 0L ->
-              taint := Taint_none;
-              prov.overwritten <- true
-          | _ -> ()
+        else if
+          d.def = t_reg
+          && Int64.logand (Int64.lognot w.Wave.mask) t_lanes = 0L
+        then begin
+          taint := Taint_none;
+          prov.overwritten <- true
         end
     | _ -> ()
   in
 
   (* -------------------- group dispatch -------------------- *)
-  let make_mem_ops cu (g : grp) ~(w : Wave.t) ~cu_id : Wave.mem_ops =
+  let make_mem_ops (g : grp) ~(w : Wave.t) ~cu_id : Wave.mem_ops =
     let g_lds = g.lds_mem in
     let view = g.view in
     let msan =
@@ -467,7 +503,6 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
       if addr land 3 <> 0 then
         raise (Memsys.Fault (Printf.sprintf "unaligned LDS %s at %d" what addr))
     in
-    ignore cu;
     let lds_read addr =
       lds_check addr "load";
       if prov_on then
@@ -549,19 +584,24 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     }
   in
 
+  (* Rebuilt only on dispatch and group retirement; the slots persist.
+     The per-SIMD positions let a scan visit only the waves of the SIMD
+     holding the turn. *)
   let rebuild_sched cu =
-    let slots = ref [] in
-    List.iter
-      (fun g ->
-        Array.iter
-          (fun w ->
-            if w.Wave.state <> Wave.Retired then
-              slots :=
-                { w; g; mem = make_mem_ops cu g ~w ~cu_id:cu.cu_id; live = true }
-                :: !slots)
-          g.g_waves)
-      cu.groups;
-    cu.sched <- Array.of_list (List.rev !slots)
+    let waiting g =
+      List.filter
+        (fun s -> s.w.Wave.state <> Wave.Retired)
+        (Array.to_list g.g_slots)
+    in
+    let sched = Array.of_list (List.concat_map waiting cu.groups) in
+    let positions = List.init (Array.length sched) Fun.id in
+    cu.sched <- sched;
+    for simd = 0 to cfg.simds_per_cu - 1 do
+      cu.simd_pos.(simd) <-
+        Array.of_list
+          (List.filter (fun i -> sched.(i).w.Wave.simd = simd) positions)
+    done;
+    cu.sched_gen <- cu.sched_gen + 1
   in
 
   (* Greedy wave-to-SIMD placement; returns assignments or None. *)
@@ -593,14 +633,36 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     if !ok then Some assign else None
   in
 
+  (* Waves of completed groups (and of the device's previous launch):
+     their register files are reused. *)
+  let free_waves =
+    ref
+      (List.filter
+         (fun (w : Wave.t) -> Array.length w.ready_at = max kernel.nregs 1)
+         dev.spare_waves)
+  in
+  dev.spare_waves <- [];
+  let new_wave ~wid ~nlanes ~flat_base ~simd =
+    match !free_waves with
+    | old :: rest ->
+        free_waves := rest;
+        Wave.recycle old ~wid ~nlanes ~flat_base ~body:abody ~simd
+    | [] ->
+        Wave.create ~wid ~nregs:kernel.nregs ~nlanes ~flat_base ~body:abody
+          ~simd
+  in
+
   let try_dispatch_on cu now =
     if
       !next_group < total_groups
+      && (not cu.dispatch_full)
       && List.length cu.groups < cfg.max_groups_per_cu
       && cu.lds_used + lds_account <= cfg.lds_per_cu
     then
       match place_waves cu with
-      | None -> false
+      | None ->
+          cu.dispatch_full <- true;
+          false
       | Some assign ->
           let gi = !next_group in
           incr next_group;
@@ -609,8 +671,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
             Array.init waves_per_group (fun wi ->
                 let flat_base = wi * cfg.wave_size in
                 let nlanes = min cfg.wave_size (group_items - flat_base) in
-                Wave.create ~wid:wi ~nregs:kernel.nregs ~nlanes ~flat_base
-                  ~body:abody ~simd:assign.(wi))
+                new_wave ~wid:wi ~nlanes ~flat_base ~simd:assign.(wi))
           in
           let g =
             {
@@ -618,17 +679,23 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
               view;
               lds_mem = Bytes.make (max lds_total 4) '\000';
               g_waves = waves;
+              g_slots = [||];
               barrier_arrived = 0;
               retired_waves = 0;
               g_lds_account = lds_account;
             }
           in
+          g.g_slots <-
+            Array.map
+              (fun w ->
+                { w; g; mem = make_mem_ops g ~w ~cu_id:cu.cu_id; live = true })
+              waves;
           cu.groups <- cu.groups @ [ g ];
           cu.lds_used <- cu.lds_used + lds_account;
-          Array.iteri
-            (fun wi simd ->
-              ignore wi;
+          Array.iter
+            (fun simd ->
               cu.simd_waves.(simd) <- cu.simd_waves.(simd) + 1;
+              cu.simd_running.(simd) <- cu.simd_running.(simd) + 1;
               cu.simd_vgprs.(simd) <- cu.simd_vgprs.(simd) + usage.vgprs;
               cu.simd_sgprs.(simd) <- cu.simd_sgprs.(simd) + usage.sgprs)
             assign;
@@ -644,7 +711,10 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           rebuild_sched cu;
           cu.wake <- now;
           true
-    else false
+    else begin
+      if !next_group < total_groups then cu.dispatch_full <- true;
+      false
+    end
   in
 
   let dispatch_rr = ref 0 in
@@ -669,13 +739,18 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
   in
 
   (* -------------------- retire / barrier -------------------- *)
-  let retire_wave cu (s : slot) now =
-    s.live <- false;
+  (* [current] is false when a group retirement earlier in the same scan
+     rebuilt [cu.sched]: the slot then also sits in the new schedule and
+     stays live there until a scan next reaches it. *)
+  let retire_wave cu (s : slot) ~current now =
+    if current then s.live <- false;
     if s.w.Wave.retire_accounted then ()
     else begin
     s.w.Wave.retire_accounted <- true;
+    cu.dispatch_full <- false;
     let simd = s.w.Wave.simd in
     cu.simd_waves.(simd) <- cu.simd_waves.(simd) - 1;
+    cu.simd_running.(simd) <- cu.simd_running.(simd) - 1;
     cu.simd_vgprs.(simd) <- cu.simd_vgprs.(simd) - usage.vgprs;
     cu.simd_sgprs.(simd) <- cu.simd_sgprs.(simd) - usage.sgprs;
     s.g.retired_waves <- s.g.retired_waves + 1;
@@ -689,7 +764,8 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
       Log.debug (fun m ->
           m "group %d completed on CU %d (%d/%d)" s.g.g_index cu.cu_id
             !groups_completed total_groups);
-      rebuild_sched cu
+      rebuild_sched cu;
+      free_waves := Array.fold_left (fun l w -> w :: l) !free_waves s.g.g_waves
     end
     end
   in
@@ -702,7 +778,13 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
            { cu = cu.cu_id; group = g.g_index; wave = wid });
     if g.barrier_arrived = Array.length g.g_waves then begin
       g.barrier_arrived <- 0;
-      Array.iter Wave.release_barrier g.g_waves;
+      Array.iter
+        (fun (w : Wave.t) ->
+          if w.state = Wave.At_barrier then begin
+            Wave.release_barrier w;
+            cu.simd_running.(w.simd) <- cu.simd_running.(w.simd) + 1
+          end)
+        g.g_waves;
       counters.barriers_executed <- counters.barriers_executed + 1;
       if san_on then san_barrier_release g.g_index;
       if tracing then
@@ -715,337 +797,318 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
 
   (* -------------------- issue -------------------- *)
   let on_branch () = counters.branches <- counters.branches + 1 in
+  let sc =
+    {
+      s_wake = max_int;
+      valu_used = false;
+      vmem_used = false;
+      lds_issued = false;
+      salu_used = false;
+      events = false;
+    }
+  in
+  let note now t = if t > now && t < sc.s_wake then sc.s_wake <- t in
+  let stall cu (s : slot) now cause =
+    emit now
+      (Gpu_trace.Sink.Stall
+         { cu = cu.cu_id; group = s.g.g_index; wave = s.w.Wave.wid; cause })
+  in
+  let issued cu (s : slot) now unit_ busy =
+    emit now
+      (Gpu_trace.Sink.Wave_issue
+         {
+           cu = cu.cu_id;
+           simd = s.w.Wave.simd;
+           group = s.g.g_index;
+           wave = s.w.Wave.wid;
+           unit_;
+           busy;
+         })
+  in
+  let unit_busy cu s now site until =
+    if tracing then stall cu s now Gpu_trace.Sink.Unit_busy;
+    if profiling then
+      prof.stall_unit_busy.(site) <- prof.stall_unit_busy.(site) + 1;
+    note now until
+  in
+
+  (* Try to issue the wave's ready instruction [d] on its unit; true when
+     it issued. *)
+  let issue cu (s : slot) now (d : Wave.decoded) =
+    let w = s.w and site = d.site and simd = s.w.Wave.simd in
+    match d.unit_ with
+    | Wave.U_valu ->
+        if (not sc.valu_used) && cu.simd_busy_until.(simd) <= now then begin
+          let eff = Wave.exec w d ~mem:s.mem ~line_bytes:cfg.line_bytes in
+          let busy =
+            match eff with
+            | Wave.E_trans -> cfg.valu_trans_latency
+            | _ -> cfg.valu_latency
+          in
+          cu.simd_busy_until.(simd) <- now + busy;
+          counters.valu_busy <- counters.valu_busy + busy;
+          counters.valu_insts <- counters.valu_insts + 1;
+          counters.valu_lane_ops <-
+            counters.valu_lane_ops + Wave.active_lanes w;
+          (* charge the profile before any trap can raise so a Detected
+             run still reconciles with [Counters] *)
+          if profiling then begin
+            prof.issues.(site) <- prof.issues.(site) + 1;
+            prof.valu_busy.(site) <- prof.valu_busy.(site) + busy
+          end;
+          if d.def >= 0 then w.Wave.ready_at.(d.def) <- now + busy;
+          (match eff with
+          | Wave.E_trapped ->
+              incr detections;
+              detected_at := Some now;
+              if prov_on then begin
+                prov_check_inst w d;
+                prov.detect_site <- site;
+                prov.detect_cycle <- now;
+                prov.detect_inst_index <- issued_insts ()
+              end;
+              Log.info (fun m ->
+                  m
+                    "cycle %d: output comparison trapped (CU %d, group %d, \
+                     wave %d)"
+                    now cu.cu_id s.g.g_index w.Wave.wid);
+              raise Trap_detected
+          | _ -> ());
+          if tracing then issued cu s now Gpu_trace.Sink.Valu busy;
+          sc.valu_used <- true;
+          true
+        end
+        else begin
+          unit_busy cu s now site cu.simd_busy_until.(simd);
+          false
+        end
+    | Wave.U_salu ->
+        if (not sc.salu_used) && cu.salu_busy_until <= now then begin
+          ignore (Wave.exec w d ~mem:s.mem ~line_bytes:cfg.line_bytes);
+          cu.salu_busy_until <- now + 1;
+          counters.salu_busy <- counters.salu_busy + 1;
+          counters.salu_insts <- counters.salu_insts + 1;
+          if profiling then begin
+            prof.issues.(site) <- prof.issues.(site) + 1;
+            prof.salu_busy.(site) <- prof.salu_busy.(site) + 1
+          end;
+          if d.def >= 0 then w.Wave.ready_at.(d.def) <- now + cfg.salu_latency;
+          if tracing then issued cu s now Gpu_trace.Sink.Salu 1;
+          sc.salu_used <- true;
+          true
+        end
+        else begin
+          unit_busy cu s now site cu.salu_busy_until;
+          false
+        end
+    | Wave.U_lds ->
+        if (not sc.lds_issued) && cu.lds_busy_until <= now then begin
+          let eff = Wave.exec w d ~mem:s.mem ~line_bytes:cfg.line_bytes in
+          cu.lds_busy_until <- now + cfg.lds_issue_cycles;
+          counters.lds_busy <- counters.lds_busy + cfg.lds_issue_cycles;
+          counters.lds_insts <- counters.lds_insts + 1;
+          if profiling then begin
+            prof.issues.(site) <- prof.issues.(site) + 1;
+            prof.lds_busy.(site) <- prof.lds_busy.(site) + cfg.lds_issue_cycles
+          end;
+          (match eff with
+          | Wave.E_mem kind ->
+              counters.lds_lane_ops <- counters.lds_lane_ops + w.Wave.mem_lanes;
+              if kind = Wave.MAtomic then counters.atomics <- counters.atomics + 1
+          | _ -> ());
+          if d.def >= 0 then w.Wave.ready_at.(d.def) <- now + cfg.lds_latency;
+          if tracing then issued cu s now Gpu_trace.Sink.Lds cfg.lds_issue_cycles;
+          sc.lds_issued <- true;
+          true
+        end
+        else begin
+          unit_busy cu s now site cu.lds_busy_until;
+          false
+        end
+    | Wave.U_vmem ->
+        let is_store = match d.inst with Store _ -> true | _ -> false in
+        if sc.vmem_used || Memsys.(ms.mem_busy_until.(cu.cu_id)) > now then begin
+          unit_busy cu s now site Memsys.(ms.mem_busy_until.(cu.cu_id));
+          false
+        end
+        else if is_store && Memsys.store_would_stall ms ~cu:cu.cu_id ~now then begin
+          (* Charge the whole blocked span at once: the backlog cannot
+             change while the store is stalled, and idle skip-ahead may
+             never rescan the intervening cycles. [wstall_counted_until]
+             de-overlaps repeat scans of the same episode, so each blocked
+             cycle is counted exactly once per CU. *)
+          let until = Memsys.store_stall_until ms ~cu:cu.cu_id in
+          let from = max now cu.wstall_counted_until in
+          if until > from then begin
+            counters.write_stalled <- counters.write_stalled + (until - from);
+            if profiling then
+              prof.write_stalled.(site) <-
+                prof.write_stalled.(site) + (until - from);
+            cu.wstall_counted_until <- until
+          end;
+          if tracing then stall cu s now Gpu_trace.Sink.Write_backlog;
+          if profiling then
+            prof.stall_write_backlog.(site) <-
+              prof.stall_write_backlog.(site) + 1;
+          note now until;
+          false
+        end
+        else begin
+          (match Wave.exec w d ~mem:s.mem ~line_bytes:cfg.line_bytes with
+          | Wave.E_mem kind ->
+              let lines = w.Wave.lines and nlines = w.Wave.nlines in
+              let lanes = w.Wave.mem_lanes in
+              (* atomics are processed at the L2: they occupy the CU's
+                 vector memory unit only to issue, not per line *)
+              let busy =
+                if kind = Wave.MAtomic then 8 else 4 + (4 * (max 1 nlines - 1))
+              in
+              Memsys.(ms.mem_busy_until.(cu.cu_id) <- now + busy);
+              counters.mem_unit_busy <- counters.mem_unit_busy + busy;
+              counters.vmem_insts <- counters.vmem_insts + 1;
+              if profiling then begin
+                prof.issues.(site) <- prof.issues.(site) + 1;
+                prof.mem_unit_busy.(site) <- prof.mem_unit_busy.(site) + busy
+              end;
+              (match d.inst with
+              | Atomic (A_poll, _, _, _, _) ->
+                  (* every active lane's flag poll is one spin iteration
+                     (Per_item gives each lane its own slot) *)
+                  counters.spin_iterations <- counters.spin_iterations + lanes;
+                  if profiling then
+                    prof.spin_iterations.(site) <-
+                      prof.spin_iterations.(site) + lanes;
+                  if tracing then stall cu s now Gpu_trace.Sink.Spin
+              | _ -> ());
+              if tracing then issued cu s now Gpu_trace.Sink.Vmem busy;
+              (match kind with
+              | Wave.MLoad ->
+                  counters.global_load_insts <- counters.global_load_insts + 1;
+                  let t =
+                    if profiling then begin
+                      (* attribute the cache outcome of this load by delta
+                         over the shared counters, which [load_timed] bumps
+                         internally *)
+                      let h1 = counters.l1_hits
+                      and s1 = counters.l1_misses
+                      and h2 = counters.l2_hits
+                      and s2 = counters.l2_misses in
+                      let t =
+                        Memsys.load_timed ms ~cu:cu.cu_id ~now lines nlines
+                      in
+                      prof.l1_hits.(site) <-
+                        prof.l1_hits.(site) + (counters.l1_hits - h1);
+                      prof.l1_misses.(site) <-
+                        prof.l1_misses.(site) + (counters.l1_misses - s1);
+                      prof.l2_hits.(site) <-
+                        prof.l2_hits.(site) + (counters.l2_hits - h2);
+                      prof.l2_misses.(site) <-
+                        prof.l2_misses.(site) + (counters.l2_misses - s2);
+                      t
+                    end
+                    else Memsys.load_timed ms ~cu:cu.cu_id ~now lines nlines
+                  in
+                  if d.def >= 0 then w.Wave.ready_at.(d.def) <- t
+              | Wave.MStore ->
+                  counters.global_store_insts <- counters.global_store_insts + 1;
+                  Memsys.store_timed ms ~cu:cu.cu_id ~now nlines
+              | Wave.MAtomic ->
+                  counters.atomics <- counters.atomics + 1;
+                  let t = Memsys.atomic_timed ms ~cu:cu.cu_id ~now lines nlines in
+                  if d.def >= 0 then w.Wave.ready_at.(d.def) <- t)
+          | _ -> ());
+          sc.vmem_used <- true;
+          true
+        end
+  in
+
+  (* One wave of the SIMD holding the turn. [gen] is [cu.sched_gen] at
+     the start of the scan. *)
+  let visit cu now gen (s : slot) =
+    if s.live then begin
+      let w = s.w in
+      match Wave.peek w ~now ~on_branch with
+      | Wave.P_done ->
+          retire_wave cu s ~current:(cu.sched_gen = gen) now;
+          sc.events <- true
+      | Wave.P_barrier_arrived ->
+          cu.simd_running.(w.Wave.simd) <- cu.simd_running.(w.Wave.simd) - 1;
+          if arrive_barrier cu s.g ~wid:w.Wave.wid now then sc.events <- true
+      | Wave.P_waiting ->
+          if tracing then stall cu s now Gpu_trace.Sink.Barrier_wait;
+          if profiling && w.Wave.barrier_site >= 0 then
+            prof.stall_barrier.(w.Wave.barrier_site) <-
+              prof.stall_barrier.(w.Wave.barrier_site) + 1
+      | Wave.P_stall ->
+          (* control-flow operand not ready: conservative near wake *)
+          note now (now + 1)
+      | Wave.P_inst ->
+          let d = code.(w.Wave.pending) in
+          let ready = Wave.ready_cycle w d in
+          if ready > now then begin
+            if tracing then stall cu s now Gpu_trace.Sink.Scoreboard;
+            if profiling then
+              prof.stall_scoreboard.(d.site) <- prof.stall_scoreboard.(d.site) + 1;
+            note now ready
+          end
+          else begin
+            if prov_on then begin
+              prov_cur := Some (d.site, d.inst);
+              prov_now := now
+            end;
+            if san_on then san_set_site d.site;
+            if issue cu s now d then begin
+              if prov_on then prov_check_inst w d;
+              Wave.consume w;
+              w.Wave.last_issue <- now;
+              note now (now + 1)
+            end
+          end
+    end
+  in
+
+  (* index of the first position >= [start] in the ascending [pos] *)
+  let rec first_at_or_after pos start j =
+    if j < Array.length pos && pos.(j) < start then
+      first_at_or_after pos start (j + 1)
+    else j
+  in
+  let rec other_simd_running cu simd k =
+    k < cfg.simds_per_cu
+    && ((k <> simd && cu.simd_running.(k) > 0)
+       || other_simd_running cu simd (k + 1))
+  in
 
   let scan_cu cu now =
     let simd = now mod cfg.simds_per_cu in
-    let wake = ref max_int in
-    let note t = if t > now && t < !wake then wake := t in
-    let other_simd_work = ref false in
-    let valu_used = ref false
-    and vmem_used = ref false
-    and lds_used = ref false
-    and salu_used = ref false in
-    let events = ref false in
-    let stall (s : slot) cause =
-      emit now
-        (Gpu_trace.Sink.Stall
-           { cu = cu.cu_id; group = s.g.g_index; wave = s.w.Wave.wid; cause })
-    in
-    let issued (s : slot) unit_ busy =
-      emit now
-        (Gpu_trace.Sink.Wave_issue
-           {
-             cu = cu.cu_id;
-             simd = s.w.Wave.simd;
-             group = s.g.g_index;
-             wave = s.w.Wave.wid;
-             unit_;
-             busy;
-           })
-    in
-    (* iterate a stable snapshot: retirement may rebuild [cu.sched] *)
-    let sched = cu.sched in
-    let n = Array.length sched in
-    let start =
-      match cfg.sched_policy with
-      | Config.Greedy -> 0
-      | Config.Round_robin ->
-          cu.rr <- (cu.rr + 1) mod max 1 n;
-          cu.rr
-    in
-    for k = 0 to n - 1 do
-      let idx = (start + k) mod n in
-      let s = sched.(idx) in
-      if s.live then begin
-        let w = s.w in
-        if w.Wave.simd <> simd then begin
-          (* not this SIMD's turn; it may have work within 3 cycles *)
-          match w.Wave.state with
-          | Wave.Running -> other_simd_work := true
-          | Wave.At_barrier | Wave.Retired -> ()
-        end
-        else
-          match Wave.peek w ~now ~on_branch with
-          | Wave.P_done ->
-              retire_wave cu s now;
-              events := true
-          | Wave.P_barrier_arrived ->
-              if arrive_barrier cu s.g ~wid:w.Wave.wid now then events := true
-          | Wave.P_waiting ->
-              if tracing then stall s Gpu_trace.Sink.Barrier_wait;
-              if profiling && w.Wave.barrier_site >= 0 then
-                prof.stall_barrier.(w.Wave.barrier_site) <-
-                  prof.stall_barrier.(w.Wave.barrier_site) + 1
-          | Wave.P_stall ->
-              (* control-flow operand not ready: conservative near wake *)
-              note (now + 1)
-          | Wave.P_inst (site, i) ->
-              if not (Wave.inst_ready w ~now i) then begin
-                let t =
-                  List.fold_left
-                    (fun acc v ->
-                      match v with
-                      | Reg r -> max acc w.Wave.ready_at.(r)
-                      | _ -> acc)
-                    (now + 1) (inst_uses i)
-                in
-                if tracing then stall s Gpu_trace.Sink.Scoreboard;
-                if profiling then
-                  prof.stall_scoreboard.(site) <- prof.stall_scoreboard.(site) + 1;
-                note t
-              end
-              else begin
-                let issue_done = ref false in
-                if prov_on then begin
-                  prov_cur := Some (site, i);
-                  prov_now := now
-                end;
-                if san_on then san_set_site site;
-                (match classify_unit div i with
-                | U_valu ->
-                    if (not !valu_used) && cu.simd_busy_until.(simd) <= now
-                    then begin
-                      let eff = Wave.exec w i ~mem:s.mem ~line_bytes:cfg.line_bytes in
-                      let busy =
-                        match eff with
-                        | Wave.E_trans -> cfg.valu_trans_latency
-                        | _ -> cfg.valu_latency
-                      in
-                      cu.simd_busy_until.(simd) <- now + busy;
-                      counters.valu_busy <- counters.valu_busy + busy;
-                      counters.valu_insts <- counters.valu_insts + 1;
-                      counters.valu_lane_ops <-
-                        counters.valu_lane_ops + Wave.active_lanes w;
-                      (* charge the profile before any trap can raise so a
-                         Detected run still reconciles with [Counters] *)
-                      if profiling then begin
-                        prof.issues.(site) <- prof.issues.(site) + 1;
-                        prof.valu_busy.(site) <- prof.valu_busy.(site) + busy
-                      end;
-                      (match inst_def i with
-                      | Some d -> w.Wave.ready_at.(d) <- now + busy
-                      | None -> ());
-                      (match eff with
-                      | Wave.E_trap true ->
-                          incr detections;
-                          detected_at := Some now;
-                          if prov_on then begin
-                            prov_check_inst w i;
-                            prov.detect_site <- site;
-                            prov.detect_cycle <- now;
-                            prov.detect_inst_index <- issued_insts ()
-                          end;
-                          Log.info (fun m ->
-                              m
-                                "cycle %d: output comparison trapped (CU %d, \
-                                 group %d, wave %d)"
-                                now cu.cu_id s.g.g_index w.Wave.wid);
-                          raise Trap_detected
-                      | _ -> ());
-                      if tracing then issued s Gpu_trace.Sink.Valu busy;
-                      valu_used := true;
-                      issue_done := true
-                    end
-                    else begin
-                      if tracing then stall s Gpu_trace.Sink.Unit_busy;
-                      if profiling then
-                        prof.stall_unit_busy.(site) <-
-                          prof.stall_unit_busy.(site) + 1;
-                      note cu.simd_busy_until.(simd)
-                    end
-                | U_salu ->
-                    if (not !salu_used) && cu.salu_busy_until <= now then begin
-                      ignore (Wave.exec w i ~mem:s.mem ~line_bytes:cfg.line_bytes);
-                      cu.salu_busy_until <- now + 1;
-                      counters.salu_busy <- counters.salu_busy + 1;
-                      counters.salu_insts <- counters.salu_insts + 1;
-                      if profiling then begin
-                        prof.issues.(site) <- prof.issues.(site) + 1;
-                        prof.salu_busy.(site) <- prof.salu_busy.(site) + 1
-                      end;
-                      (match inst_def i with
-                      | Some d -> w.Wave.ready_at.(d) <- now + cfg.salu_latency
-                      | None -> ());
-                      if tracing then issued s Gpu_trace.Sink.Salu 1;
-                      salu_used := true;
-                      issue_done := true
-                    end
-                    else begin
-                      if tracing then stall s Gpu_trace.Sink.Unit_busy;
-                      if profiling then
-                        prof.stall_unit_busy.(site) <-
-                          prof.stall_unit_busy.(site) + 1;
-                      note cu.salu_busy_until
-                    end
-                | U_lds ->
-                    if (not !lds_used) && cu.lds_busy_until <= now then begin
-                      let eff = Wave.exec w i ~mem:s.mem ~line_bytes:cfg.line_bytes in
-                      cu.lds_busy_until <- now + cfg.lds_issue_cycles;
-                      counters.lds_busy <-
-                        counters.lds_busy + cfg.lds_issue_cycles;
-                      counters.lds_insts <- counters.lds_insts + 1;
-                      if profiling then begin
-                        prof.issues.(site) <- prof.issues.(site) + 1;
-                        prof.lds_busy.(site) <-
-                          prof.lds_busy.(site) + cfg.lds_issue_cycles
-                      end;
-                      (match eff with
-                      | Wave.E_mem m ->
-                          counters.lds_lane_ops <-
-                            counters.lds_lane_ops + m.lanes;
-                          if m.mkind = Wave.MAtomic then
-                            counters.atomics <- counters.atomics + 1
-                      | _ -> ());
-                      (match inst_def i with
-                      | Some d -> w.Wave.ready_at.(d) <- now + cfg.lds_latency
-                      | None -> ());
-                      if tracing then
-                        issued s Gpu_trace.Sink.Lds cfg.lds_issue_cycles;
-                      lds_used := true;
-                      issue_done := true
-                    end
-                    else begin
-                      if tracing then stall s Gpu_trace.Sink.Unit_busy;
-                      if profiling then
-                        prof.stall_unit_busy.(site) <-
-                          prof.stall_unit_busy.(site) + 1;
-                      note cu.lds_busy_until
-                    end
-                | U_vmem ->
-                    let is_store =
-                      match i with Store (Global, _, _) -> true | _ -> false
-                    in
-                    if !vmem_used || Memsys.(ms.mem_busy_until.(cu.cu_id)) > now
-                    then begin
-                      if tracing then stall s Gpu_trace.Sink.Unit_busy;
-                      if profiling then
-                        prof.stall_unit_busy.(site) <-
-                          prof.stall_unit_busy.(site) + 1;
-                      note Memsys.(ms.mem_busy_until.(cu.cu_id))
-                    end
-                    else if
-                      is_store && Memsys.store_would_stall ms ~cu:cu.cu_id ~now
-                    then begin
-                      (* Charge the whole blocked span at once: the backlog
-                         cannot change while the store is stalled, and idle
-                         skip-ahead may never rescan the intervening
-                         cycles. [wstall_counted_until] de-overlaps repeat
-                         scans of the same episode, so each blocked cycle
-                         is counted exactly once per CU. *)
-                      let until = Memsys.store_stall_until ms ~cu:cu.cu_id in
-                      let from = max now cu.wstall_counted_until in
-                      if until > from then begin
-                        counters.write_stalled <-
-                          counters.write_stalled + (until - from);
-                        if profiling then
-                          prof.write_stalled.(site) <-
-                            prof.write_stalled.(site) + (until - from);
-                        cu.wstall_counted_until <- until
-                      end;
-                      if tracing then stall s Gpu_trace.Sink.Write_backlog;
-                      if profiling then
-                        prof.stall_write_backlog.(site) <-
-                          prof.stall_write_backlog.(site) + 1;
-                      note until
-                    end
-                    else begin
-                      let eff = Wave.exec w i ~mem:s.mem ~line_bytes:cfg.line_bytes in
-                      (match eff with
-                      | Wave.E_mem m ->
-                          let nlines = max 1 (List.length m.lines) in
-                          (* atomics are processed at the L2: they occupy
-                             the CU's vector memory unit only to issue,
-                             not per line *)
-                          let busy =
-                            if m.mkind = Wave.MAtomic then 8
-                            else 4 + (4 * (nlines - 1))
-                          in
-                          Memsys.(ms.mem_busy_until.(cu.cu_id) <- now + busy);
-                          counters.mem_unit_busy <-
-                            counters.mem_unit_busy + busy;
-                          counters.vmem_insts <- counters.vmem_insts + 1;
-                          if profiling then begin
-                            prof.issues.(site) <- prof.issues.(site) + 1;
-                            prof.mem_unit_busy.(site) <-
-                              prof.mem_unit_busy.(site) + busy
-                          end;
-                          (match i with
-                          | Atomic (A_poll, _, _, _, _) ->
-                              (* every active lane's flag poll is one spin
-                                 iteration (Per_item gives each lane its
-                                 own slot) *)
-                              counters.spin_iterations <-
-                                counters.spin_iterations + m.lanes;
-                              if profiling then
-                                prof.spin_iterations.(site) <-
-                                  prof.spin_iterations.(site) + m.lanes;
-                              if tracing then stall s Gpu_trace.Sink.Spin
-                          | _ -> ());
-                          if tracing then issued s Gpu_trace.Sink.Vmem busy;
-                          (match m.mkind with
-                          | Wave.MLoad ->
-                              counters.global_load_insts <-
-                                counters.global_load_insts + 1;
-                              let t =
-                                if profiling then begin
-                                  (* attribute the cache outcome of this
-                                     load by delta over the shared
-                                     counters, which [load_timed] bumps
-                                     internally *)
-                                  let h1 = counters.l1_hits
-                                  and s1 = counters.l1_misses
-                                  and h2 = counters.l2_hits
-                                  and s2 = counters.l2_misses in
-                                  let t =
-                                    Memsys.load_timed ms ~cu:cu.cu_id ~now
-                                      m.lines
-                                  in
-                                  prof.l1_hits.(site) <-
-                                    prof.l1_hits.(site)
-                                    + (counters.l1_hits - h1);
-                                  prof.l1_misses.(site) <-
-                                    prof.l1_misses.(site)
-                                    + (counters.l1_misses - s1);
-                                  prof.l2_hits.(site) <-
-                                    prof.l2_hits.(site)
-                                    + (counters.l2_hits - h2);
-                                  prof.l2_misses.(site) <-
-                                    prof.l2_misses.(site)
-                                    + (counters.l2_misses - s2);
-                                  t
-                                end
-                                else Memsys.load_timed ms ~cu:cu.cu_id ~now m.lines
-                              in
-                              (match inst_def i with
-                              | Some d -> w.Wave.ready_at.(d) <- t
-                              | None -> ())
-                          | Wave.MStore ->
-                              counters.global_store_insts <-
-                                counters.global_store_insts + 1;
-                              Memsys.store_timed ms ~cu:cu.cu_id ~now m.lines
-                          | Wave.MAtomic ->
-                              counters.atomics <- counters.atomics + 1;
-                              let t =
-                                Memsys.atomic_timed ms ~cu:cu.cu_id ~now m.lines
-                              in
-                              (match inst_def i with
-                              | Some d -> w.Wave.ready_at.(d) <- t
-                              | None -> ()))
-                      | _ -> ());
-                      vmem_used := true;
-                      issue_done := true
-                    end);
-                if !issue_done then begin
-                  if prov_on then prov_check_inst w i;
-                  Wave.consume w;
-                  w.Wave.last_issue <- now;
-                  note (now + 1)
-                end
-              end
-      end
-    done;
-    if !other_simd_work || !events then note (now + 1);
-    cu.wake <- !wake
+    sc.s_wake <- max_int;
+    sc.valu_used <- false;
+    sc.vmem_used <- false;
+    sc.lds_issued <- false;
+    sc.salu_used <- false;
+    sc.events <- false;
+    (* iterate a stable snapshot: retirement may rebuild the schedule *)
+    let gen = cu.sched_gen and sched = cu.sched and pos = cu.simd_pos.(simd) in
+    let m = Array.length pos in
+    (match cfg.sched_policy with
+    | Config.Greedy ->
+        for j = 0 to m - 1 do
+          visit cu now gen sched.(pos.(j))
+        done
+    | Config.Round_robin ->
+        (* start at schedule position [now mod n] and wrap: a function of
+           the cycle, not of how many scans ran, so idle skip-ahead cannot
+           change the order *)
+        let j0 = first_at_or_after pos (now mod max 1 (Array.length sched)) 0 in
+        for j = j0 to m - 1 do
+          visit cu now gen sched.(pos.(j))
+        done;
+        for j = 0 to j0 - 1 do
+          visit cu now gen sched.(pos.(j))
+        done);
+    (* a running wave of another SIMD may have work within 3 cycles *)
+    if sc.events || other_simd_running cu simd 0 then note now (now + 1);
+    cu.wake <- sc.s_wake
   in
 
   (* -------------------- fault injection -------------------- *)
@@ -1186,10 +1249,10 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
                inject_pending := None
              end
          | _ -> ());
-         Array.iter
-           (fun cu ->
-             if opts.scan_every_cycle || cu.wake <= now then scan_cu cu now)
-           cus;
+         for i = 0 to Array.length cus - 1 do
+           let cu = cus.(i) in
+           if opts.scan_every_cycle || cu.wake <= now then scan_cu cu now
+         done;
          if now >= !next_window then begin
            let snap = Counters.copy counters in
            snap.Counters.cycles <- now;
@@ -1202,7 +1265,9 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
            (* advance: skip ahead when every CU is provably idle *)
            let nxt = ref (now + 1) in
            let min_wake = ref max_int in
-           Array.iter (fun cu -> if cu.wake < !min_wake then min_wake := cu.wake) cus;
+           for i = 0 to Array.length cus - 1 do
+             if cus.(i).wake < !min_wake then min_wake := cus.(i).wake
+           done;
            if
              (not opts.scan_every_cycle)
              && !min_wake > now + 1
@@ -1227,6 +1292,13 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
   | Trap_detected -> outcome := Detected
   | Memsys.Fault msg -> outcome := Crashed msg);
   counters.cycles <- !cycle;
+  dev.spare_waves <-
+    Array.fold_left
+      (fun acc cu ->
+        List.fold_left
+          (fun acc g -> Array.fold_right List.cons g.g_waves acc)
+          acc cu.groups)
+      !free_waves cus;
   (* Flush the final partial power window on every exit path (Finished,
      Hung, Detected, Crashed): the in-loop sampler only fires on window
      boundaries, and without this up to [window_cycles - 1] trailing

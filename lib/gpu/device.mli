@@ -9,7 +9,13 @@
     to the CU-shared units). Wavefronts are scoreboarded, so memory
     latency is hidden exactly when enough other wavefronts are resident —
     the mechanism behind the paper's "memory-bound kernels get cheap RMT"
-    result. *)
+    result.
+
+    Each launch decodes its kernel once into a per-site table (register
+    uses, def, issue unit, resolved LDS offsets) that the issue loop reads
+    on every scan; a scan visits only the waves of the SIMD holding the
+    turn, and register files are reused across the device's groups and
+    launches (zero-filled). *)
 
 val log_src : Logs.src
 (** Scheduler-event log source ("gpu.device"): dispatches, retirements,

@@ -120,39 +120,43 @@ let dram_transfer t ~now =
   t.dram_next_free <- start +. dur;
   int_of_float (start +. dur) + c.dram_latency
 
-(** Timing for a coalesced vector load of [lines] on [cu] at cycle [now]:
-    returns the completion cycle. Updates cache state and counters. *)
-let load_timed t ~cu ~now lines =
+(** Timing for a coalesced vector load of [lines.(0 .. n - 1)] on [cu]
+    at cycle [now]: returns the completion cycle. Updates cache state and
+    counters. *)
+let load_timed t ~cu ~now lines n =
   let c = t.cfg in
   let l1 = t.l1s.(cu) in
   let completion = ref (now + c.l1_latency) in
-  List.iter
-    (fun line ->
-      let hit1 =
-        Cache.access ~on_evict:(fun old -> clear_poison_on_line t ~cu old) l1
-          line
-      in
-      if hit1 then begin
-        t.counters.l1_hits <- t.counters.l1_hits + 1;
-        completion := max !completion (now + c.l1_latency)
+  for i = 0 to n - 1 do
+    let line = lines.(i) in
+    let hit1 =
+      match t.poison with
+      | None -> Cache.access l1 line
+      | Some _ ->
+          Cache.access ~on_evict:(fun old -> clear_poison_on_line t ~cu old) l1
+            line
+    in
+    if hit1 then begin
+      t.counters.l1_hits <- t.counters.l1_hits + 1;
+      completion := max !completion (now + c.l1_latency)
+    end
+    else begin
+      t.counters.l1_misses <- t.counters.l1_misses + 1;
+      (* an L1 refill replaces any poisoned copy of this line *)
+      clear_poison_on_line t ~cu line;
+      let hit2 = Cache.access t.l2 line in
+      if hit2 then begin
+        t.counters.l2_hits <- t.counters.l2_hits + 1;
+        completion := max !completion (now + c.l2_latency)
       end
       else begin
-        t.counters.l1_misses <- t.counters.l1_misses + 1;
-        (* an L1 refill replaces any poisoned copy of this line *)
-        clear_poison_on_line t ~cu line;
-        let hit2 = Cache.access t.l2 line in
-        if hit2 then begin
-          t.counters.l2_hits <- t.counters.l2_hits + 1;
-          completion := max !completion (now + c.l2_latency)
-        end
-        else begin
-          t.counters.l2_misses <- t.counters.l2_misses + 1;
-          t.counters.dram_read_bytes <-
-            t.counters.dram_read_bytes + c.line_bytes;
-          completion := max !completion (dram_transfer t ~now)
-        end
-      end)
-    lines;
+        t.counters.l2_misses <- t.counters.l2_misses + 1;
+        t.counters.dram_read_bytes <-
+          t.counters.dram_read_bytes + c.line_bytes;
+        completion := max !completion (dram_transfer t ~now)
+      end
+    end
+  done;
   !completion
 
 (** Would a store issued now on [cu] exceed the tolerated write backlog?
@@ -169,13 +173,13 @@ let store_stall_until t ~cu =
   int_of_float
     (Float.ceil (t.write_busy_until.(cu) -. float_of_int t.cfg.write_backlog_limit))
 
-(** Timing for a write-through vector store of [lines]: consumes per-CU
+(** Timing for a write-through vector store of [n] lines: consumes per-CU
     write bandwidth and device DRAM bandwidth; stores do not block the
     issuing wave. L1 copies are updated in place (write-through,
     no-allocate). *)
-let store_timed t ~cu ~now lines =
+let store_timed t ~cu ~now n =
   let c = t.cfg in
-  let nbytes = List.length lines * c.line_bytes in
+  let nbytes = n * c.line_bytes in
   let start = fmax (float_of_int now) t.write_busy_until.(cu) in
   t.write_busy_until.(cu) <-
     start +. (float_of_int nbytes /. c.l2_bytes_per_cycle_per_cu);
@@ -186,17 +190,16 @@ let store_timed t ~cu ~now lines =
   t.dram_next_free <- fmax (float_of_int now) t.dram_next_free +. dur
 
 (** Timing for an atomic (executes at the L2; invalidates L1 copies). *)
-let atomic_timed t ~cu ~now lines =
+let atomic_timed t ~cu ~now lines n =
   let c = t.cfg in
-  List.iter
-    (fun line ->
-      Cache.invalidate t.l1s.(cu) line;
-      clear_poison_on_line t ~cu line;
-      ignore (Cache.access t.l2 line))
-    lines;
-  t.counters.l2_write_bytes <-
-    t.counters.l2_write_bytes + (List.length lines * 8);
-  now + c.atomic_latency + (4 * (List.length lines - 1))
+  for i = 0 to n - 1 do
+    let line = lines.(i) in
+    Cache.invalidate t.l1s.(cu) line;
+    clear_poison_on_line t ~cu line;
+    ignore (Cache.access t.l2 line)
+  done;
+  t.counters.l2_write_bytes <- t.counters.l2_write_bytes + (n * 8);
+  now + c.atomic_latency + (4 * (n - 1))
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)

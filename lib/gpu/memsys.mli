@@ -54,8 +54,9 @@ val store32 : t -> cu:int -> int -> int -> unit
 
 (** {1 Timing} *)
 
-val load_timed : t -> cu:int -> now:int -> int list -> int
-(** Completion cycle of a coalesced load of the given lines. *)
+val load_timed : t -> cu:int -> now:int -> int array -> int -> int
+(** [load_timed t ~cu ~now lines n]: completion cycle of a coalesced load
+    of the lines [lines.(0 .. n - 1)], in that order. *)
 
 val store_would_stall : t -> cu:int -> now:int -> bool
 
@@ -63,8 +64,11 @@ val store_stall_until : t -> cu:int -> int
 (** First cycle at which a store on [cu] would no longer stall (exact:
     the backlog cannot change while the store is blocked). *)
 
-val store_timed : t -> cu:int -> now:int -> int list -> unit
-val atomic_timed : t -> cu:int -> now:int -> int list -> int
+val store_timed : t -> cu:int -> now:int -> int -> unit
+(** Charge a write-through store of the given number of lines. *)
+
+val atomic_timed : t -> cu:int -> now:int -> int array -> int -> int
+(** Completion cycle of an atomic over [lines.(0 .. n - 1)]. *)
 
 (** {1 Fault injection} *)
 

@@ -2,8 +2,9 @@
     explicit continuation stack and a 64-bit execution mask, exactly as
     SIMT hardware does with its reconvergence stack. Control bookkeeping
     happens during {!peek} (near-free, as on GCN's scalar branch unit);
-    real instructions are returned to the compute unit for timed issue
-    and executed functionally at issue time by {!exec}. *)
+    real instructions are returned to the compute unit as a site id into
+    the launch's {!decoded} table and executed functionally at issue time
+    by {!exec}, one loop over the register array per instruction. *)
 
 open Gpu_ir.Types
 module Site = Gpu_ir.Site
@@ -22,10 +23,15 @@ type t = {
   flat_base : int;  (** flat local id of lane 0 *)
   regs : int array;  (** nregs x 64, lane-major within a register *)
   ready_at : int array;  (** per-register scoreboard *)
+  lines : int array;
+      (** unique cache lines of the last [Global] memory op, ascending *)
+  mutable nlines : int;  (** valid prefix of [lines] *)
+  mutable mem_lanes : int;  (** active lanes of the last memory op *)
+  lanebuf : int array;  (** swizzle source snapshot *)
   mutable mask : int64;
   full_mask : int64;
   mutable stack : cont list;
-  mutable pending : (Site.id * inst) option;
+  mutable pending : Site.id;  (** site at the head of the wave, or -1 *)
   mutable state : state;
   mutable simd : int;
   mutable last_issue : int;
@@ -40,28 +46,67 @@ val create :
 (** [body] is the kernel body annotated by {!Gpu_ir.Site.annotate}; the
     device annotates once per launch and shares the tree across waves. *)
 
+val recycle :
+  t -> wid:int -> nlanes:int -> flat_base:int -> body:Site.astmt list ->
+  simd:int -> t
+(** A fresh wave that takes over the register file and buffers of a
+    retired wave of the same kernel, zero-filled: launches reuse the
+    register files of completed groups instead of allocating new ones.
+    The old wave must no longer be executed. *)
+
 val get_reg : t -> reg -> int -> int
 val set_reg : t -> reg -> int -> int -> unit
-val read : t -> value -> int -> int
-val inst_ready : t -> now:int -> inst -> bool
 val lane_active : int64 -> int -> bool
 val popcount64 : int64 -> int
 val active_lanes : t -> int
 
+(** {1 Decoded site table} *)
+
+type unit_kind = U_valu | U_salu | U_vmem | U_lds
+
+type decoded = {
+  site : Site.id;
+  inst : inst;
+  uses : int array;  (** registers read, in operand order *)
+  def : int;  (** destination register, or -1 *)
+  unit_ : unit_kind;  (** issue unit *)
+  lds_off : int;
+      (** byte offset of an [Lds_base] special's allocation; -1 when the
+          instruction is something else or the name is unknown (then
+          {!exec} asks [mem_ops.lds_base], which raises) *)
+}
+
+val decode :
+  scalar:(inst -> bool) -> lds_offset:(string -> int option) -> inst array ->
+  decoded array
+(** Decode every site ({!Gpu_ir.Site.insts} order). Memory operations go
+    to the vector memory ([Global]) or LDS ([Local]) unit, traps and
+    swizzles to the VALU, and everything else to the SALU when [scalar]
+    holds of it (see {!Gpu_ir.Uniformity.inst_scalarizable}). *)
+
+val ready_cycle : t -> decoded -> int
+(** First cycle at which every register [d] reads is available on the
+    wave's scoreboard; 0 when it reads no register. *)
+
+(** {1 Control flow} *)
+
 type peek_result =
-  | P_inst of Site.id * inst
+  | P_inst  (** [pending] holds the next instruction's site *)
   | P_stall
   | P_barrier_arrived
   | P_waiting
   | P_done
 
-val peek : ?fuel:int -> t -> now:int -> on_branch:(unit -> unit) -> peek_result
+val peek : t -> now:int -> on_branch:(unit -> unit) -> peek_result
 (** Advance through control flow to the next instruction, stall, barrier
-    or retirement. [fuel] bounds control transitions per call so a
-    degenerate control-only loop yields to the watchdog. *)
+    or retirement. At most 256 control transitions are handled per call,
+    so a degenerate control-only loop yields to the watchdog. Allocates
+    no closure. *)
 
 val consume : t -> unit
 val release_barrier : t -> unit
+
+(** {1 Execution} *)
 
 type mem_kind = MLoad | MStore | MAtomic
 
@@ -84,9 +129,14 @@ type mem_ops = {
 type effect_ =
   | E_pure
   | E_trans  (** transcendental VALU op (quarter rate) *)
-  | E_mem of { mspace : space; mkind : mem_kind; lines : int list; lanes : int }
-  | E_trap of bool
+  | E_mem of mem_kind
+      (** the active-lane count is in [mem_lanes]; a [Global] access's
+          unique cache lines are [lines.(0 .. nlines - 1)], ascending
+          (none for [Local]) *)
+  | E_trapped  (** a trap fired on some active lane *)
 
-val exec : t -> inst -> mem:mem_ops -> line_bytes:int -> effect_
+val exec : t -> decoded -> mem:mem_ops -> line_bytes:int -> effect_
 (** Execute functionally for all active lanes; returns the timing
-    classification. @raise Memsys.Fault on wild accesses. *)
+    classification. Memory callbacks and the sanitizer hook run lane by
+    lane in ascending lane order. Allocates nothing of its own.
+    @raise Memsys.Fault on wild accesses. *)

@@ -134,10 +134,17 @@ let run ?(step_limit = default_step_limit) ?inject (plan : plan) : result =
   let ngroups = Geom.total_groups nd in
   let items = Geom.group_items nd in
   let offsets = lds_offsets k in
+  let lds_offset name =
+    List.find_map (fun (n, o, _) -> if n = name then Some o else None) offsets
+  in
   let lds_base name =
-    match List.find_opt (fun (n, _, _) -> n = name) offsets with
-    | Some (_, o, _) -> o
+    match lds_offset name with
+    | Some o -> o
     | None -> invalid_arg ("machine: unknown LDS allocation " ^ name)
+  in
+  (* untimed: the issue unit is irrelevant, so nothing counts as scalar *)
+  let code =
+    Wave.decode ~scalar:(fun _ -> false) ~lds_offset (Site.insts k)
   in
   let global : (int, int) Hashtbl.t = Hashtbl.create 1024 in
   List.iter (fun (a, v) -> Hashtbl.replace global a v) plan.p_init;
@@ -228,12 +235,12 @@ let run ?(step_limit = default_step_limit) ?inject (plan : plan) : result =
         in
         (g, waves, mem))
   in
-  let try_inject (w : Wave.t) g i =
+  let try_inject (w : Wave.t) g (dec : Wave.decoded) =
     match inject with
     | Some ij when (not !injected) && ij.ij_site = !cur_site -> (
-        match inst_def i with
-        | None -> ()
-        | Some d ->
+        match dec.def with
+        | -1 -> ()
+        | d ->
             let lane_ok l =
               let flat = w.Wave.flat_base + l in
               match ij.ij_sel with
@@ -273,16 +280,18 @@ let run ?(step_limit = default_step_limit) ?inject (plan : plan) : result =
               (fun w ->
                 if w.Wave.state = Wave.Running then begin
                   match Wave.peek w ~now:0 ~on_branch:(fun () -> ()) with
-                  | Wave.P_inst (sid, i) ->
+                  | Wave.P_inst ->
+                      let d = code.(w.Wave.pending) in
+                      let sid = d.site in
                       cur_site := sid;
                       incr steps;
                       if !steps > step_limit then raise (Done Hung);
                       progress := true;
-                      let eff = Wave.exec w i ~mem ~line_bytes:64 in
+                      let eff = Wave.exec w d ~mem ~line_bytes:64 in
                       (match eff with
-                      | Wave.E_trap true -> raise (Done (Trapped sid))
+                      | Wave.E_trapped -> raise (Done (Trapped sid))
                       | _ -> ());
-                      try_inject w g i;
+                      try_inject w g d;
                       Wave.consume w
                   | Wave.P_barrier_arrived | Wave.P_done -> progress := true
                   | Wave.P_stall ->

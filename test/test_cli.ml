@@ -69,6 +69,27 @@ let test_inject_count_usage_error () =
           check Alcotest.string "no tally is printed" "" out)
     [ " 0"; "-1" ]
 
+let test_scale_usage_error () =
+  List.iter
+    (fun cmd ->
+      match run_shell cmd with
+      | None -> Alcotest.failf "%S did not finish" cmd
+      | Some (status, out, err) ->
+          check Alcotest.bool
+            (Printf.sprintf "%S exits with a usage error" cmd)
+            true (status = Unix.WEXITED 2);
+          check Alcotest.bool "the error names --scale" true
+            (contains err "'--scale'");
+          check Alcotest.string "nothing is simulated" "" out)
+    [
+      "rmtgpu run PS original --scale 0";
+      "rmtgpu run BinS inter --scale 0";
+      "rmtgpu run FWT original --scale=-1";
+      "rmtgpu trace BinS original --scale 0 -o /dev/null";
+      "rmtgpu profile FWT original --scale 0";
+      "rmtgpu check PS baseline --scale 0";
+    ]
+
 (* The "# run with:" command of an .rgk header: the comment lines after
    the marker, joined across trailing backslashes. *)
 let documented_commands path =
@@ -121,5 +142,6 @@ let test_documented_commands () =
 let suite =
   [
     tc "inject -n below 1 is a usage error" `Quick test_inject_count_usage_error;
+    tc "--scale below 1 is a usage error" `Quick test_scale_usage_error;
     tc "documented example commands run" `Quick test_documented_commands;
   ]

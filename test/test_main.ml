@@ -18,4 +18,6 @@ let () =
       ("san", Test_san.suite);
       ("tv", Test_tv.suite);
       ("cli", Test_cli.suite);
+      ("golden", Test_golden.suite);
+      ("wave", Test_wave.suite);
     ]

@@ -494,22 +494,22 @@ let test_memsys_functional () =
 let test_memsys_latency_ladder () =
   let ms, c, cfg = mk_memsys () in
   (* cold: DRAM; second access: L1 hit *)
-  let t1 = Sim.Memsys.load_timed ms ~cu:0 ~now:0 [ 0 ] in
-  let t2 = Sim.Memsys.load_timed ms ~cu:0 ~now:0 [ 0 ] in
+  let t1 = Sim.Memsys.load_timed ms ~cu:0 ~now:0 [| 0 |] 1 in
+  let t2 = Sim.Memsys.load_timed ms ~cu:0 ~now:0 [| 0 |] 1 in
   check Alcotest.bool "cold access slower than DRAM latency" true
     (t1 >= cfg.dram_latency);
   check Alcotest.int "warm access at L1 latency" cfg.l1_latency t2;
   check Alcotest.int "one miss one hit" 1 c.Sim.Counters.l1_hits;
   (* a different CU misses its own L1 but hits the shared L2 *)
-  let t3 = Sim.Memsys.load_timed ms ~cu:1 ~now:0 [ 0 ] in
+  let t3 = Sim.Memsys.load_timed ms ~cu:1 ~now:0 [| 0 |] 1 in
   check Alcotest.int "other CU hits L2" cfg.l2_latency t3
 
 let test_memsys_dram_bandwidth_serializes () =
   let ms, _, cfg = mk_memsys () in
   (* many distinct lines at once: completion must exceed latency by the
      serialized transfer time *)
-  let lines = List.init 64 (fun i -> i * cfg.line_bytes) in
-  let t = Sim.Memsys.load_timed ms ~cu:0 ~now:0 lines in
+  let lines = Array.init 64 (fun i -> i * cfg.line_bytes) in
+  let t = Sim.Memsys.load_timed ms ~cu:0 ~now:0 lines 64 in
   let transfer =
     int_of_float (float_of_int (64 * cfg.line_bytes) /. cfg.dram_bytes_per_cycle)
   in
@@ -519,23 +519,22 @@ let test_memsys_dram_bandwidth_serializes () =
     (t >= transfer)
 
 let test_memsys_write_backlog () =
-  let ms, _, cfg = mk_memsys () in
+  let ms, _, _ = mk_memsys () in
   check Alcotest.bool "no stall when idle" false
     (Sim.Memsys.store_would_stall ms ~cu:0 ~now:0);
   (* flood the write port *)
-  for i = 0 to 63 do
-    Sim.Memsys.store_timed ms ~cu:0 ~now:0
-      (List.init 16 (fun j -> ((i * 16) + j) * cfg.line_bytes))
+  for _ = 0 to 63 do
+    Sim.Memsys.store_timed ms ~cu:0 ~now:0 16
   done;
   check Alcotest.bool "backlog forces stall" true
     (Sim.Memsys.store_would_stall ms ~cu:0 ~now:0)
 
 let test_memsys_atomic_invalidates_l1 () =
   let ms, _, cfg = mk_memsys () in
-  ignore (Sim.Memsys.load_timed ms ~cu:0 ~now:0 [ 0 ]);
-  ignore (Sim.Memsys.atomic_timed ms ~cu:0 ~now:0 [ 0 ]);
+  ignore (Sim.Memsys.load_timed ms ~cu:0 ~now:0 [| 0 |] 1);
+  ignore (Sim.Memsys.atomic_timed ms ~cu:0 ~now:0 [| 0 |] 1);
   (* after the atomic, the next load must miss the L1 again *)
-  let t = Sim.Memsys.load_timed ms ~cu:0 ~now:1000 [ 0 ] in
+  let t = Sim.Memsys.load_timed ms ~cu:0 ~now:1000 [| 0 |] 1 in
   check Alcotest.bool "L1 copy invalidated" true (t > 1000 + cfg.l1_latency)
 
 (* ------------------------------------------------------------------ *)

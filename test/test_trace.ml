@@ -280,6 +280,57 @@ let test_write_stall_span_vs_every_cycle_scan () =
   check Alcotest.bool "all counters agree" true
     (counters_fields_equal fast.Sim.Device.counters slow.Sim.Device.counters)
 
+(* Launch every step of a registry benchmark the way [Harness.Run.run]
+   does, with the given scan mode; returns the summed cycles and
+   counters. *)
+let launch_bench ~cfg ~scan_every_cycle id variant =
+  let bench = Kernels.Registry.find id in
+  let dev = Sim.Device.create cfg in
+  let prep = bench.Kernels.Bench.prepare dev ~scale:1 in
+  let nd0 = (List.hd prep.Kernels.Bench.steps).Kernels.Bench.nd in
+  let k = Harness.Run.transformed_kernel bench variant ~nd:nd0 in
+  let extras = T.make_extras variant dev ~nd:nd0 in
+  let total = Sim.Counters.create () in
+  let cycles =
+    List.fold_left
+      (fun cycles (step : Kernels.Bench.step) ->
+        extras.T.reset ();
+        let opts = { Sim.Device.default_opts with scan_every_cycle } in
+        let r =
+          Sim.Device.launch ~opts dev k
+            ~nd:(T.map_ndrange variant step.Kernels.Bench.nd)
+            ~args:(step.Kernels.Bench.args @ extras.T.ex_args)
+        in
+        check Alcotest.bool (id ^ " finished") true
+          (r.Sim.Device.outcome = Sim.Device.Finished);
+        Sim.Counters.accumulate ~into:total r.Sim.Device.counters;
+        cycles + r.Sim.Device.cycles)
+      0 prep.Kernels.Bench.steps
+  in
+  (cycles, total)
+
+let test_skip_ahead_matches_every_cycle_scan () =
+  (* idle skip-ahead must not change any schedule: the rotating
+     round-robin start and 32-lane waves included *)
+  let rr = { Sim.Config.default with sched_policy = Sim.Config.Round_robin } in
+  let w32 = { Sim.Config.default with wave_size = 32 } in
+  List.iter
+    (fun (label, cfg, id, variant) ->
+      let fc, fast = launch_bench ~cfg ~scan_every_cycle:false id variant in
+      let sc, slow = launch_bench ~cfg ~scan_every_cycle:true id variant in
+      check Alcotest.int (label ^ ": same cycles") sc fc;
+      check
+        Alcotest.(list (pair string int))
+        (label ^ ": same counters")
+        (Sim.Counters.to_fields slow) (Sim.Counters.to_fields fast))
+    [
+      ("PS rr inter", rr, "PS", T.inter_group);
+      ("BinS rr inter", rr, "BinS", T.inter_group);
+      ("FWT rr intra+lds", rr, "FWT", T.intra_plus_lds);
+      ("PS w32 intra+lds", w32, "PS", T.intra_plus_lds);
+      ("BinS w32 original", w32, "BinS", T.Original);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Metrics JSON                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -314,5 +365,7 @@ let suite =
     tc "counters: spin zero elsewhere" `Quick test_spin_zero_without_polling;
     tc "counters: window tail flushed" `Quick test_window_tail_flushed;
     tc "counters: write-stall span exact" `Quick test_write_stall_span_vs_every_cycle_scan;
+    tc "scheduler: skip-ahead = every-cycle scan (registry, RR, wave32)" `Slow
+      test_skip_ahead_matches_every_cycle_scan;
     tc "metrics: summary json" `Quick test_metrics_summary_json;
   ]
