@@ -166,7 +166,8 @@ let do_trace (b : Kernels.Bench.t) variant scale out width =
 (* ---------------- profile ---------------- *)
 
 let do_profile (b : Kernels.Bench.t) variant scale optimize json_out top =
-  let s, kernel, prof = Harness.Run.run_profiled ~scale ~optimize b variant in
+  let s = Harness.Run.run ~scale ~optimize b variant in
+  let kernel = s.kernel and prof = s.profile in
   Printf.printf "%s under %s: %d cycles over %d launches (%s, verified=%b)\n\n"
     b.id (T.name variant) s.cycles s.steps
     (Harness.Run.outcome_name s.outcome)
@@ -603,17 +604,22 @@ let dump_cmd =
   Cmd.v (Cmd.info "dump" ~doc:"Print a (transformed) kernel's IR")
     Term.(const dump $ bench_arg $ variant_arg ~pos:1 $ alloc $ optimize)
 
-(* Problem-size multiplier of the simulating subcommands. Below 1 is a
-   usage error: a scale-0 problem has no work items to launch. *)
-let scale =
+(* Every size and count option (--scale, -n, --local, --global, --top,
+   --width, --max-exp): below 1 is a usage error, which cmdliner reports
+   naming the option. A size-0 problem or work-group has no work items,
+   and a count of 0 would print nothing or mean "all". *)
+let at_least_1 =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a scale of at least 1, got %S" s))
+    | _ -> Error (`Msg (Printf.sprintf "expected at least 1, got %S" s))
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* Problem-size multiplier of the simulating subcommands. *)
+let scale =
   Arg.(
-    value
-    & opt (conv (parse, Format.pp_print_int)) 1
+    value & opt at_least_1 1
     & info [ "scale" ] ~docv:"N" ~doc:"Problem-size multiplier (at least 1)")
 
 let run_cmd =
@@ -636,9 +642,9 @@ let trace_cmd =
   in
   let width =
     Arg.(
-      value & opt int 64
+      value & opt at_least_1 64
       & info [ "width" ] ~docv:"COLS"
-          ~doc:"Columns of the ASCII per-CU utilization timeline")
+          ~doc:"Columns of the ASCII per-CU utilization timeline (at least 1)")
   in
   let trace verbose b v s o w =
     setup_logs verbose;
@@ -660,18 +666,9 @@ let inject_cmd =
   let target =
     Arg.(required & pos 2 (some target_conv) None & info [] ~docv:"TARGET")
   in
-  let count =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ ->
-          Error (`Msg (Printf.sprintf "expected at least 1 injection, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   let n =
     Arg.(
-      value & opt count 24
+      value & opt at_least_1 24
       & info [ "n" ] ~docv:"N" ~doc:"Number of injections (at least 1)")
   in
   let show_prov =
@@ -708,8 +705,8 @@ let profile_cmd =
   in
   let top =
     Arg.(
-      value & opt int 8
-      & info [ "top" ] ~docv:"N" ~doc:"Rows in the hot-spot table")
+      value & opt at_least_1 8
+      & info [ "top" ] ~docv:"N" ~doc:"Rows in the hot-spot table (at least 1)")
   in
   Cmd.v
     (Cmd.info "profile"
@@ -740,7 +737,7 @@ let check_cmd =
   in
   let local =
     Arg.(
-      value & opt int 64
+      value & opt at_least_1 64
       & info [ "local" ] ~docv:"N"
           ~doc:"Work-group size assumed when checking an .rgk file")
   in
@@ -778,7 +775,7 @@ let lint_cmd =
   in
   let local =
     Arg.(
-      value & opt int Gpu_tv.Simrel.default_local_items
+      value & opt at_least_1 Gpu_tv.Simrel.default_local_items
       & info [ "local" ] ~docv:"N"
           ~doc:
             "Flat work-group size of the validator's synthetic launch (small \
@@ -786,9 +783,11 @@ let lint_cmd =
   in
   let max_exp =
     Arg.(
-      value & opt int Harness.Lint.default_max_experiments
+      value & opt at_least_1 Harness.Lint.default_max_experiments
       & info [ "max-exp" ] ~docv:"N"
-          ~doc:"Fault-injection experiments sampled per target")
+          ~doc:
+            "Fault-injection experiments sampled per target (at least 1; \
+             $(b,--full) runs them all)")
   in
   let full =
     Arg.(
@@ -862,8 +861,12 @@ let runfile_cmd =
   let variant =
     Arg.(value & opt variant_conv T.Original & info [ "variant" ] ~docv:"VARIANT")
   in
-  let global = Arg.(required & opt (some int) None & info [ "global" ] ~docv:"N") in
-  let local = Arg.(required & opt (some int) None & info [ "local" ] ~docv:"N") in
+  let global =
+    Arg.(required & opt (some at_least_1) None & info [ "global" ] ~docv:"N")
+  in
+  let local =
+    Arg.(required & opt (some at_least_1) None & info [ "local" ] ~docv:"N")
+  in
   let args =
     Arg.(
       value

@@ -22,7 +22,12 @@
     once, at dispatch; the per-CU schedule keeps one ordered sub-array
     per SIMD, so a scan visits only the waves of the SIMD holding the
     turn, and register files of completed groups are zero-filled and
-    reused. *)
+    reused.
+
+    Accounting is per site: the issue loop charges busy cycles, issues,
+    write-stall cycles and spin polls once, to the instruction site's
+    slot in the launch's {!Gpu_prof.Collector}, and the matching
+    {!Counters} fields are derived from the per-site sums. *)
 
 open Gpu_ir.Types
 module Regpressure = Gpu_ir.Regpressure
@@ -62,6 +67,8 @@ type result = {
   inject_applied : bool;
   injected_at : int option;  (** cycle the fault actually landed *)
   detected_at : int option;  (** cycle an output comparison trapped *)
+  profile : Gpu_prof.Collector.t;
+      (** per-site accounting; the issue-side [counters] are its sums *)
 }
 
 type t = {
@@ -218,14 +225,9 @@ type launch_opts = {
   max_cycles : int option;
   window_cycles : int option;
   inject : inject_plan option;
-  verify_kernel : bool;
   trace : Gpu_trace.Sink.t option;
       (** scheduler-event sink; [None] (the default) keeps the issue loop
           free of event allocation *)
-  profile : Gpu_prof.Collector.t option;
-      (** per-site profile collector, sized by {!Gpu_ir.Site.count} for
-          this kernel; [None] (the default) keeps the issue loop free of
-          per-site charging, mirroring the [trace] guard *)
   provenance : Gpu_prof.Provenance.t option;
       (** fault-propagation record filled in during an injected run:
           where the flip landed, the first consuming instruction site,
@@ -242,9 +244,7 @@ let default_opts =
     max_cycles = None;
     window_cycles = None;
     inject = None;
-    verify_kernel = true;
     trace = None;
-    profile = None;
     provenance = None;
     scan_every_cycle = false;
   }
@@ -264,7 +264,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     ~(args : arg list) : result =
   let cfg = dev.cfg in
   Geom.validate nd;
-  if opts.verify_kernel then Gpu_ir.Verify.check kernel;
+  Gpu_ir.Verify.check kernel;
   let group_items = Geom.group_items nd in
   if group_items > cfg.max_workgroup_size then
     invalid_arg
@@ -352,7 +352,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     if m <= 0 then 0 else !rng mod m
   in
 
-  (* -------------------- profiling / provenance -------------------- *)
+  (* -------------------- accounting / provenance -------------------- *)
   (* The annotated body is built once per launch and shared by every
      wave; site ids are dense program-order indices, so the same kernel
      always charges into the same collector slots. *)
@@ -365,24 +365,40 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
       ~lds_offset:(fun name -> List.assoc_opt name lds_layout)
       (Site.insts kernel)
   in
-  let profiling = opts.profile <> None in
-  let prof : Gpu_prof.Collector.t =
-    match opts.profile with
-    | Some p ->
-        if p.Gpu_prof.Collector.nsites <> nsites then
-          invalid_arg
-            (Printf.sprintf
-               "launch: profile collector has %d sites but kernel %s has %d"
-               p.Gpu_prof.Collector.nsites kernel.kname nsites);
-        p
-    | None -> Gpu_prof.Collector.create ~nsites:0
+  (* Busy cycles, issues, write-stall cycles and spin polls are charged
+     to their site only; [sum_sites] derives the matching [counters]
+     fields, and runs wherever [counters] is read: at each power-window
+     boundary and at launch end. *)
+  let prof = Gpu_prof.Collector.create ~nsites in
+  let sum_sites () =
+    let module C = Gpu_prof.Collector in
+    let valu = ref 0 and salu = ref 0 and vmem = ref 0 and lds = ref 0 in
+    Array.iter
+      (fun (d : Wave.decoded) ->
+        let n = prof.issues.(d.site) in
+        match d.unit_ with
+        | Wave.U_valu -> valu := !valu + n
+        | Wave.U_salu -> salu := !salu + n
+        | Wave.U_vmem -> vmem := !vmem + n
+        | Wave.U_lds -> lds := !lds + n)
+      code;
+    counters.valu_insts <- !valu;
+    counters.salu_insts <- !salu;
+    counters.vmem_insts <- !vmem;
+    counters.lds_insts <- !lds;
+    counters.valu_busy <- C.sum prof.valu_busy;
+    counters.salu_busy <- C.sum prof.salu_busy;
+    counters.mem_unit_busy <- C.sum prof.mem_unit_busy;
+    counters.lds_busy <- C.sum prof.lds_busy;
+    counters.write_stalled <- C.sum prof.write_stalled;
+    counters.spin_iterations <- C.sum prof.spin_iterations
   in
   let prov_on = opts.provenance <> None in
   let prov : Prov.t =
     match opts.provenance with Some p -> p | None -> Prov.create ()
   in
   (* Sanitizer: one [san_on] test guards every hook in the issue loop,
-     mirroring [tracing]/[profiling]; the shadow only observes, so a
+     mirroring [tracing]; the shadow only observes, so a
      sanitized run is timing- and output-identical. *)
   let san_on = dev.san <> None in
   (match dev.san with
@@ -403,10 +419,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
      consulted by the memory closures when they observe a tainted read. *)
   let prov_cur = ref None in
   let prov_now = ref 0 in
-  let issued_insts () =
-    counters.valu_insts + counters.salu_insts + counters.vmem_insts
-    + counters.lds_insts
-  in
+  let issued_insts () = Gpu_prof.Collector.sum prof.issues in
   let prov_record_use () =
     if prov.first_use = None then
       match !prov_cur with
@@ -827,8 +840,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
   in
   let unit_busy cu s now site until =
     if tracing then stall cu s now Gpu_trace.Sink.Unit_busy;
-    if profiling then
-      prof.stall_unit_busy.(site) <- prof.stall_unit_busy.(site) + 1;
+    prof.stall_unit_busy.(site) <- prof.stall_unit_busy.(site) + 1;
     note now until
   in
 
@@ -846,16 +858,12 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
             | _ -> cfg.valu_latency
           in
           cu.simd_busy_until.(simd) <- now + busy;
-          counters.valu_busy <- counters.valu_busy + busy;
-          counters.valu_insts <- counters.valu_insts + 1;
           counters.valu_lane_ops <-
             counters.valu_lane_ops + Wave.active_lanes w;
-          (* charge the profile before any trap can raise so a Detected
-             run still reconciles with [Counters] *)
-          if profiling then begin
-            prof.issues.(site) <- prof.issues.(site) + 1;
-            prof.valu_busy.(site) <- prof.valu_busy.(site) + busy
-          end;
+          (* charge before any trap can raise: a Detected run counts the
+             trapping instruction *)
+          prof.issues.(site) <- prof.issues.(site) + 1;
+          prof.valu_busy.(site) <- prof.valu_busy.(site) + busy;
           if d.def >= 0 then w.Wave.ready_at.(d.def) <- now + busy;
           (match eff with
           | Wave.E_trapped ->
@@ -886,12 +894,8 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
         if (not sc.salu_used) && cu.salu_busy_until <= now then begin
           ignore (Wave.exec w d ~mem:s.mem ~line_bytes:cfg.line_bytes);
           cu.salu_busy_until <- now + 1;
-          counters.salu_busy <- counters.salu_busy + 1;
-          counters.salu_insts <- counters.salu_insts + 1;
-          if profiling then begin
-            prof.issues.(site) <- prof.issues.(site) + 1;
-            prof.salu_busy.(site) <- prof.salu_busy.(site) + 1
-          end;
+          prof.issues.(site) <- prof.issues.(site) + 1;
+          prof.salu_busy.(site) <- prof.salu_busy.(site) + 1;
           if d.def >= 0 then w.Wave.ready_at.(d.def) <- now + cfg.salu_latency;
           if tracing then issued cu s now Gpu_trace.Sink.Salu 1;
           sc.salu_used <- true;
@@ -905,12 +909,8 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
         if (not sc.lds_issued) && cu.lds_busy_until <= now then begin
           let eff = Wave.exec w d ~mem:s.mem ~line_bytes:cfg.line_bytes in
           cu.lds_busy_until <- now + cfg.lds_issue_cycles;
-          counters.lds_busy <- counters.lds_busy + cfg.lds_issue_cycles;
-          counters.lds_insts <- counters.lds_insts + 1;
-          if profiling then begin
-            prof.issues.(site) <- prof.issues.(site) + 1;
-            prof.lds_busy.(site) <- prof.lds_busy.(site) + cfg.lds_issue_cycles
-          end;
+          prof.issues.(site) <- prof.issues.(site) + 1;
+          prof.lds_busy.(site) <- prof.lds_busy.(site) + cfg.lds_issue_cycles;
           (match eff with
           | Wave.E_mem kind ->
               counters.lds_lane_ops <- counters.lds_lane_ops + w.Wave.mem_lanes;
@@ -940,16 +940,13 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           let until = Memsys.store_stall_until ms ~cu:cu.cu_id in
           let from = max now cu.wstall_counted_until in
           if until > from then begin
-            counters.write_stalled <- counters.write_stalled + (until - from);
-            if profiling then
-              prof.write_stalled.(site) <-
-                prof.write_stalled.(site) + (until - from);
+            prof.write_stalled.(site) <-
+              prof.write_stalled.(site) + (until - from);
             cu.wstall_counted_until <- until
           end;
           if tracing then stall cu s now Gpu_trace.Sink.Write_backlog;
-          if profiling then
-            prof.stall_write_backlog.(site) <-
-              prof.stall_write_backlog.(site) + 1;
+          prof.stall_write_backlog.(site) <-
+            prof.stall_write_backlog.(site) + 1;
           note now until;
           false
         end
@@ -964,50 +961,35 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
                 if kind = Wave.MAtomic then 8 else 4 + (4 * (max 1 nlines - 1))
               in
               Memsys.(ms.mem_busy_until.(cu.cu_id) <- now + busy);
-              counters.mem_unit_busy <- counters.mem_unit_busy + busy;
-              counters.vmem_insts <- counters.vmem_insts + 1;
-              if profiling then begin
-                prof.issues.(site) <- prof.issues.(site) + 1;
-                prof.mem_unit_busy.(site) <- prof.mem_unit_busy.(site) + busy
-              end;
+              prof.issues.(site) <- prof.issues.(site) + 1;
+              prof.mem_unit_busy.(site) <- prof.mem_unit_busy.(site) + busy;
               (match d.inst with
               | Atomic (A_poll, _, _, _, _) ->
                   (* every active lane's flag poll is one spin iteration
                      (Per_item gives each lane its own slot) *)
-                  counters.spin_iterations <- counters.spin_iterations + lanes;
-                  if profiling then
-                    prof.spin_iterations.(site) <-
-                      prof.spin_iterations.(site) + lanes;
+                  prof.spin_iterations.(site) <-
+                    prof.spin_iterations.(site) + lanes;
                   if tracing then stall cu s now Gpu_trace.Sink.Spin
               | _ -> ());
               if tracing then issued cu s now Gpu_trace.Sink.Vmem busy;
               (match kind with
               | Wave.MLoad ->
                   counters.global_load_insts <- counters.global_load_insts + 1;
-                  let t =
-                    if profiling then begin
-                      (* attribute the cache outcome of this load by delta
-                         over the shared counters, which [load_timed] bumps
-                         internally *)
-                      let h1 = counters.l1_hits
-                      and s1 = counters.l1_misses
-                      and h2 = counters.l2_hits
-                      and s2 = counters.l2_misses in
-                      let t =
-                        Memsys.load_timed ms ~cu:cu.cu_id ~now lines nlines
-                      in
-                      prof.l1_hits.(site) <-
-                        prof.l1_hits.(site) + (counters.l1_hits - h1);
-                      prof.l1_misses.(site) <-
-                        prof.l1_misses.(site) + (counters.l1_misses - s1);
-                      prof.l2_hits.(site) <-
-                        prof.l2_hits.(site) + (counters.l2_hits - h2);
-                      prof.l2_misses.(site) <-
-                        prof.l2_misses.(site) + (counters.l2_misses - s2);
-                      t
-                    end
-                    else Memsys.load_timed ms ~cu:cu.cu_id ~now lines nlines
-                  in
+                  (* attribute the cache outcome of this load by delta over
+                     the counters [load_timed] bumps internally *)
+                  let h1 = counters.l1_hits
+                  and s1 = counters.l1_misses
+                  and h2 = counters.l2_hits
+                  and s2 = counters.l2_misses in
+                  let t = Memsys.load_timed ms ~cu:cu.cu_id ~now lines nlines in
+                  prof.l1_hits.(site) <-
+                    prof.l1_hits.(site) + (counters.l1_hits - h1);
+                  prof.l1_misses.(site) <-
+                    prof.l1_misses.(site) + (counters.l1_misses - s1);
+                  prof.l2_hits.(site) <-
+                    prof.l2_hits.(site) + (counters.l2_hits - h2);
+                  prof.l2_misses.(site) <-
+                    prof.l2_misses.(site) + (counters.l2_misses - s2);
                   if d.def >= 0 then w.Wave.ready_at.(d.def) <- t
               | Wave.MStore ->
                   counters.global_store_insts <- counters.global_store_insts + 1;
@@ -1036,7 +1018,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           if arrive_barrier cu s.g ~wid:w.Wave.wid now then sc.events <- true
       | Wave.P_waiting ->
           if tracing then stall cu s now Gpu_trace.Sink.Barrier_wait;
-          if profiling && w.Wave.barrier_site >= 0 then
+          if w.Wave.barrier_site >= 0 then
             prof.stall_barrier.(w.Wave.barrier_site) <-
               prof.stall_barrier.(w.Wave.barrier_site) + 1
       | Wave.P_stall ->
@@ -1047,8 +1029,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           let ready = Wave.ready_cycle w d in
           if ready > now then begin
             if tracing then stall cu s now Gpu_trace.Sink.Scoreboard;
-            if profiling then
-              prof.stall_scoreboard.(d.site) <- prof.stall_scoreboard.(d.site) + 1;
+            prof.stall_scoreboard.(d.site) <- prof.stall_scoreboard.(d.site) + 1;
             note now ready
           end
           else begin
@@ -1254,6 +1235,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
            if opts.scan_every_cycle || cu.wake <= now then scan_cu cu now
          done;
          if now >= !next_window then begin
+           sum_sites ();
            let snap = Counters.copy counters in
            snap.Counters.cycles <- now;
            windows := Counters.delta snap !last_window_snapshot :: !windows;
@@ -1291,6 +1273,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
    with
   | Trap_detected -> outcome := Detected
   | Memsys.Fault msg -> outcome := Crashed msg);
+  sum_sites ();
   counters.cycles <- !cycle;
   dev.spare_waves <-
     Array.fold_left
@@ -1316,4 +1299,5 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     inject_applied = !inject_applied;
     injected_at = !injected_at;
     detected_at = !detected_at;
+    profile = prof;
   }

@@ -15,7 +15,12 @@
     uses, def, issue unit, resolved LDS offsets) that the issue loop reads
     on every scan; a scan visits only the waves of the SIMD holding the
     turn, and register files are reused across the device's groups and
-    launches (zero-filled). *)
+    launches (zero-filled).
+
+    Each launch keeps one per-site account ({!Gpu_prof.Collector}): the
+    issue loop charges every busy cycle, issue, write-stall cycle and
+    spin poll to the instruction site that caused it, once, and the
+    issue-side {!Counters} fields are derived as the per-site sums. *)
 
 val log_src : Logs.src
 (** Scheduler-event log source ("gpu.device"): dispatches, retirements,
@@ -95,6 +100,13 @@ type result = {
   detected_at : int option;
       (** cycle an output comparison trapped; [detected_at - injected_at]
           is the detection latency (containment window) *)
+  profile : Gpu_prof.Collector.t;
+      (** per-site account of this launch, sized by {!Gpu_ir.Site.count}
+          of the kernel. [counters]' busy-cycle fields ([valu_busy],
+          [salu_busy], [lds_busy], [mem_unit_busy]), [write_stalled],
+          [spin_iterations] and the four issue counts (by each site's
+          issue unit) are its sums on every exit path; its cache hit and
+          miss slots split [counters]' totals by load site. *)
 }
 
 type launch_opts = {
@@ -104,18 +116,9 @@ type launch_opts = {
   max_cycles : int option;  (** watchdog override *)
   window_cycles : int option;  (** power-sampling window override *)
   inject : inject_plan option;
-  verify_kernel : bool;  (** run {!Gpu_ir.Verify.check} first (default) *)
   trace : Gpu_trace.Sink.t option;
       (** scheduler-event sink ([None], the default, adds no work to the
           issue loop; events never perturb timing or counters) *)
-  profile : Gpu_prof.Collector.t option;
-      (** per-site profile collector, sized to {!Gpu_ir.Site.count} of
-          the launched kernel ([invalid_arg] otherwise); [None], the
-          default, keeps the issue loop free of per-site charging. The
-          collector's cycle-exact fields are charged at the same program
-          points as the matching {!Counters} fields, so per-site sums
-          reconcile exactly with the run totals. Profiling never
-          perturbs timing, counters or results. *)
   provenance : Gpu_prof.Provenance.t option;
       (** fault-propagation record for an injected run: structure and
           bit of the flip, first consuming instruction site, overwrite
@@ -135,5 +138,6 @@ val launch :
   nd:Geom.ndrange ->
   args:arg list ->
   result
-(** Run a kernel over an NDRange. Deterministic: same kernel, arguments,
-    memory contents and options produce the same result. *)
+(** Run a kernel over an NDRange, after {!Gpu_ir.Verify.check}.
+    Deterministic: same kernel, arguments, memory contents and options
+    produce the same result. *)

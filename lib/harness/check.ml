@@ -145,9 +145,9 @@ let check_target ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
         e_run_problem = None;
       }
   | T_variant variant ->
-      let summary, kernel, shadow =
-        Run.run_sanitized ~cfg ~scale bench variant
-      in
+      let shadow = Gpu_san.Shadow.create () in
+      let summary = Run.run ~cfg ~scale ~san:shadow bench variant in
+      let kernel = summary.Run.kernel in
       let problem =
         match summary.Run.outcome with
         | Gpu_sim.Device.Finished when summary.Run.verified -> None

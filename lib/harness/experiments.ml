@@ -873,13 +873,6 @@ let all_paper = all
 
 let naive ctx =
   plan ctx [ T.Original; T.intra_plus_lds; T.inter_group ];
-  let naive_futures =
-    List.map
-      (fun (b : Kernels.Bench.t) ->
-        progress "  running %-8s naive duplication" b.id;
-        (b, Pool.submit ctx.pool (fun () -> Run.run_naive_duplication ~cfg:ctx.cfg b)))
-      all_benches
-  in
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: naive full duplication (two launches + host compare) vs \
@@ -887,16 +880,16 @@ let naive ctx =
   Report.row buf "%-8s %8s %10s %8s  %s" "kernel" "naive" "Intra+LDS" "Inter"
     "";
   List.iter
-    (fun ((b : Kernels.Bench.t), fut) ->
+    (fun (b : Kernels.Bench.t) ->
       let base = get ctx b T.Original in
-      let nv = Pool.await fut in
+      let nv = Run.naive_duplication base in
       let intra = get ctx b T.intra_plus_lds in
       let inter = get ctx b T.inter_group in
       Report.row buf "%-8s %7.2fx %9.2fx %7.2fx" b.id
         (Run.slowdown ~base nv)
         (Run.slowdown ~base intra)
         (Run.slowdown ~base inter))
-    naive_futures;
+    all_benches;
   Report.row buf "";
   Report.row buf
     "naive duplication pays ~2x everywhere and checks only after kernel";

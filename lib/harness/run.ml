@@ -5,7 +5,10 @@
     Multi-pass benchmarks (BitonicSort, FastWalshTransform,
     FloydWarshall) launch their kernel once per pass, exactly as their
     SDK hosts do; cycles and counters are summed over the passes and the
-    Inter-Group group-id counter is reset before each pass. *)
+    Inter-Group group-id counter is reset before each pass. [run] is the
+    only function here that simulates: the per-site profile and the
+    executed kernel come with every summary, and naive duplication is
+    derived from the [Original] summary. *)
 
 module Device = Gpu_sim.Device
 module Counters = Gpu_sim.Counters
@@ -26,6 +29,8 @@ type summary = {
   detection_latency : int option;
       (** cycles between fault landing and the trap firing, when both
           happened (the containment window) *)
+  kernel : Gpu_ir.Types.kernel;
+  profile : Gpu_prof.Collector.t;
 }
 
 let outcome_name = function
@@ -52,16 +57,13 @@ let transformed_kernel ?(optimize = false) (bench : Kernels.Bench.t) variant
     @param trace a scheduler-event sink; multi-pass launches are spliced
     into one monotonic stream by offsetting each pass's events by the
     cycles already simulated
-    @param profile a per-site collector sized for this benchmark's
-    transformed kernel; every pass charges into the same collector
-    (passes all run the same kernel, hence the same site numbering)
     @param provenance a fault-propagation record, filled by the pass in
     which [inject] lands
     @param san a sanitizer shadow, attached before host preparation so it
     observes every allocation and host write; all passes check into the
     same shadow (the sanitizer never perturbs timing or outputs) *)
 let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
-    ?window_cycles ?max_cycles ?usage_override ?inject ?trace ?profile
+    ?window_cycles ?max_cycles ?usage_override ?inject ?trace
     ?provenance ?san (bench : Kernels.Bench.t) (variant : Transform.variant) :
     summary =
   let dev = Device.create cfg in
@@ -75,6 +77,7 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
   let kernel = transformed_kernel ~optimize bench variant ~nd:nd0 in
   let extras = Transform.make_extras variant dev ~nd:nd0 in
   let total = Counters.create () in
+  let profile = Gpu_prof.Collector.create ~nsites:(Gpu_ir.Site.count kernel) in
   let windows = ref [] in
   let cycles = ref 0 in
   let outcome = ref Device.Finished in
@@ -106,7 +109,6 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
              max_cycles;
              inject = step_inject;
              trace = step_trace;
-             profile;
              provenance;
            }
          in
@@ -121,6 +123,7 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
          | _ -> ());
          cycles := !cycles + r.Device.cycles;
          Counters.accumulate ~into:total r.Device.counters;
+         Gpu_prof.Collector.accumulate ~into:profile r.Device.profile;
          windows := List.rev_append (Array.to_list r.Device.windows) !windows;
          occupancy := Some r.Device.occupancy;
          usage := Some r.Device.usage;
@@ -151,56 +154,9 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
     steps = List.length prep.steps;
     inject_applied = !injected;
     detection_latency = !latency;
+    kernel;
+    profile;
   }
-
-(** Run [bench] under [variant] with a freshly sized per-site profile
-    collector. Returns the summary, the transformed kernel the device
-    executed (the listing the site ids index) and the filled collector —
-    everything the annotated-profile renderer needs. *)
-let run_profiled ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
-    ?(optimize = false) ?window_cycles ?max_cycles (bench : Kernels.Bench.t)
-    (variant : Transform.variant) :
-    summary * Gpu_ir.Types.kernel * Gpu_prof.Collector.t =
-  (* Rebuild the transformed kernel exactly as [run] will, to size the
-     collector; the throwaway device only serves [prepare]'s geometry. *)
-  let dev = Device.create cfg in
-  let prep = bench.prepare dev ~scale in
-  let nd0 =
-    match prep.steps with
-    | s :: _ -> s.Kernels.Bench.nd
-    | [] -> invalid_arg "benchmark produced no launch steps"
-  in
-  let kernel = transformed_kernel ~optimize bench variant ~nd:nd0 in
-  let collector =
-    Gpu_prof.Collector.create ~nsites:(Gpu_ir.Site.count kernel)
-  in
-  let s =
-    run ~cfg ~scale ~optimize ?window_cycles ?max_cycles ~profile:collector
-      bench variant
-  in
-  (s, kernel, collector)
-
-(** Run [bench] under [variant] with a fresh sanitizer shadow. Returns
-    the summary, the transformed kernel (for resolving finding site ids
-    to instructions) and the shadow holding any findings. *)
-let run_sanitized ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
-    ?(optimize = false) ?window_cycles ?max_cycles (bench : Kernels.Bench.t)
-    (variant : Transform.variant) :
-    summary * Gpu_ir.Types.kernel * Gpu_san.Shadow.t =
-  let dev = Device.create cfg in
-  let prep = bench.prepare dev ~scale in
-  let nd0 =
-    match prep.steps with
-    | s :: _ -> s.Kernels.Bench.nd
-    | [] -> invalid_arg "benchmark produced no launch steps"
-  in
-  let kernel = transformed_kernel ~optimize bench variant ~nd:nd0 in
-  let shadow = Gpu_san.Shadow.create () in
-  let s =
-    run ~cfg ~scale ~optimize ?window_cycles ?max_cycles ~san:shadow bench
-      variant
-  in
-  (s, kernel, shadow)
 
 (** Slowdown of [v] relative to [base] (runtimes in cycles). A
     zero-cycle baseline means the base run never executed — report the
@@ -216,53 +172,29 @@ let slowdown ~(base : summary) (v : summary) =
   float_of_int v.cycles /. float_of_int base.cycles
 
 (** Naive full duplication (paper Section 3.4): the host launches the
-    whole kernel (sequence) twice and compares outputs itself. The
-    second pass runs against warm caches, so the cost can land slightly
-    below 2x; the trade-off is host-side checking latency, doubled
-    output memory, and a detection point only after the kernel finishes
-    (both copies must re-execute on mismatch). Only timing is modelled:
-    the duplicate pass reuses the same buffers, which matches the
-    memory behaviour of a duplicated launch without teaching the
-    harness which arguments are outputs. *)
-let run_naive_duplication ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
-    (bench : Kernels.Bench.t) : summary =
-  let dev = Device.create cfg in
-  let prep = bench.prepare dev ~scale in
-  let nd0 =
-    match prep.steps with
-    | s :: _ -> s.Kernels.Bench.nd
-    | [] -> invalid_arg "benchmark produced no launch steps"
-  in
-  let kernel = transformed_kernel bench Transform.Original ~nd:nd0 in
-  let total = Counters.create () in
-  let cycles = ref 0 in
-  let occupancy = ref None in
-  let usage = ref None in
-  for _pass = 1 to 2 do
-    List.iter
-      (fun (step : Kernels.Bench.step) ->
-        let r =
-          Device.launch dev kernel ~nd:step.Kernels.Bench.nd
-            ~args:step.Kernels.Bench.args
-        in
-        cycles := !cycles + r.Device.cycles;
-        Counters.accumulate ~into:total r.Device.counters;
-        occupancy := Some r.Device.occupancy;
-        usage := Some r.Device.usage)
-      prep.steps
-  done;
-  total.Counters.cycles <- !cycles;
+    whole kernel sequence twice and compares the outputs itself, so
+    detection comes only after both copies finish and a mismatch
+    re-executes both. Its cost is derived from [base], the benchmark's
+    [Original] summary, instead of being simulated a second time: a
+    launch carries no timing state over from the previous one (each
+    builds a fresh memory system, so both copies start with cold
+    caches), and the registry kernels' schedules do not depend on the
+    values they find in memory, in-place sorts and updates included. The
+    second copy therefore repeats the first cycle for cycle: twice the
+    cycles, counters, profile, power windows and launches. *)
+let naive_duplication (base : summary) : summary =
+  if base.variant <> Transform.Original then
+    invalid_arg "Run.naive_duplication: base must be an Original run";
+  let counters = Counters.copy base.counters in
+  Counters.accumulate ~into:counters base.counters;
+  let profile = Gpu_prof.Collector.create ~nsites:base.profile.nsites in
+  Gpu_prof.Collector.accumulate ~into:profile base.profile;
+  Gpu_prof.Collector.accumulate ~into:profile base.profile;
   {
-    bench_id = bench.id;
-    variant = Transform.Original;
-    cycles = !cycles;
-    counters = total;
-    windows = [||];
-    outcome = Device.Finished;
-    verified = true;
-    occupancy = (match !occupancy with Some o -> o | None -> assert false);
-    usage = (match !usage with Some u -> u | None -> assert false);
-    steps = 2 * List.length prep.steps;
-    inject_applied = false;
-    detection_latency = None;
+    base with
+    cycles = 2 * base.cycles;
+    counters;
+    windows = Array.append base.windows base.windows;
+    steps = 2 * base.steps;
+    profile;
   }

@@ -1,7 +1,8 @@
 (** Experiment runner: execute a benchmark under an RMT variant and
     collect the measurements the figures need. Multi-pass benchmarks
     (BitS, FWT, FW) launch once per pass with counters summed and the
-    Inter-Group group-id counter reset between passes. *)
+    Inter-Group group-id counter reset between passes. {!run} is the only
+    function here that simulates. *)
 
 type summary = {
   bench_id : string;
@@ -17,6 +18,12 @@ type summary = {
   inject_applied : bool;
   detection_latency : int option;
       (** flip-to-trap cycles when a fault was injected and detected *)
+  kernel : Gpu_ir.Types.kernel;
+      (** the transformed kernel every launch executed; [profile]'s site
+          ids index it *)
+  profile : Gpu_prof.Collector.t;
+      (** per-site account summed over the launches, like [counters]; its
+          busy, issue, write-stall and spin sums equal [counters]' *)
 }
 
 val outcome_name : Gpu_sim.Device.outcome -> string
@@ -39,7 +46,6 @@ val run :
   ?usage_override:Gpu_ir.Regpressure.usage ->
   ?inject:Gpu_sim.Device.inject_plan ->
   ?trace:Gpu_trace.Sink.t ->
-  ?profile:Gpu_prof.Collector.t ->
   ?provenance:Gpu_prof.Provenance.t ->
   ?san:Gpu_san.Shadow.t ->
   Kernels.Bench.t ->
@@ -47,40 +53,19 @@ val run :
   summary
 (** [trace] receives the scheduler events of every launch, spliced into
     one stream by offsetting each pass by the cycles already simulated.
-    [profile] must be sized for this benchmark's transformed kernel
-    (every pass charges the same collector). [provenance] is filled by
-    the pass in which [inject] lands. [san] is attached to the device
-    before host preparation, so the shadow observes every allocation and
-    host write; it never perturbs timing, counters or outputs. *)
+    [provenance] is filled by the pass in which [inject] lands. [san] is
+    attached to the device before host preparation, so the shadow
+    observes every allocation and host write; it never perturbs timing,
+    counters or outputs. *)
 
-val run_profiled :
-  ?cfg:Gpu_sim.Config.t ->
-  ?scale:int ->
-  ?optimize:bool ->
-  ?window_cycles:int ->
-  ?max_cycles:int ->
-  Kernels.Bench.t ->
-  Rmt_core.Transform.variant ->
-  summary * Gpu_ir.Types.kernel * Gpu_prof.Collector.t
-(** Run with a freshly sized per-site collector; returns the summary,
-    the transformed kernel the site ids index, and the collector. *)
-
-val run_sanitized :
-  ?cfg:Gpu_sim.Config.t ->
-  ?scale:int ->
-  ?optimize:bool ->
-  ?window_cycles:int ->
-  ?max_cycles:int ->
-  Kernels.Bench.t ->
-  Rmt_core.Transform.variant ->
-  summary * Gpu_ir.Types.kernel * Gpu_san.Shadow.t
-(** Run with a fresh sanitizer shadow; returns the summary, the
-    transformed kernel (to resolve finding sites) and the shadow. *)
-
-val run_naive_duplication :
-  ?cfg:Gpu_sim.Config.t -> ?scale:int -> Kernels.Bench.t -> summary
-(** The paper's Section 3.4 baseline: launch everything twice; the host
-    checks afterwards. Only timing is modelled. *)
+val naive_duplication : summary -> summary
+(** The paper's Section 3.4 baseline (launch everything twice; the host
+    checks afterwards), derived from the benchmark's [Original] summary
+    without simulating again: every launch starts from cold caches and
+    the registry kernels' schedules do not depend on memory contents, so
+    the second copy repeats the first exactly. Doubles cycles, counters,
+    profile, windows and steps.
+    @raise Invalid_argument if the summary is not of an [Original] run. *)
 
 val slowdown : base:summary -> summary -> float
 (** Cycles of the second run over cycles of [base].

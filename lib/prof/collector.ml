@@ -1,26 +1,26 @@
 (** Per-site profile accumulators.
 
-    One slot per instruction site ({!Gpu_ir.Site}); the device charges
-    into the arrays directly from its issue loop, behind a single
-    [profile <> None] guard, so a run without a collector executes the
-    same instructions as before the profiler existed.
+    One slot per instruction site ({!Gpu_ir.Site}). Every device launch
+    builds one, sized by its own site annotation, and its issue loop
+    charges each busy cycle, issue, write-stall cycle and spin poll here
+    and nowhere else: the issue-side {!Gpu_sim.Counters} fields are the
+    per-site sums, filled in at each power-window boundary and at launch
+    end. Per-site sums therefore equal the run totals by construction.
 
     Two classes of field:
 
-    - {b cycle-exact} fields ([valu_busy], [salu_busy], [mem_unit_busy],
-      [lds_busy], [write_stalled], [spin_iterations], and the cache
-      hit/miss counts) are charged at the same program points as the
-      whole-run {!Gpu_sim.Counters} fields of the same name, so their
-      per-site sums reconcile exactly with the run totals — the property
-      the test suite locks;
+    - {b cycle-exact} fields ([issues], [valu_busy], [salu_busy],
+      [mem_unit_busy], [lds_busy], [write_stalled], [spin_iterations],
+      and the cache hit/miss counts, which are the per-load deltas of the
+      counters {!Gpu_sim.Memsys} charges);
     - {b observation} fields ([stall_*]) count scheduler-scan sightings
       of a wave that could not issue, like the trace sink's stall
       events; they depend on how often the skip-ahead scheduler rescans
       and are diagnostic, not cycle-exact.
 
-    A collector accumulates across launches (multi-pass benchmarks reuse
-    one collector), which is sound because every pass runs the same
-    kernel and therefore the same site numbering. *)
+    {!accumulate} sums the collectors of a multi-pass benchmark, which is
+    sound because every pass runs the same kernel and therefore the same
+    site numbering. *)
 
 type t = {
   nsites : int;
@@ -61,6 +61,23 @@ let create ~nsites =
     l2_hits = z ();
     l2_misses = z ();
   }
+
+let fields t =
+  [
+    t.issues; t.valu_busy; t.salu_busy; t.mem_unit_busy; t.lds_busy;
+    t.write_stalled; t.spin_iterations; t.stall_scoreboard; t.stall_unit_busy;
+    t.stall_write_backlog; t.stall_barrier; t.l1_hits; t.l1_misses; t.l2_hits;
+    t.l2_misses;
+  ]
+
+(** [accumulate ~into c] adds every slot of [c] into [into]; both must be
+    sized for the same kernel. *)
+let accumulate ~into c =
+  if into.nsites <> c.nsites then
+    invalid_arg "Collector.accumulate: collectors of different kernels";
+  List.iter2
+    (fun a b -> Array.iteri (fun i v -> a.(i) <- a.(i) + v) b)
+    (fields into) (fields c)
 
 let sum a = Array.fold_left ( + ) 0 a
 

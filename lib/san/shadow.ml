@@ -2,7 +2,7 @@
 
     The device threads one {!t} through a launch (behind a single
     [san <> None] test per instrumentation site, the same zero-cost
-    discipline as the trace sink and the profile collector) and calls
+    discipline as the trace sink and fault provenance) and calls
     {!global_access}/{!lds_access} for every lane of every memory
     instruction it issues. The shadow tracks, per 4-byte word, the last
     writer and last reader (work-item, {!Gpu_ir.Site} id, barrier epoch)

@@ -69,25 +69,38 @@ let test_inject_count_usage_error () =
           check Alcotest.string "no tally is printed" "" out)
     [ " 0"; "-1" ]
 
+(* Every size and count option shares one at-least-1 converter, so a
+   value below 1 is a usage error naming the option, never an internal
+   error, a clean report of nothing, or an empty rendering. *)
 let test_scale_usage_error () =
+  let saxpy = "examples/kernels/saxpy.rgk" in
   List.iter
-    (fun cmd ->
+    (fun (cmd, opt) ->
       match run_shell cmd with
       | None -> Alcotest.failf "%S did not finish" cmd
       | Some (status, out, err) ->
           check Alcotest.bool
             (Printf.sprintf "%S exits with a usage error" cmd)
             true (status = Unix.WEXITED 2);
-          check Alcotest.bool "the error names --scale" true
-            (contains err "'--scale'");
+          check Alcotest.bool
+            (Printf.sprintf "the error names %s" opt)
+            true
+            (contains err (Printf.sprintf "'%s'" opt));
           check Alcotest.string "nothing is simulated" "" out)
     [
-      "rmtgpu run PS original --scale 0";
-      "rmtgpu run BinS inter --scale 0";
-      "rmtgpu run FWT original --scale=-1";
-      "rmtgpu trace BinS original --scale 0 -o /dev/null";
-      "rmtgpu profile FWT original --scale 0";
-      "rmtgpu check PS baseline --scale 0";
+      ("rmtgpu run PS original --scale 0", "--scale");
+      ("rmtgpu run BinS inter --scale 0", "--scale");
+      ("rmtgpu run FWT original --scale=-1", "--scale");
+      ("rmtgpu trace BinS original --scale 0 -o /dev/null", "--scale");
+      ("rmtgpu profile FWT original --scale 0", "--scale");
+      ("rmtgpu check PS baseline --scale 0", "--scale");
+      ("rmtgpu lint PS intra+lds --local 0", "--local");
+      ("rmtgpu check " ^ saxpy ^ " --local 0", "--local");
+      ("rmtgpu runfile " ^ saxpy ^ " --global 1024 --local 0", "--local");
+      ("rmtgpu runfile " ^ saxpy ^ " --global 0 --local 64", "--global");
+      ("rmtgpu profile PS original --top 0", "--top");
+      ("rmtgpu lint PS intra+lds --max-exp 0", "--max-exp");
+      ("rmtgpu trace PS original --width 0 -o /dev/null", "--width");
     ]
 
 (* The "# run with:" command of an .rgk header: the comment lines after

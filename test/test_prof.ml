@@ -1,11 +1,11 @@
 (* Tests for the per-instruction profiler, fault-propagation provenance
    and the perfdiff gate: the central property is reconciliation — the
    per-site sums of every cycle-exact collector field must equal the
-   whole-run Counters fields charged at the same program points, across
-   kernels, RMT variants and pool widths. Plus: profiling must not
-   perturb a run, the annotated report and its JSON must agree with the
-   collector, provenance records must describe real injections, and the
-   perfdiff gate must flag synthetic regressions and nothing else. *)
+   whole-run Counters fields, across kernels, RMT variants, pool widths
+   and a run cut short by a detection trap. Plus: the annotated report
+   and its JSON must agree with the collector, provenance records must
+   describe real injections, and the perfdiff gate must flag synthetic
+   regressions and nothing else. *)
 
 open Gpu_ir
 module Sim = Gpu_sim
@@ -43,8 +43,8 @@ let read_file path =
 (* Reconciliation: per-site sums == whole-run counters                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Every cycle-exact collector field against the Counters field charged
-   at the same program point, plus issues against the four issue
+(* Every cycle-exact collector field against the Counters field of the
+   same name, plus issues against the four issue
    counters. *)
 let reconcile ~what (ct : Sim.Counters.t) (c : C.t) =
   let open Sim.Counters in
@@ -69,16 +69,17 @@ let reconcile ~what (ct : Sim.Counters.t) (c : C.t) =
         ct.valu_insts + ct.salu_insts + ct.vmem_insts + ct.lds_insts );
     ]
 
-(* The property, as the ISSUE states it: several kernels x all RMT
-   variants, through pools of width 1 and 4. BitS is multi-pass, so it
-   also exercises cross-launch accumulation into one collector. *)
+(* Several kernels x all RMT variants, through pools of width 1 and 4.
+   BitS is multi-pass, so it also exercises summing the per-launch
+   profiles of one run. *)
 let test_reconciles_across_variants_and_jobs () =
   let benches = List.map Kernels.Registry.find [ "PS"; "BitS" ] in
   let cases =
     List.concat_map (fun b -> List.map (fun v -> (b, v)) all_variants) benches
   in
   let job (bench, v) =
-    let s, _k, c = Harness.Run.run_profiled bench v in
+    let s = Harness.Run.run bench v in
+    let c = s.Harness.Run.profile in
     (Printf.sprintf "%s/%s" bench.Kernels.Bench.id (T.name v), s, c)
   in
   let run_at jobs =
@@ -104,12 +105,37 @@ let test_reconciles_across_variants_and_jobs () =
         && c1.C.lds_busy = c4.C.lds_busy))
     results1 results4
 
+(* An injected run that ends in a detection trap leaves the issue loop
+   by the exception path; its per-site sums must still equal its
+   counters, trapping instruction included. *)
+let test_detected_run_reconciles () =
+  let bench = Kernels.Registry.find "PS" in
+  let v = T.intra_plus_lds in
+  let golden = Harness.Run.run bench v in
+  let plans =
+    Fault.Campaign.plans ~n:12 ~target:Sim.Device.T_lds ~seed:7
+      ~golden_cycles:golden.Harness.Run.cycles ()
+  in
+  let detected =
+    List.find_map
+      (fun plan ->
+        let s = Harness.Run.run ~inject:plan bench v in
+        if s.Harness.Run.outcome = Sim.Device.Detected then Some s else None)
+      plans
+  in
+  match detected with
+  | None -> Alcotest.fail "no injection ended in a detection"
+  | Some s ->
+      check Alcotest.bool "cut short" true
+        (s.Harness.Run.cycles < golden.Harness.Run.cycles);
+      reconcile ~what:"PS intra+lds detected" s.Harness.Run.counters
+        s.Harness.Run.profile
+
 (* ------------------------------------------------------------------ *)
-(* Device-level: zero perturbation, size checking                       *)
+(* Site numbering                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A kernel with LDS traffic, a barrier, a loop and global loads/stores
-   so every profiled unit sees work. *)
+(* A kernel with LDS traffic, a barrier, a loop and global loads/stores. *)
 let mixed_kernel () =
   let b = Builder.create "mixed" in
   let inp = Builder.buffer_param b "inp" in
@@ -127,43 +153,6 @@ let mixed_kernel () =
   Builder.gstore_elem b out gid (Builder.add b v (Builder.get acc));
   Builder.finish b
 
-let launch_mixed ?(opts = Sim.Device.default_opts) k =
-  let dev = Sim.Device.create Sim.Config.small in
-  let inp = Sim.Device.alloc dev (256 * 4) in
-  let out = Sim.Device.alloc dev (256 * 4) in
-  for i = 0 to 255 do
-    Sim.Device.write_i32 dev inp i (i * 3)
-  done;
-  Sim.Device.launch ~opts dev k
-    ~nd:(Sim.Geom.make_ndrange 256 64)
-    ~args:[ Sim.Device.A_buf inp; Sim.Device.A_buf out ]
-
-let test_profiling_does_not_perturb () =
-  let k = mixed_kernel () in
-  let plain = launch_mixed k in
-  let c = C.create ~nsites:(Site.count k) in
-  let profiled =
-    launch_mixed ~opts:{ Sim.Device.default_opts with profile = Some c } k
-  in
-  check Alcotest.int "same cycles" plain.Sim.Device.cycles
-    profiled.Sim.Device.cycles;
-  List.iter2
-    (fun (ka, va) (kb, vb) ->
-      check Alcotest.bool ("same counters: " ^ ka) true (ka = kb && va = vb))
-    (Sim.Counters.to_fields plain.Sim.Device.counters)
-    (Sim.Counters.to_fields profiled.Sim.Device.counters);
-  reconcile ~what:"mixed" profiled.Sim.Device.counters c
-
-let test_wrong_size_collector_rejected () =
-  let k = mixed_kernel () in
-  let bad = C.create ~nsites:(Site.count k + 3) in
-  check Alcotest.bool "launch rejects mis-sized collector" true
-    (match
-       launch_mixed ~opts:{ Sim.Device.default_opts with profile = Some bad } k
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 let test_site_numbering_deterministic () =
   let k = mixed_kernel () in
   let a1, n1 = Site.annotate k.Types.body in
@@ -179,7 +168,8 @@ let test_site_numbering_deterministic () =
 
 let test_report_agrees_with_collector () =
   let bench = Kernels.Registry.find "PS" in
-  let _s, k, c = Harness.Run.run_profiled bench T.intra_plus_lds in
+  let s = Harness.Run.run bench T.intra_plus_lds in
+  let k = s.Harness.Run.kernel and c = s.Harness.Run.profile in
   let listing = Gpu_prof.Report.annotated_listing k c in
   (* one body line per site, plus header and structure lines *)
   check Alcotest.bool "listing has at least one line per site" true
@@ -528,9 +518,7 @@ let suite =
   [
     tc "prof: sums reconcile across variants and jobs" `Slow
       test_reconciles_across_variants_and_jobs;
-    tc "prof: profiling does not perturb" `Quick test_profiling_does_not_perturb;
-    tc "prof: mis-sized collector rejected" `Quick
-      test_wrong_size_collector_rejected;
+    tc "prof: detected run reconciles" `Quick test_detected_run_reconciles;
     tc "prof: site numbering deterministic" `Quick
       test_site_numbering_deterministic;
     tc "prof: report agrees with collector" `Quick

@@ -7,7 +7,7 @@
      the pooled Inter-Group rendezvous and a wave-resident TMR kernel
      all come back finding-free;
    - zero perturbation: a sanitized run is cycle-, counter- and
-     output-identical to a plain one (mirroring the profiler's test);
+     output-identical to a plain one;
    - static: the SoR checker accepts every properly transformed kernel
      and rejects the comparison-elided ablations. *)
 
