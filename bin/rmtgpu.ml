@@ -4,14 +4,15 @@
      list                        list benchmarks
      dump    <bench> [variant]   print the (transformed) kernel IR
      run     <bench> [variant]   simulate and report cycles/counters
-     trace   <bench> [variant]   simulate with the trace sink attached and
+     trace   <bench> [variant]   simulate with scheduler events recorded and
                                  write a Chrome-trace JSON + ASCII timeline
      profile <bench> [variant]   per-instruction profile: annotated IR
                                  listing, hot spots, optional JSON
      inject  <bench> <variant> <target> [n]  fault-injection campaign
                                  (with propagation provenance)
-     perfdiff <old> <new>        diff two BENCH_<rev>.json trajectories;
-                                 exit 1 when a threshold is crossed
+     perfdiff <old> <new>        diff the simulated counters of two
+                                 BENCH_<rev>.json trajectories; exit 1
+                                 when a counter regressed
      check   <bench|file.rgk> [target]  static SoR-invariant check + dynamic
                                  sanitizer run (.rgk files: static only);
                                  exit 1 on findings
@@ -133,10 +134,8 @@ let sanitize_id s =
     s
 
 let do_trace (b : Kernels.Bench.t) variant scale out width =
-  let collector = Gpu_trace.Sink.collector () in
-  let sink = Gpu_trace.Sink.of_collector collector in
-  let s = Harness.Run.run ~scale ~trace:sink b variant in
-  let records = Gpu_trace.Sink.records collector in
+  let s = Harness.Run.run ~scale ~trace:true b variant in
+  let records = s.events in
   let cfg = Gpu_sim.Config.default in
   let out =
     match out with
@@ -155,7 +154,7 @@ let do_trace (b : Kernels.Bench.t) variant scale out width =
     (Harness.Run.outcome_name s.outcome)
     s.verified;
   Printf.printf "%d scheduler events -> %s (load in chrome://tracing or \
-                 ui.perfetto.dev)\n\n" (Gpu_trace.Sink.count collector) out;
+                 ui.perfetto.dev)\n\n" (List.length records) out;
   print_string
     (Gpu_trace.Timeline.render ~n_cus:cfg.n_cus ~simds_per_cu:cfg.simds_per_cu
        ~cycles:s.cycles ~width records);
@@ -186,11 +185,8 @@ let do_profile (b : Kernels.Bench.t) variant scale optimize json_out top =
 
 (* ---------------- perfdiff ---------------- *)
 
-let do_perfdiff old_path new_path wall_tol counter_tol =
-  let thresholds =
-    { Harness.Perfdiff.wall_ratio = wall_tol; counter_rel = counter_tol }
-  in
-  match Harness.Perfdiff.report ~thresholds ~old_path ~new_path () with
+let do_perfdiff old_path new_path counter_rel =
+  match Harness.Perfdiff.report ~counter_rel ~old_path ~new_path () with
   | text, failed ->
       print_string text;
       if failed then exit 1
@@ -574,16 +570,6 @@ let setup_logs verbose =
 let verbose_flag =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Trace scheduler events")
 
-let jobs_opt =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for independent simulations (default: \
-           $(b,RMTGPU_JOBS), else the machine's recommended domain count; \
-           1 = sequential). Output is byte-identical at any $(docv).")
-
 let bench_arg = Arg.(required & pos 0 (some bench_conv) None & info [] ~docv:"BENCH")
 
 let variant_arg ~pos:p =
@@ -604,7 +590,7 @@ let dump_cmd =
   Cmd.v (Cmd.info "dump" ~doc:"Print a (transformed) kernel's IR")
     Term.(const dump $ bench_arg $ variant_arg ~pos:1 $ alloc $ optimize)
 
-(* Every size and count option (--scale, -n, --local, --global, --top,
+(* Every size and count option (--scale, -n, -j, --local, --global, --top,
    --width, --max-exp): below 1 is a usage error, which cmdliner reports
    naming the option. A size-0 problem or work-group has no work items,
    and a count of 0 would print nothing or mean "all". *)
@@ -615,6 +601,16 @@ let at_least_1 =
     | _ -> Error (`Msg (Printf.sprintf "expected at least 1, got %S" s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let jobs_opt =
+  Arg.(
+    value
+    & opt (some at_least_1) None
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains for independent simulations (at least 1; default: \
+           $(b,RMTGPU_JOBS), else the machine's recommended domain count; \
+           1 = sequential). Output is byte-identical at any $(docv).")
 
 (* Problem-size multiplier of the simulating subcommands. *)
 let scale =
@@ -653,8 +649,8 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Simulate with the scheduler trace sink attached; write a \
-          Chrome-trace (Perfetto) JSON and print an ASCII per-CU timeline")
+         "Simulate with scheduler events recorded; write a Chrome-trace \
+          (Perfetto) JSON and print an ASCII per-CU timeline")
     Term.(
       const trace $ verbose_flag $ bench_arg $ variant_arg ~pos:1 $ scale $ out
       $ width)
@@ -818,21 +814,10 @@ let perfdiff_cmd =
   let new_path =
     Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW.json")
   in
-  let wall_tol =
-    Arg.(
-      value
-      & opt float Harness.Perfdiff.default_thresholds.Harness.Perfdiff.wall_ratio
-      & info [ "wall-tol" ] ~docv:"RATIO"
-          ~doc:
-            "Flag an experiment when its wall-clock grew beyond \
-             $(docv) times the old value (wall time is machine-noisy; keep \
-             this generous)")
-  in
   let counter_tol =
     Arg.(
       value
-      & opt float
-          Harness.Perfdiff.default_thresholds.Harness.Perfdiff.counter_rel
+      & opt float Harness.Perfdiff.default_counter_rel
       & info [ "counter-tol" ] ~docv:"FRAC"
           ~doc:
             "Flag a simulated cost counter when it grew by more than this \
@@ -841,9 +826,10 @@ let perfdiff_cmd =
   Cmd.v
     (Cmd.info "perfdiff"
        ~doc:
-         "Diff two BENCH_<rev>.json perf trajectories and gate on \
-          regressions (exit 1 when a threshold is crossed)")
-    Term.(const do_perfdiff $ old_path $ new_path $ wall_tol $ counter_tol)
+         "Diff the simulated cost counters of two BENCH_<rev>.json perf \
+          trajectories and gate on regressions (exit 1 when a counter \
+          grew beyond the tolerance)")
+    Term.(const do_perfdiff $ old_path $ new_path $ counter_tol)
 
 let exp_cmd =
   let exp_name =

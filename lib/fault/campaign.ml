@@ -102,8 +102,8 @@ type observation = {
   applied : bool;    (** the fault actually landed in a live target *)
   latency : int option;  (** flip-to-trap cycles when detected *)
   prov : Gpu_prof.Provenance.t option;
-      (** propagation provenance of this run's flip, when the harness
-          attached a record *)
+      (** propagation provenance of this run's flip; [Run.run] returns
+          one for every injected run *)
   san_clean : bool option;
       (** [Some true] when the run executed under the dynamic sanitizer
           and came back finding-free; [None] when it was not sanitized *)

@@ -42,7 +42,8 @@ type observation = {
   applied : bool;
   latency : int option;
   prov : Gpu_prof.Provenance.t option;
-      (** propagation provenance of this run's flip, when attached *)
+      (** propagation provenance of this run's flip; [Harness.Run.run]
+          returns one for every injected run *)
   san_clean : bool option;
       (** sanitizer verdict when the run was sanitized; [None] otherwise *)
 }

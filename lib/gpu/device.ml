@@ -69,32 +69,31 @@ type result = {
   detected_at : int option;  (** cycle an output comparison trapped *)
   profile : Gpu_prof.Collector.t;
       (** per-site accounting; the issue-side [counters] are its sums *)
+  events : Gpu_trace.Sink.record list;
+      (** scheduler events in simulation order; [[]] unless traced *)
 }
 
 type t = {
   cfg : Config.t;
   image : Image.t;  (** sparse; shared with each launch's {!Memsys} *)
   mutable alloc_ptr : int;
-  mutable san : Gpu_san.Shadow.t option;
-      (** dynamic sanitizer shadow; attach with {!set_san} before the
-          host initializes buffers so allocation ranges and host writes
-          are tracked. [None] (the default) keeps every hook dormant. *)
+  san : Gpu_san.Shadow.t option;
+      (** dynamic sanitizer shadow, fixed at creation so it tracks every
+          allocation range and host write. [None] (the default) keeps
+          every hook dormant. *)
   mutable spare_waves : Wave.t list;
       (** waves of the last launch, whose register files the next launch
           of a kernel with as many registers reuses *)
 }
 
-let create (cfg : Config.t) =
+let create ?san (cfg : Config.t) =
   {
     cfg;
     image = Image.create cfg.memory_bytes;
     alloc_ptr = 256;
-    san = None;
+    san;
     spare_waves = [];
   }
-
-(** Attach (or detach) the sanitizer shadow. *)
-let set_san dev s = dev.san <- s
 
 let resident_pages dev = Image.resident_pages dev.image
 
@@ -225,9 +224,9 @@ type launch_opts = {
   max_cycles : int option;
   window_cycles : int option;
   inject : inject_plan option;
-  trace : Gpu_trace.Sink.t option;
-      (** scheduler-event sink; [None] (the default) keeps the issue loop
-          free of event allocation *)
+  trace : bool;
+      (** record scheduler events into [result.events]; [false] (the
+          default) keeps the issue loop free of event allocation *)
   provenance : Gpu_prof.Provenance.t option;
       (** fault-propagation record filled in during an injected run:
           where the flip landed, the first consuming instruction site,
@@ -244,7 +243,7 @@ let default_opts =
     max_cycles = None;
     window_cycles = None;
     inject = None;
-    trace = None;
+    trace = false;
     provenance = None;
     scan_every_cycle = false;
   }
@@ -331,14 +330,11 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           wstall_counted_until = 0;
         })
   in
-  (* Tracing: [emit] is only reached behind [tracing], so a disabled run
-     neither allocates events nor takes the indirect call. *)
-  let tracing = opts.trace <> None in
-  let emit at ev =
-    match opts.trace with
-    | Some s -> s.Gpu_trace.Sink.emit ~at ev
-    | None -> ()
-  in
+  (* Tracing: [emit] is only reached behind [tracing], so an untraced
+     run allocates no events. *)
+  let tracing = opts.trace in
+  let rev_events = ref [] in
+  let emit at ev = rev_events := { Gpu_trace.Sink.at; ev } :: !rev_events in
   let next_group = ref 0 in
   let groups_completed = ref 0 in
   let detections = ref 0 in
@@ -1300,4 +1296,5 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     injected_at = !injected_at;
     detected_at = !detected_at;
     profile = prof;
+    events = List.rev !rev_events;
   }

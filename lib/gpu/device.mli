@@ -30,24 +30,22 @@ val log_src : Logs.src
 
 type t
 
-val create : Config.t -> t
+val create : ?san:Gpu_san.Shadow.t -> Config.t -> t
 (** A device whose global memory spans [cfg.memory_bytes] and reads as
     all zeros. The image is sparse ({!Image}), so creation does not
-    zero-fill it. *)
+    zero-fill it.
+
+    [san] is the dynamic sanitizer shadow, fixed for the device's
+    lifetime, so it sees every allocation range and host write:
+    {!alloc}/{!free_all}/{!write_i32} (and everything funnelled through
+    them) maintain its allocation and initialization maps, and every
+    launch checks each lane's memory accesses against it. The shadow only
+    observes: counters, timing and outputs are identical to an
+    unsanitized run. *)
 
 val resident_pages : t -> int
 (** Global-memory pages ({!Image.page_bytes} each) materialised so far:
     those that have held a non-zero word. *)
-
-val set_san : t -> Gpu_san.Shadow.t option -> unit
-(** Attach (or detach) the dynamic sanitizer shadow. Attach it right
-    after {!create} — before buffers are allocated and host-initialized —
-    so the shadow sees every allocation range and host write. While
-    attached, {!alloc}/{!free_all}/{!write_i32} (and everything funnelled
-    through them) maintain the shadow's allocation and initialization
-    maps, and every launch checks each lane's memory accesses against it.
-    The shadow only observes: counters, timing and outputs are identical
-    to an unsanitized run. *)
 
 type buffer = { addr : int; size : int }
 
@@ -107,6 +105,9 @@ type result = {
           [spin_iterations] and the four issue counts (by each site's
           issue unit) are its sums on every exit path; its cache hit and
           miss slots split [counters]' totals by load site. *)
+  events : Gpu_trace.Sink.record list;
+      (** scheduler events in simulation order, timestamped in this
+          launch's cycles; [[]] unless [launch_opts.trace] is set *)
 }
 
 type launch_opts = {
@@ -116,14 +117,16 @@ type launch_opts = {
   max_cycles : int option;  (** watchdog override *)
   window_cycles : int option;  (** power-sampling window override *)
   inject : inject_plan option;
-  trace : Gpu_trace.Sink.t option;
-      (** scheduler-event sink ([None], the default, adds no work to the
-          issue loop; events never perturb timing or counters) *)
+  trace : bool;
+      (** record scheduler events into [result.events] ([false], the
+          default, adds no work to the issue loop; events never perturb
+          timing or counters) *)
   provenance : Gpu_prof.Provenance.t option;
       (** fault-propagation record for an injected run: structure and
           bit of the flip, first consuming instruction site, overwrite
           (dead-value) masking, and flip-to-detect distance in dynamic
-          instructions and cycles *)
+          instructions and cycles. [Harness.Run.run] creates one per
+          injected run and shares it across the run's launches. *)
   scan_every_cycle : bool;
       (** debug: disable idle skip-ahead and scan every CU every cycle;
           timing-equivalent but much slower (cross-checks stall spans) *)

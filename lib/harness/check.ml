@@ -145,8 +145,7 @@ let check_target ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
         e_run_problem = None;
       }
   | T_variant variant ->
-      let shadow = Gpu_san.Shadow.create () in
-      let summary = Run.run ~cfg ~scale ~san:shadow bench variant in
+      let summary = Run.run ~cfg ~scale ~sanitize:true bench variant in
       let kernel = summary.Run.kernel in
       let problem =
         match summary.Run.outcome with
@@ -159,7 +158,7 @@ let check_target ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
         e_label = label;
         e_kernel = kernel;
         e_static = Sor_check.check flavor kernel;
-        e_shadow = Some shadow;
+        e_shadow = summary.Run.san;
         e_skip_kind = None;
         e_skip_reason = None;
         e_run_problem = problem;

@@ -501,28 +501,17 @@ let coverage_experiment ?(sanitize = false) ctx (b : Kernels.Bench.t) variant
   {
     Fault.Campaign.run =
       (fun ~inject ->
-        (* each injected run gets its own provenance record so the
-           campaign can report where flips landed and how far they
-           propagated before detection *)
-        let prov =
-          match inject with
-          | Some _ -> Some (Gpu_prof.Provenance.create ())
-          | None -> None
-        in
-        (* per-run shadow, never shared: campaign runs may execute on
-           parallel pool domains *)
-        let san = if sanitize then Some (Gpu_san.Shadow.create ()) else None in
-        let s =
-          Run.run ~cfg:ctx.cfg ~max_cycles ?inject ?provenance:prov ?san b
-            variant
-        in
+        (* every injected run returns its own provenance record and, when
+           sanitized, its own shadow: nothing is shared between runs that
+           may execute on parallel pool domains *)
+        let s = Run.run ~cfg:ctx.cfg ~max_cycles ?inject ~sanitize b variant in
         {
           Fault.Campaign.oc = s.Run.outcome;
           output_ok = s.Run.verified;
           applied = s.Run.inject_applied;
           latency = s.Run.detection_latency;
-          prov;
-          san_clean = Option.map Gpu_san.Shadow.clean san;
+          prov = s.Run.provenance;
+          san_clean = Option.map Gpu_san.Shadow.clean s.Run.san;
         });
     golden_cycles = golden.Run.cycles;
   }

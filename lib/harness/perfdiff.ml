@@ -1,14 +1,12 @@
 (** Perf-regression diff gate.
 
-    Compares two [BENCH_<rev>.json] perf-trajectory files (the documents
-    {!Metrics.bench_json} emits) and reports regressions:
-
-    - per-experiment wall-clock, gated by a ratio threshold — noisy
-      across machines, so the CI gate uses a generous tolerance;
-    - per-run simulated cost counters (cycles, unit-busy cycles, write
-      stalls, spin iterations), matched by run label and gated by a
-      relative-increase threshold — these are deterministic, so a tight
-      tolerance catches real simulator or kernel-shape changes.
+    Compares the per-run simulated cost counters (cycles, unit-busy
+    cycles, write stalls, spin iterations) of two [BENCH_<rev>.json]
+    perf-trajectory files (the documents {!Metrics.bench_json} emits),
+    matched by run label and gated by a relative-increase threshold.
+    Counters are deterministic, so a tight tolerance catches real
+    simulator or kernel-shape changes. The files' per-experiment wall
+    clock is ignored: host time is measured by perfbench.
 
     The comparison is a library function returning structured findings
     so tests can exercise the gate without subprocesses; the CLI
@@ -17,21 +15,14 @@
 
 module Json = Gpu_trace.Json
 
-type thresholds = {
-  wall_ratio : float;
-      (** flag an experiment when [new_wall > wall_ratio * old_wall] *)
-  counter_rel : float;
-      (** flag a counter when it grew by more than this fraction *)
-}
-
-let default_thresholds = { wall_ratio = 1.5; counter_rel = 0.02 }
+let default_counter_rel = 0.02
 
 type severity = Regression | Info
 
 type finding = {
   severity : severity;
-  subject : string;  (** experiment name or run label *)
-  metric : string;  (** e.g. ["wall_s"] or ["counters.cycles"] *)
+  subject : string;  (** run label *)
+  metric : string;  (** e.g. ["counters.cycles"] *)
   old_value : float;
   new_value : float;
   detail : string;
@@ -86,17 +77,6 @@ let to_str path key = function
   | Json.Str s -> s
   | _ -> fail "%s: field %S is not a string" path key
 
-(** [(name, wall_s)] per experiment. *)
-let experiments path doc =
-  match Json.to_list (member_exn path "experiments" doc) with
-  | None -> fail "%s: \"experiments\" is not a list" path
-  | Some xs ->
-      List.map
-        (fun e ->
-          ( to_str path "name" (member_exn path "name" e),
-            to_num path "wall_s" (member_exn path "wall_s" e) ))
-        xs
-
 (** [(label, counter assoc)] per run, keeping only the gated counters. *)
 let runs path doc =
   match Json.to_list (member_exn path "runs" doc) with
@@ -127,56 +107,13 @@ let rev path doc =
 let pct_change o n = if o = 0.0 then 0.0 else 100.0 *. (n -. o) /. o
 
 (** Diff two parsed trajectory documents. Findings are ordered:
-    regressions first, then informational notes (new/vanished
-    experiments and runs, improvements are not reported). *)
-let diff ?(thresholds = default_thresholds) ~old_path ~new_path old_doc
+    regressions first, then informational notes (new/vanished runs;
+    improvements are not reported). *)
+let diff ?(counter_rel = default_counter_rel) ~old_path ~new_path old_doc
     new_doc : finding list =
   let regressions = ref [] and infos = ref [] in
   let reg f = regressions := f :: !regressions in
   let info f = infos := f :: !infos in
-  (* wall-clock per experiment *)
-  let old_exps = experiments old_path old_doc in
-  let new_exps = experiments new_path new_doc in
-  List.iter
-    (fun (name, nw) ->
-      match List.assoc_opt name old_exps with
-      | None ->
-          info
-            {
-              severity = Info;
-              subject = name;
-              metric = "wall_s";
-              old_value = 0.0;
-              new_value = nw;
-              detail = "experiment not present in old trajectory";
-            }
-      | Some ow ->
-          if ow > 0.0 && nw > thresholds.wall_ratio *. ow then
-            reg
-              {
-                severity = Regression;
-                subject = name;
-                metric = "wall_s";
-                old_value = ow;
-                new_value = nw;
-                detail =
-                  Printf.sprintf "%.3fs -> %.3fs (%.1fx > %.2fx tolerance)"
-                    ow nw (nw /. ow) thresholds.wall_ratio;
-              })
-    new_exps;
-  List.iter
-    (fun (name, ow) ->
-      if List.assoc_opt name new_exps = None then
-        info
-          {
-            severity = Info;
-            subject = name;
-            metric = "wall_s";
-            old_value = ow;
-            new_value = 0.0;
-            detail = "experiment vanished from new trajectory";
-          })
-    old_exps;
   (* simulated counters per run label *)
   let old_runs = runs old_path old_doc in
   let new_runs = runs new_path new_doc in
@@ -199,7 +136,7 @@ let diff ?(thresholds = default_thresholds) ~old_path ~new_path old_doc
               match List.assoc_opt key ofields with
               | None -> ()
               | Some ov ->
-                  if nv > ov +. (thresholds.counter_rel *. Float.abs ov)
+                  if nv > ov +. (counter_rel *. Float.abs ov)
                      && nv -. ov >= 1.0
                   then
                     reg
@@ -212,7 +149,7 @@ let diff ?(thresholds = default_thresholds) ~old_path ~new_path old_doc
                         detail =
                           Printf.sprintf "%.0f -> %.0f (+%.2f%% > %.2f%%)" ov
                             nv (pct_change ov nv)
-                            (100.0 *. thresholds.counter_rel);
+                            (100.0 *. counter_rel);
                       })
             nfields)
     new_runs;
@@ -233,9 +170,9 @@ let diff ?(thresholds = default_thresholds) ~old_path ~new_path old_doc
 
 (** Diff two trajectory files on disk.
     @raise Bad_file on unreadable or malformed input. *)
-let diff_files ?thresholds ~old_path ~new_path () : finding list =
+let diff_files ?counter_rel ~old_path ~new_path () : finding list =
   let old_doc = parse_file old_path and new_doc = parse_file new_path in
-  diff ?thresholds ~old_path ~new_path old_doc new_doc
+  diff ?counter_rel ~old_path ~new_path old_doc new_doc
 
 let has_regression findings =
   List.exists (fun f -> f.severity = Regression) findings
@@ -246,9 +183,9 @@ let finding_to_string f =
     f.subject f.metric f.detail
 
 (** Human-readable report; header names both revisions. *)
-let report ?thresholds ~old_path ~new_path () : string * bool =
+let report ?counter_rel ~old_path ~new_path () : string * bool =
   let old_doc = parse_file old_path and new_doc = parse_file new_path in
-  let findings = diff ?thresholds ~old_path ~new_path old_doc new_doc in
+  let findings = diff ?counter_rel ~old_path ~new_path old_doc new_doc in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "perfdiff: %s (%s) -> %s (%s)\n" old_path

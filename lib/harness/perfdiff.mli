@@ -1,25 +1,18 @@
 (** Perf-regression diff gate over two [BENCH_<rev>.json] trajectory
-    files: per-experiment wall-clock (ratio threshold, generous — noisy
-    across machines) and per-run simulated cost counters matched by run
-    label (relative threshold, tight — deterministic). *)
+    files: per-run simulated cost counters matched by run label, against
+    a relative threshold (tight — counters are deterministic). The
+    files' per-experiment wall clock is not compared. *)
 
-type thresholds = {
-  wall_ratio : float;
-      (** flag an experiment when [new_wall > wall_ratio * old_wall] *)
-  counter_rel : float;
-      (** flag a gated counter when it grew by more than this fraction
-          (and by at least one whole count) *)
-}
-
-val default_thresholds : thresholds
-(** [wall_ratio = 1.5], [counter_rel = 0.02]. *)
+val default_counter_rel : float
+(** [0.02]: a gated counter is flagged when it grew by more than this
+    fraction (and by at least one whole count). *)
 
 type severity = Regression | Info
 
 type finding = {
   severity : severity;
-  subject : string;  (** experiment name or run label *)
-  metric : string;  (** e.g. ["wall_s"], ["counters.cycles"] *)
+  subject : string;  (** run label *)
+  metric : string;  (** e.g. ["counters.cycles"] *)
   old_value : float;
   new_value : float;
   detail : string;
@@ -33,7 +26,7 @@ exception Bad_file of string
 (** Unreadable or malformed trajectory file. *)
 
 val diff :
-  ?thresholds:thresholds ->
+  ?counter_rel:float ->
   old_path:string ->
   new_path:string ->
   Gpu_trace.Json.t ->
@@ -43,7 +36,7 @@ val diff :
     error messages only). Regressions come first, then info notes. *)
 
 val diff_files :
-  ?thresholds:thresholds ->
+  ?counter_rel:float ->
   old_path:string ->
   new_path:string ->
   unit ->
@@ -54,7 +47,7 @@ val has_regression : finding list -> bool
 val finding_to_string : finding -> string
 
 val report :
-  ?thresholds:thresholds ->
+  ?counter_rel:float ->
   old_path:string ->
   new_path:string ->
   unit ->

@@ -6,9 +6,11 @@
     FloydWarshall) launch their kernel once per pass, exactly as their
     SDK hosts do; cycles and counters are summed over the passes and the
     Inter-Group group-id counter is reset before each pass. [run] is the
-    only function here that simulates: the per-site profile and the
-    executed kernel come with every summary, and naive duplication is
-    derived from the [Original] summary. *)
+    only function here that simulates. Every observation of a run comes
+    back in its summary: the per-site profile and the executed kernel
+    always, the scheduler events, fault provenance and sanitizer shadow
+    when asked for. Naive duplication is derived from the [Original]
+    summary. *)
 
 module Device = Gpu_sim.Device
 module Counters = Gpu_sim.Counters
@@ -31,6 +33,9 @@ type summary = {
           happened (the containment window) *)
   kernel : Gpu_ir.Types.kernel;
   profile : Gpu_prof.Collector.t;
+  events : Gpu_trace.Sink.record list;
+  provenance : Gpu_prof.Provenance.t option;
+  san : Gpu_san.Shadow.t option;
 }
 
 let outcome_name = function
@@ -53,21 +58,22 @@ let transformed_kernel ?(optimize = false) (bench : Kernels.Bench.t) variant
 
     @param scale problem-size multiplier (1 = paper-scaled default)
     @param usage_override resource inflation for the component analysis
-    @param inject a fault plan, interpreted against cumulative cycles
-    @param trace a scheduler-event sink; multi-pass launches are spliced
+    @param inject a fault plan, interpreted against cumulative cycles;
+    the run then returns a provenance record, shared by all passes and
+    filled by the one in which the fault lands
+    @param trace record scheduler events; multi-pass launches are spliced
     into one monotonic stream by offsetting each pass's events by the
     cycles already simulated
-    @param provenance a fault-propagation record, filled by the pass in
-    which [inject] lands
-    @param san a sanitizer shadow, attached before host preparation so it
+    @param sanitize create a sanitizer shadow with the device, so it
     observes every allocation and host write; all passes check into the
     same shadow (the sanitizer never perturbs timing or outputs) *)
 let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
-    ?window_cycles ?max_cycles ?usage_override ?inject ?trace
-    ?provenance ?san (bench : Kernels.Bench.t) (variant : Transform.variant) :
-    summary =
-  let dev = Device.create cfg in
-  Device.set_san dev san;
+    ?window_cycles ?max_cycles ?usage_override ?inject ?(trace = false)
+    ?(sanitize = false) (bench : Kernels.Bench.t) (variant : Transform.variant)
+    : summary =
+  let san = if sanitize then Some (Gpu_san.Shadow.create ()) else None in
+  let provenance = Option.map (fun _ -> Gpu_prof.Provenance.create ()) inject in
+  let dev = Device.create ?san cfg in
   let prep = bench.prepare dev ~scale in
   let nd0 =
     match prep.steps with
@@ -79,6 +85,7 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
   let total = Counters.create () in
   let profile = Gpu_prof.Collector.create ~nsites:(Gpu_ir.Site.count kernel) in
   let windows = ref [] in
+  let passes = ref [] in  (* each pass's events, offset; last pass first *)
   let cycles = ref 0 in
   let outcome = ref Device.Finished in
   let occupancy = ref None in
@@ -96,11 +103,6 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
                Some { plan with Device.at_cycle = max 0 (plan.Device.at_cycle - !cycles) }
            | _ -> None
          in
-         let step_trace =
-           match trace with
-           | Some sink -> Some (Gpu_trace.Sink.with_offset !cycles sink)
-           | None -> None
-         in
          let opts =
            {
              Device.default_opts with
@@ -108,7 +110,7 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
              window_cycles;
              max_cycles;
              inject = step_inject;
-             trace = step_trace;
+             trace;
              provenance;
            }
          in
@@ -121,6 +123,12 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
          (match (r.Device.injected_at, r.Device.detected_at) with
          | Some i, Some d when d >= i -> latency := Some (d - i)
          | _ -> ());
+         let off = !cycles in
+         passes :=
+           List.map
+             (fun (e : Gpu_trace.Sink.record) -> { e with at = e.at + off })
+             r.Device.events
+           :: !passes;
          cycles := !cycles + r.Device.cycles;
          Counters.accumulate ~into:total r.Device.counters;
          Gpu_prof.Collector.accumulate ~into:profile r.Device.profile;
@@ -156,6 +164,9 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
     detection_latency = !latency;
     kernel;
     profile;
+    events = List.concat (List.rev !passes);
+    provenance;
+    san;
   }
 
 (** Slowdown of [v] relative to [base] (runtimes in cycles). A

@@ -2,7 +2,8 @@
     collect the measurements the figures need. Multi-pass benchmarks
     (BitS, FWT, FW) launch once per pass with counters summed and the
     Inter-Group group-id counter reset between passes. {!run} is the only
-    function here that simulates. *)
+    function here that simulates, and everything a run can be observed
+    by comes back in its {!summary}. *)
 
 type summary = {
   bench_id : string;
@@ -24,6 +25,16 @@ type summary = {
   profile : Gpu_prof.Collector.t;
       (** per-site account summed over the launches, like [counters]; its
           busy, issue, write-stall and spin sums equal [counters]' *)
+  events : Gpu_trace.Sink.record list;
+      (** scheduler events of every launch in one stream, each pass offset
+          by the cycles before it, so [at] never decreases; [[]] unless
+          [run ~trace:true] *)
+  provenance : Gpu_prof.Provenance.t option;
+      (** fault-propagation record, [Some] exactly when [run] was given
+          [inject]; filled by the pass in which the fault lands *)
+  san : Gpu_san.Shadow.t option;
+      (** sanitizer shadow with every launch's findings, [Some] exactly
+          when [run ~sanitize:true] *)
 }
 
 val outcome_name : Gpu_sim.Device.outcome -> string
@@ -45,17 +56,16 @@ val run :
   ?max_cycles:int ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
   ?inject:Gpu_sim.Device.inject_plan ->
-  ?trace:Gpu_trace.Sink.t ->
-  ?provenance:Gpu_prof.Provenance.t ->
-  ?san:Gpu_san.Shadow.t ->
+  ?trace:bool ->
+  ?sanitize:bool ->
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
   summary
-(** [trace] receives the scheduler events of every launch, spliced into
-    one stream by offsetting each pass by the cycles already simulated.
-    [provenance] is filled by the pass in which [inject] lands. [san] is
-    attached to the device before host preparation, so the shadow
-    observes every allocation and host write; it never perturbs timing,
+(** [inject] is interpreted against cumulative cycles and makes the run
+    return a provenance record. [trace] (default [false]) records the
+    scheduler events into [summary.events]. [sanitize] (default [false])
+    creates the device with a sanitizer shadow, so the shadow observes
+    every allocation and host write. None of the three perturbs timing,
     counters or outputs. *)
 
 val naive_duplication : summary -> summary

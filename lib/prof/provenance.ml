@@ -1,8 +1,9 @@
 (** Fault-propagation provenance.
 
-    A provenance record rides along with one injected run (like the
-    trace sink: a mutable cell handed to the device through
-    [launch_opts]) and captures the life of the flipped bit:
+    A provenance record rides along with one injected run (the harness
+    creates it, hands it to each launch through [launch_opts] and
+    returns it with the run's summary) and captures the life of the
+    flipped bit:
 
     - where it landed (hardware structure, bit index, human description,
       inject cycle, and the dynamic-instruction index at injection);

@@ -1,8 +1,9 @@
 (** Dynamic kernel sanitizer: shadow state for LDS and global memory.
 
-    The device threads one {!t} through a launch (behind a single
-    [san <> None] test per instrumentation site, the same zero-cost
-    discipline as the trace sink and fault provenance) and calls
+    A device is created with at most one {!t}, which it threads through
+    every launch (behind a single [san_on] test per instrumentation site,
+    the same zero-cost discipline as tracing and fault provenance) and
+    calls
     {!global_access}/{!lds_access} for every lane of every memory
     instruction it issues. The shadow tracks, per 4-byte word, the last
     writer and last reader (work-item, {!Gpu_ir.Site} id, barrier epoch)

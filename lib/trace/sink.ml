@@ -1,19 +1,19 @@
-(** Scheduler-event taxonomy and the trace sink interface.
+(** Scheduler-event taxonomy.
 
-    The device emits one {!event} per observable scheduler action: group
-    dispatch and retirement, per-wave instruction issue (tagged with the
-    unit that accepted it), barrier arrival/release, and the reason a
-    scanned wave could not issue ({!stall_cause}). Events carry plain
-    integers — CU, SIMD, group and wave ids — so a sink never holds
-    references into simulator state.
+    With [trace] set in its launch options, the device records one
+    {!event} per observable scheduler action: group dispatch and
+    retirement, per-wave instruction issue (tagged with the unit that
+    accepted it), barrier arrival/release, and the reason a scanned wave
+    could not issue ({!stall_cause}). Events carry plain integers — CU,
+    SIMD, group and wave ids — so a record never holds references into
+    simulator state.
 
     Overhead discipline: the device guards every emission behind a single
-    [trace <> None] test, and event records are only allocated when a
-    sink is installed, so a run with tracing disabled executes the same
-    instructions on its hot path as before the sink existed. Sinks are
-    invoked synchronously from the (single-domain) simulation loop, in
-    simulation order; a run's event stream is therefore as deterministic
-    as the run itself, whatever the harness [-j] worker count. *)
+    [tracing] test and allocates records only when the flag is set, so an
+    untraced run executes the same instructions on its hot path as before
+    events existed. Records come back in the launch result in simulation
+    order; a run's event stream is therefore as deterministic as the run
+    itself, whatever the harness [-j] worker count. *)
 
 (** The issue unit that accepted an instruction (mirrors the device's
     internal classification). *)
@@ -58,54 +58,6 @@ type event =
 (** A timestamped event ([at] is the simulated cycle). *)
 type record = { at : int; ev : event }
 
-(** A sink receives events synchronously, in simulation order. *)
-type t = { emit : at:int -> event -> unit }
-
-let null = { emit = (fun ~at:_ _ -> ()) }
-
-(** [with_offset off sink] shifts every event [off] cycles later —
-    used to splice the launches of a multi-pass benchmark into one
-    monotonic stream. *)
-let with_offset off sink =
-  { emit = (fun ~at ev -> sink.emit ~at:(at + off) ev) }
-
-(* ------------------------------------------------------------------ *)
-(* Collector                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(** In-memory collector (the only sink the CLI needs). [cap] bounds the
-    retained records — spin-heavy Inter-Group runs can emit millions of
-    stall events; with a cap the collector keeps the first [cap] records
-    and counts the rest as dropped instead of growing without bound. *)
-type collector = {
-  mutable rev_events : record list;
-  mutable count : int;  (** events emitted, including dropped ones *)
-  cap : int option;
-  mutable dropped : int;
-}
-
-let collector ?cap () =
-  (match cap with
-  | Some c when c < 0 -> invalid_arg "Sink.collector: negative cap"
-  | _ -> ());
-  { rev_events = []; count = 0; cap; dropped = 0 }
-
-let of_collector c =
-  {
-    emit =
-      (fun ~at ev ->
-        c.count <- c.count + 1;
-        match c.cap with
-        | Some cap when c.count - c.dropped > cap -> c.dropped <- c.dropped + 1
-        | _ -> c.rev_events <- { at; ev } :: c.rev_events);
-  }
-
-let count c = c.count
-let dropped c = c.dropped
-
-(** Collected records in emission order (at most [cap] of them). *)
-let records c = List.rev c.rev_events
-
 (* ------------------------------------------------------------------ *)
 (* Rendering (debug / golden-file friendly)                            *)
 (* ------------------------------------------------------------------ *)
@@ -126,15 +78,3 @@ let event_to_string = function
         (stall_name cause)
 
 let record_to_string r = Printf.sprintf "%d: %s" r.at (event_to_string r.ev)
-
-(** Streaming sink: renders each record as one text line straight to a
-    channel, retaining nothing — constant memory regardless of how many
-    events a run emits. The caller owns the channel (and flushes or
-    closes it after the run). *)
-let of_channel oc =
-  {
-    emit =
-      (fun ~at ev ->
-        output_string oc (record_to_string { at; ev });
-        output_char oc '\n');
-  }

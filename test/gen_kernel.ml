@@ -224,8 +224,8 @@ let generate ?defect seed : Types.kernel =
   Builder.finish b
 
 (* Run a generated kernel (optionally transformed/optimized) and return
-   the output buffer contents. [san] is attached to the device before
-   any allocation, so the shadow sees the host writes too; [defect]
+   the output buffer contents. [san] is the device's sanitizer shadow,
+   given at creation, so it sees the host writes too; [defect]
    must match what [generate] planted (the uninitialized-read defect
    needs the host to skip a word). *)
 let run ?(transform = Rmt_core.Transform.Original) ?(optimize = false) ?defect
@@ -235,8 +235,7 @@ let run ?(transform = Rmt_core.Transform.Original) ?(optimize = false) ?defect
   let k = Rmt_core.Transform.apply transform ~local_items:wg k0 in
   let k = if optimize then Opt.optimize k else k in
   Verify.check k;
-  let dev = Gpu_sim.Device.create Gpu_sim.Config.small in
-  Gpu_sim.Device.set_san dev san;
+  let dev = Gpu_sim.Device.create ?san Gpu_sim.Config.small in
   let input = Gpu_sim.Device.alloc dev (n_items * 4) in
   let output = Gpu_sim.Device.alloc dev (n_items * 4) in
   let r = rng (seed + 77) in

@@ -101,6 +101,8 @@ let test_scale_usage_error () =
       ("rmtgpu profile PS original --top 0", "--top");
       ("rmtgpu lint PS intra+lds --max-exp 0", "--max-exp");
       ("rmtgpu trace PS original --width 0 -o /dev/null", "--width");
+      ("rmtgpu inject PS intra+lds lds -n 2 -j 0", "-j");
+      ("rmtgpu exp table1 -j 0", "-j");
     ]
 
 (* The "# run with:" command of an .rgk header: the comment lines after

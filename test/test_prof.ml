@@ -13,7 +13,6 @@ module T = Rmt_core.Transform
 module C = Gpu_prof.Collector
 module Prov = Gpu_prof.Provenance
 module Json = Gpu_trace.Json
-module Sink = Gpu_trace.Sink
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -199,26 +198,49 @@ let test_report_agrees_with_collector () =
 (* Provenance                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* An injected run returns its provenance record, applied exactly when
+   the fault landed in some pass. *)
+let run_injected bench v plan =
+  let s = Harness.Run.run ~inject:plan bench v in
+  match s.Harness.Run.provenance with
+  | Some p ->
+      check Alcotest.bool "prov applied iff fault applied"
+        s.Harness.Run.inject_applied (Prov.applied p);
+      (s, p)
+  | None -> Alcotest.fail "injected run returned no provenance"
+
+let injection_plans ~n ~target ~seed golden =
+  Fault.Campaign.plans ~n ~target ~seed
+    ~golden_cycles:golden.Harness.Run.cycles ()
+
+(* The record comes with every injected run, single-pass (PS) and
+   multi-pass (FWT, 13 launches sharing one record), and only then. *)
+let test_provenance_is_a_result () =
+  List.iter
+    (fun id ->
+      let bench = Kernels.Registry.find id in
+      let v = T.intra_plus_lds in
+      let golden = Harness.Run.run bench v in
+      check Alcotest.bool (id ^ ": no record without inject") true
+        (golden.Harness.Run.provenance = None);
+      let landed =
+        List.filter
+          (fun plan -> Prov.applied (snd (run_injected bench v plan)))
+          (injection_plans ~n:3 ~target:Sim.Device.T_vgpr ~seed:5 golden)
+      in
+      check Alcotest.bool (id ^ ": some flips landed") true (landed <> []))
+    [ "PS"; "FWT" ]
+
 let test_provenance_end_to_end () =
   let bench = Kernels.Registry.find "R" in
   let v = T.intra_plus_lds in
   let golden = Harness.Run.run bench v in
-  let plans =
-    Fault.Campaign.plans ~n:6 ~target:Sim.Device.T_lds ~seed:7
-      ~golden_cycles:golden.Harness.Run.cycles ()
-  in
   let obs =
-    List.map
-      (fun plan ->
-        let p = Prov.create () in
-        let s = Harness.Run.run ~inject:plan ~provenance:p bench v in
-        (s, p))
-      plans
+    List.map (run_injected bench v)
+      (injection_plans ~n:6 ~target:Sim.Device.T_lds ~seed:7 golden)
   in
   List.iter
     (fun ((s : Harness.Run.summary), p) ->
-      check Alcotest.bool "prov applied iff fault applied"
-        s.Harness.Run.inject_applied (Prov.applied p);
       if Prov.applied p then begin
         check Alcotest.bool "target is LDS" true
           (p.Prov.target = Some Prov.S_lds);
@@ -268,18 +290,13 @@ let test_provenance_overwrite_is_terminal () =
   let bench = Kernels.Registry.find "BlkSch" in
   let v = T.intra_plus_lds in
   let golden = Harness.Run.run bench v in
-  let plans =
-    Fault.Campaign.plans ~n:5 ~target:Sim.Device.T_vgpr ~seed:11
-      ~golden_cycles:golden.Harness.Run.cycles ()
-  in
   List.iter
     (fun plan ->
-      let p = Prov.create () in
-      ignore (Harness.Run.run ~inject:plan ~provenance:p bench v);
+      let _, p = run_injected bench v plan in
       if p.Prov.overwritten then
         check Alcotest.bool "overwritten implies never consumed" true
           (p.Prov.first_use = None))
-    plans
+    (injection_plans ~n:5 ~target:Sim.Device.T_vgpr ~seed:11 golden)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign latency percentiles                                         *)
@@ -315,53 +332,6 @@ let test_latency_percentiles () =
     (contains (Fault.Campaign.tally_to_string t) "p50=20 p99=30 max=30")
 
 (* ------------------------------------------------------------------ *)
-(* Sink cap and streaming                                               *)
-(* ------------------------------------------------------------------ *)
-
-let ev i = Sink.Group_retire { cu = 0; group = i }
-
-let test_sink_cap_bounds_memory () =
-  let c = Sink.collector ~cap:5 () in
-  let s = Sink.of_collector c in
-  for i = 0 to 9 do
-    s.Sink.emit ~at:i (ev i)
-  done;
-  check Alcotest.int "all emissions counted" 10 (Sink.count c);
-  check Alcotest.int "only cap retained" 5 (List.length (Sink.records c));
-  check Alcotest.int "rest dropped" 5 (Sink.dropped c);
-  (* the retained records are the first cap, in order *)
-  List.iteri
-    (fun i r -> check Alcotest.int "prefix kept" i r.Sink.at)
-    (Sink.records c);
-  check Alcotest.bool "negative cap rejected" true
-    (match Sink.collector ~cap:(-1) () with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* uncapped collector never drops *)
-  let u = Sink.collector () in
-  let su = Sink.of_collector u in
-  for i = 0 to 9 do
-    su.Sink.emit ~at:i (ev i)
-  done;
-  check Alcotest.int "uncapped keeps all" 10 (List.length (Sink.records u));
-  check Alcotest.int "uncapped drops none" 0 (Sink.dropped u)
-
-let test_sink_of_channel_streams () =
-  let path = Filename.temp_file "rmtgpu_sink" ".txt" in
-  let oc = open_out path in
-  let s = Sink.of_channel oc in
-  s.Sink.emit ~at:3 (ev 1);
-  s.Sink.emit ~at:4 (ev 2);
-  close_out oc;
-  let lines = String.split_on_char '\n' (read_file path) in
-  Sys.remove path;
-  check
-    Alcotest.(list string)
-    "streamed lines"
-    [ "3: retire cu=0 group=1"; "4: retire cu=0 group=2"; "" ]
-    lines
-
-(* ------------------------------------------------------------------ *)
 (* Atomic metrics write                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -393,7 +363,7 @@ let test_write_file_atomic () =
 module PD = Harness.Perfdiff
 
 (* A minimal but schema-complete trajectory document. *)
-let traj ~rev ~wall ~cycles ~valu =
+let traj ?(wall = 1.0) ~rev ~cycles ~valu () =
   Json.Obj
     [
       ("schema", Json.Int 1);
@@ -424,14 +394,17 @@ let d ~old_doc ~new_doc =
   PD.diff ~old_path:"old.json" ~new_path:"new.json" old_doc new_doc
 
 let test_perfdiff_identical_passes () =
-  let doc = traj ~rev:"a" ~wall:1.0 ~cycles:1000 ~valu:500 in
+  let doc = traj ~rev:"a" ~cycles:1000 ~valu:500 () in
   let fs = d ~old_doc:doc ~new_doc:doc in
   check Alcotest.bool "no findings" true (fs = []);
-  check Alcotest.bool "no regression" false (PD.has_regression fs)
+  check Alcotest.bool "no regression" false (PD.has_regression fs);
+  (* host wall clock is recorded in the file but never compared *)
+  let slower = traj ~wall:2.0 ~rev:"b" ~cycles:1000 ~valu:500 () in
+  check Alcotest.bool "wall_s ignored" true (d ~old_doc:doc ~new_doc:slower = [])
 
 let test_perfdiff_flags_counter_regression () =
-  let old_doc = traj ~rev:"a" ~wall:1.0 ~cycles:1000 ~valu:500 in
-  let new_doc = traj ~rev:"b" ~wall:1.0 ~cycles:1050 ~valu:500 in
+  let old_doc = traj ~rev:"a" ~cycles:1000 ~valu:500 () in
+  let new_doc = traj ~rev:"b" ~cycles:1050 ~valu:500 () in
   let fs = d ~old_doc ~new_doc in
   check Alcotest.bool "regression flagged" true (PD.has_regression fs);
   (match List.find_opt (fun f -> f.PD.severity = PD.Regression) fs with
@@ -440,31 +413,19 @@ let test_perfdiff_flags_counter_regression () =
       check Alcotest.string "for the matched run" "PS/Original" f.PD.subject
   | None -> Alcotest.fail "no regression finding");
   (* 1% growth is inside the default 2% tolerance *)
-  let small = traj ~rev:"b" ~wall:1.0 ~cycles:1010 ~valu:500 in
+  let small = traj ~rev:"b" ~cycles:1010 ~valu:500 () in
   check Alcotest.bool "1% growth tolerated" false
     (PD.has_regression (d ~old_doc ~new_doc:small));
   (* tightening the threshold flags it *)
-  let tight = { PD.default_thresholds with PD.counter_rel = 0.005 } in
   check Alcotest.bool "tight threshold flags 1%" true
     (PD.has_regression
-       (PD.diff ~thresholds:tight ~old_path:"o" ~new_path:"n" old_doc small));
+       (PD.diff ~counter_rel:0.005 ~old_path:"o" ~new_path:"n" old_doc small));
   (* shape counters (valu_insts) are not gated, whatever they do *)
   check Alcotest.bool "valu_insts never gated" false
     (List.mem "counters.valu_insts" (List.map (fun f -> f.PD.metric) fs))
 
-let test_perfdiff_flags_wall_regression () =
-  let old_doc = traj ~rev:"a" ~wall:1.0 ~cycles:1000 ~valu:500 in
-  let new_doc = traj ~rev:"b" ~wall:2.0 ~cycles:1000 ~valu:500 in
-  let fs = d ~old_doc ~new_doc in
-  check Alcotest.bool "2x wall flagged at 1.5x tolerance" true
-    (PD.has_regression fs);
-  let lax = { PD.default_thresholds with PD.wall_ratio = 3.0 } in
-  check Alcotest.bool "3x tolerance passes it" false
-    (PD.has_regression
-       (PD.diff ~thresholds:lax ~old_path:"o" ~new_path:"n" old_doc new_doc))
-
 let test_perfdiff_vanished_is_info_only () =
-  let old_doc = traj ~rev:"a" ~wall:1.0 ~cycles:1000 ~valu:500 in
+  let old_doc = traj ~rev:"a" ~cycles:1000 ~valu:500 () in
   let empty =
     Json.Obj
       [
@@ -488,9 +449,9 @@ let test_perfdiff_files_and_report () =
   let old_path = Filename.concat dir "BENCH_a.json" in
   let new_path = Filename.concat dir "BENCH_b.json" in
   Harness.Metrics.write_file old_path
-    (traj ~rev:"a" ~wall:1.0 ~cycles:1000 ~valu:500);
+    (traj ~rev:"a" ~cycles:1000 ~valu:500 ());
   Harness.Metrics.write_file new_path
-    (traj ~rev:"b" ~wall:1.0 ~cycles:2000 ~valu:500);
+    (traj ~rev:"b" ~cycles:2000 ~valu:500 ());
   let text, failed = PD.report ~old_path ~new_path () in
   check Alcotest.bool "gate failed" true failed;
   check Alcotest.bool "report names both revs" true
@@ -523,16 +484,14 @@ let suite =
       test_site_numbering_deterministic;
     tc "prof: report agrees with collector" `Quick
       test_report_agrees_with_collector;
+    tc "prov: a result of every injected run" `Slow test_provenance_is_a_result;
     tc "prov: LDS campaign end-to-end" `Slow test_provenance_end_to_end;
     tc "prov: overwrite is terminal" `Slow test_provenance_overwrite_is_terminal;
     tc "campaign: latency percentiles" `Quick test_latency_percentiles;
-    tc "sink: cap bounds memory" `Quick test_sink_cap_bounds_memory;
-    tc "sink: of_channel streams" `Quick test_sink_of_channel_streams;
     tc "metrics: write_file atomic" `Quick test_write_file_atomic;
     tc "perfdiff: identical passes" `Quick test_perfdiff_identical_passes;
     tc "perfdiff: counter regression" `Quick
       test_perfdiff_flags_counter_regression;
-    tc "perfdiff: wall regression" `Quick test_perfdiff_flags_wall_regression;
     tc "perfdiff: vanished is info" `Quick test_perfdiff_vanished_is_info_only;
     tc "perfdiff: files and report" `Quick test_perfdiff_files_and_report;
   ]

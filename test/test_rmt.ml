@@ -54,9 +54,8 @@ let run_synthetic variant =
   let k0 = synthetic () in
   let k = T.apply variant ~local_items:64 k0 in
   Verify.check k;
-  let dev = Sim.Device.create Sim.Config.small in
   let san = Gpu_san.Shadow.create () in
-  Sim.Device.set_san dev (Some san);
+  let dev = Sim.Device.create ~san Sim.Config.small in
   let n = 256 in
   let buf = Sim.Device.alloc dev (n * 4) in
   let nd0 = Sim.Geom.make_ndrange n 64 in
@@ -339,9 +338,8 @@ let run_pooled pool_size =
       k0
   in
   Verify.check k;
-  let dev = Sim.Device.create Sim.Config.small in
   let san = Gpu_san.Shadow.create () in
-  Sim.Device.set_san dev (Some san);
+  let dev = Sim.Device.create ~san Sim.Config.small in
   let n = 256 in
   let buf = Sim.Device.alloc dev (n * 4) in
   let nd0 = Sim.Geom.make_ndrange n 64 in

@@ -124,9 +124,8 @@ let test_pooled_inter_clean () =
   let k = Rmt_core.Inter_group.transform { Rmt_core.Inter_group.scheme } k0 in
   Verify.check k;
   let n = 256 in
-  let dev = Sim.Device.create Sim.Config.small in
   let san = Shadow.create () in
-  Sim.Device.set_san dev (Some san);
+  let dev = Sim.Device.create ~san Sim.Config.small in
   let buf = Sim.Device.alloc dev (n * 4) in
   let nd0 = Sim.Geom.make_ndrange n 64 in
   let counter = Sim.Device.alloc dev 4 in
@@ -168,9 +167,8 @@ let test_tmr_dynamic_clean () =
   let k = Rmt_core.Tmr.transform ~local_items:wg k0 in
   Verify.check k;
   let n = 256 in
-  let dev = Sim.Device.create Sim.Config.small in
   let san = Shadow.create () in
-  Sim.Device.set_san dev (Some san);
+  let dev = Sim.Device.create ~san Sim.Config.small in
   let inp = Sim.Device.alloc dev (n * 4) in
   let out = Sim.Device.alloc dev (n * 4) in
   let data = Array.init n (fun i -> (i * 13) land 0xFFFF) in
@@ -233,8 +231,7 @@ let test_check_tmr_static_only_skip () =
 let launch_gen ?san seed =
   let k = Gen_kernel.generate seed in
   let n = Gen_kernel.n_items in
-  let dev = Sim.Device.create Sim.Config.small in
-  Sim.Device.set_san dev san;
+  let dev = Sim.Device.create ?san Sim.Config.small in
   let input = Sim.Device.alloc dev (n * 4) in
   let output = Sim.Device.alloc dev (n * 4) in
   for i = 0 to n - 1 do
@@ -281,15 +278,18 @@ let test_sanitizer_does_not_perturb_bench () =
   List.iter
     (fun variant ->
       let plain = Harness.Run.run b variant in
-      let san = Shadow.create () in
-      let sanitized = Harness.Run.run ~san b variant in
+      let sanitized = Harness.Run.run ~sanitize:true b variant in
       check Alcotest.int "same cycles" plain.Harness.Run.cycles
         sanitized.Harness.Run.cycles;
       same_counters (T.name variant) plain.Harness.Run.counters
         sanitized.Harness.Run.counters;
       check Alcotest.bool "both verified" true
         (plain.Harness.Run.verified && sanitized.Harness.Run.verified);
-      check Alcotest.bool "clean" true (Shadow.clean san))
+      check Alcotest.bool "no shadow unless asked" true
+        (plain.Harness.Run.san = None);
+      match sanitized.Harness.Run.san with
+      | Some san -> check Alcotest.bool "clean" true (Shadow.clean san)
+      | None -> Alcotest.fail "~sanitize:true returned no shadow")
     [ T.Original; T.inter_group ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,8 +1,9 @@
-(* Tests for the observability layer: the trace sink (event capture,
-   zero perturbation, determinism across pool worker counts), the
-   Chrome-trace exporter and hand-rolled JSON, and the measurement
-   counter fixes (spin_iterations under Inter-Group, the power-window
-   tail flush, and write-stall span accounting vs an every-cycle scan). *)
+(* Tests for the observability layer: scheduler events (capture, zero
+   perturbation, multi-pass splicing, determinism across pool worker
+   counts), the Chrome-trace exporter and hand-rolled JSON, and the
+   measurement counter fixes (spin_iterations under Inter-Group, the
+   power-window tail flush, and write-stall span accounting vs an
+   every-cycle scan). *)
 
 open Gpu_ir
 module Sim = Gpu_sim
@@ -33,6 +34,8 @@ let busy_kernel ?(iters = 16) () =
   Builder.gstore_elem b out gid (Builder.add b v (Builder.get acc));
   Builder.finish b
 
+let traced = { Sim.Device.default_opts with trace = true }
+
 let launch_busy ?(opts = Sim.Device.default_opts) ?iters () =
   let k = busy_kernel ?iters () in
   let dev = Sim.Device.create Sim.Config.small in
@@ -42,22 +45,19 @@ let launch_busy ?(opts = Sim.Device.default_opts) ?iters () =
     ~args:[ Sim.Device.A_buf buf ]
 
 (* ------------------------------------------------------------------ *)
-(* Sink                                                                *)
+(* Scheduler events                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* timestamps are monotone non-decreasing in emission order *)
+let rec monotone last = function
+  | [] -> true
+  | r :: rest -> r.Sink.at >= last && monotone r.Sink.at rest
+
 let test_collector_captures_ordered_events () =
-  let c = Sink.collector () in
-  let opts = { Sim.Device.default_opts with trace = Some (Sink.of_collector c) } in
-  let r = launch_busy ~opts () in
+  let r = launch_busy ~opts:traced () in
   check Alcotest.bool "finished" true (r.Sim.Device.outcome = Sim.Device.Finished);
-  let records = Sink.records c in
-  check Alcotest.bool "events captured" true (Sink.count c > 0);
-  check Alcotest.int "records = count" (Sink.count c) (List.length records);
-  (* timestamps are monotone non-decreasing in emission order *)
-  let rec monotone last = function
-    | [] -> true
-    | r :: rest -> r.Sink.at >= last && monotone r.Sink.at rest
-  in
+  let records = r.Sim.Device.events in
+  check Alcotest.bool "events captured" true (records <> []);
   check Alcotest.bool "timestamps monotone" true (monotone 0 records);
   (* the very first event is a group dispatch *)
   (match records with
@@ -88,35 +88,48 @@ let counters_fields_equal a b =
 
 let test_tracing_does_not_perturb () =
   let plain = launch_busy () in
-  let c = Sink.collector () in
-  let opts = { Sim.Device.default_opts with trace = Some (Sink.of_collector c) } in
-  let traced = launch_busy ~opts () in
+  let traced = launch_busy ~opts:traced () in
   check Alcotest.int "same cycles" plain.Sim.Device.cycles traced.Sim.Device.cycles;
   check Alcotest.bool "same counters" true
     (counters_fields_equal plain.Sim.Device.counters traced.Sim.Device.counters)
 
 let test_disabled_sink_emits_nothing () =
-  (* default opts carry no sink; the null sink swallows emissions *)
-  check Alcotest.bool "default opts untraced" true
-    (Sim.Device.default_opts.Sim.Device.trace = None);
-  Sink.null.Sink.emit ~at:5 (Sink.Group_retire { cu = 0; group = 0 });
-  let c = Sink.collector () in
-  check Alcotest.int "fresh collector empty" 0 (Sink.count c);
-  check Alcotest.bool "no records" true (Sink.records c = [])
+  check Alcotest.bool "default opts untraced" false
+    Sim.Device.default_opts.Sim.Device.trace;
+  check Alcotest.bool "untraced launch records nothing" true
+    ((launch_busy ()).Sim.Device.events = []);
+  check Alcotest.bool "untraced run records nothing" true
+    ((Harness.Run.run (Kernels.Registry.find "PS") T.Original).Harness.Run.events
+    = [])
 
-let test_with_offset_shifts () =
-  let c = Sink.collector () in
-  let s = Sink.with_offset 100 (Sink.of_collector c) in
-  s.Sink.emit ~at:7 (Sink.Group_retire { cu = 1; group = 2 });
-  match Sink.records c with
-  | [ { Sink.at = 107; _ } ] -> ()
-  | _ -> Alcotest.fail "offset not applied"
+(* FWT launches 13 passes: each pass's events are offset by the cycles
+   before it, so the spliced stream never goes back in time, reaches the
+   last pass, and holds one dispatch per group of every pass. *)
+let test_multi_pass_events_spliced () =
+  let bench = Kernels.Registry.find "FWT" in
+  let plain = Harness.Run.run bench T.Original in
+  let s = Harness.Run.run ~trace:true bench T.Original in
+  check Alcotest.int "13 passes" 13 s.Harness.Run.steps;
+  check Alcotest.int "same cycles" plain.Harness.Run.cycles s.Harness.Run.cycles;
+  let evs = s.Harness.Run.events in
+  check Alcotest.bool "non-decreasing across passes" true (monotone 0 evs);
+  let last = List.fold_left (fun _ r -> r.Sink.at) 0 evs in
+  check Alcotest.bool "last pass ends the run" true
+    (last > s.Harness.Run.cycles - (s.Harness.Run.cycles / 13)
+    && last <= s.Harness.Run.cycles);
+  let dispatches =
+    List.length
+      (List.filter
+         (fun r -> match r.Sink.ev with Sink.Group_dispatch _ -> true | _ -> false)
+         evs)
+  in
+  check Alcotest.int "one dispatch per group of every pass"
+    s.Harness.Run.counters.Sim.Counters.groups_launched dispatches
 
 let trace_string_of_run bench variant =
-  let c = Sink.collector () in
-  let s = Harness.Run.run ~trace:(Sink.of_collector c) bench variant in
+  let s = Harness.Run.run ~trace:true bench variant in
   check Alcotest.bool "verified" true s.Harness.Run.verified;
-  String.concat "\n" (List.map Sink.record_to_string (Sink.records c))
+  String.concat "\n" (List.map Sink.record_to_string s.Harness.Run.events)
 
 let test_trace_deterministic_across_jobs () =
   (* the same traced run, executed through pools of different widths,
@@ -138,10 +151,8 @@ let test_trace_deterministic_across_jobs () =
 (* ------------------------------------------------------------------ *)
 
 let test_chrome_json_parses () =
-  let c = Sink.collector () in
-  let opts = { Sim.Device.default_opts with trace = Some (Sink.of_collector c) } in
-  ignore (launch_busy ~opts ());
-  let s = Gpu_trace.Chrome.to_string ~label:"test" (Sink.records c) in
+  let r = launch_busy ~opts:traced () in
+  let s = Gpu_trace.Chrome.to_string ~label:"test" r.Sim.Device.events in
   let j = Json.parse s in
   (match Json.member "displayTimeUnit" j with
   | Some (Json.Str _) -> ()
@@ -182,14 +193,12 @@ let test_json_roundtrip () =
     | _ -> false)
 
 let test_timeline_renders () =
-  let c = Sink.collector () in
-  let opts = { Sim.Device.default_opts with trace = Some (Sink.of_collector c) } in
-  let r = launch_busy ~opts () in
+  let r = launch_busy ~opts:traced () in
   let cfg = Sim.Config.small in
   let s =
     Gpu_trace.Timeline.render ~n_cus:cfg.Sim.Config.n_cus
       ~simds_per_cu:cfg.Sim.Config.simds_per_cu ~cycles:r.Sim.Device.cycles
-      ~width:40 (Sink.records c)
+      ~width:40 r.Sim.Device.events
   in
   let lines = String.split_on_char '\n' (String.trim s) in
   (* one row per CU plus the cycle-scale footer *)
@@ -356,7 +365,8 @@ let suite =
     tc "sink: collector ordered capture" `Quick test_collector_captures_ordered_events;
     tc "sink: tracing does not perturb" `Quick test_tracing_does_not_perturb;
     tc "sink: disabled emits nothing" `Quick test_disabled_sink_emits_nothing;
-    tc "sink: with_offset" `Quick test_with_offset_shifts;
+    tc "sink: multi-pass events non-decreasing" `Quick
+      test_multi_pass_events_spliced;
     tc "sink: deterministic at -j1 vs -j4" `Quick test_trace_deterministic_across_jobs;
     tc "chrome: JSON parses" `Quick test_chrome_json_parses;
     tc "json: roundtrip" `Quick test_json_roundtrip;
