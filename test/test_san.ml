@@ -387,6 +387,189 @@ let test_report_rendering () =
   | Some (Json.List (_ :: _)) -> ()
   | _ -> Alcotest.fail "json findings list missing or empty"
 
+(* ------------------------------------------------------------------ *)
+(* Golden reports                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* a dependency of the test, staged next to the executable *)
+let golden_san_file =
+  Filename.concat (Filename.dirname Sys.executable_name) "golden_san.txt"
+
+(* Report.to_string and Report.to_json of every seeded defect (seeds 1-6)
+   and of the clean corpus (seeds 1-12), each under a "== label seed N"
+   header: any change to what the shadow reports, or to how a finding is
+   rendered, changes these bytes. *)
+let golden_san_text () =
+  let buf = Buffer.create 65536 in
+  let entry label ?defect seed =
+    let san = Shadow.create () in
+    let (_ : int array) = Gen_kernel.run ?defect ~san seed in
+    let kernel = Gen_kernel.generate ?defect seed in
+    Printf.bprintf buf "== %s seed %d\n%s%s\n" label seed
+      (Report.to_string ~kernel san)
+      (Json.to_string (Report.to_json ~kernel san))
+  in
+  List.iter
+    (fun defect ->
+      for seed = 1 to 6 do
+        entry (Gen_kernel.defect_name defect) ~defect seed
+      done)
+    Gen_kernel.all_defects;
+  for seed = 1 to 12 do
+    entry "clean" seed
+  done;
+  Buffer.contents buf
+
+(* On a mismatch the actual text is written to a temporary file, which
+   replaces golden_san.txt when the change is deliberate. *)
+let test_golden_reports () =
+  let expected = In_channel.with_open_bin golden_san_file In_channel.input_all in
+  let actual = golden_san_text () in
+  if actual <> expected then begin
+    let path = Filename.temp_file "golden_san" ".txt" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc actual);
+    let el = String.split_on_char '\n' expected
+    and al = String.split_on_char '\n' actual in
+    let rec first_diff i = function
+      | e :: es, a :: as_ -> if e = a then first_diff (i + 1) (es, as_) else (i, e, a)
+      | e :: _, [] -> (i, e, "<end of output>")
+      | [], a :: _ -> (i, "<end of file>", a)
+      | [], [] -> (i, "", "")
+    in
+    let line, e, a = first_diff 1 (el, al) in
+    Alcotest.failf
+      "sanitizer reports differ from golden_san.txt at line %d:\n\
+      \  expected: %s\n\
+      \  actual:   %s\n\
+       actual text written to %s"
+      line e a path
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Shadow lifecycle, through the raw API                               *)
+(* ------------------------------------------------------------------ *)
+
+let gaccess t ~group ~wave ~item ?unchanged kind addr =
+  Shadow.global_access t
+    ~coord:{ Shadow.c_group = group; c_wave = wave; c_item = item }
+    ~kind ?unchanged ~addr ()
+
+let laccess t ~group ~wave ~item kind addr =
+  Shadow.lds_access t
+    ~coord:{ Shadow.c_group = group; c_wave = wave; c_item = item }
+    ~kind ~addr ~lds_bytes:256 ()
+
+let classes t = List.map cls_label (Shadow.findings t)
+
+let check_classes what expected t =
+  check Alcotest.(list string) what expected (classes t)
+
+(* A fresh shadow holding one live 64-byte buffer at 0x100. *)
+let one_buffer () =
+  let t = Shadow.create () in
+  Shadow.note_alloc t ~addr:0x100 ~size:64;
+  t
+
+let test_lifecycle_launches () =
+  let t = one_buffer () in
+  Shadow.host_write t 0x100;
+  Shadow.begin_launch t;
+  Shadow.set_site t 1;
+  gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Write 0x104;
+  (* init bits survive the launch boundary, host- and device-written *)
+  Shadow.begin_launch t;
+  Shadow.set_site t 2;
+  gaccess t ~group:1 ~wave:0 ~item:64 Shadow.Read 0x100;
+  gaccess t ~group:1 ~wave:0 ~item:64 Shadow.Read 0x104;
+  check_classes "initialized words stay initialized" [] t;
+  (* last-access state does not: a write and a read by different actors
+     in different launches are ordered by the boundary *)
+  Shadow.set_site t 3;
+  gaccess t ~group:2 ~wave:1 ~item:130 Shadow.Write 0x108;
+  Shadow.begin_launch t;
+  Shadow.set_site t 4;
+  gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Read 0x108;
+  check_classes "a launch boundary orders everything" [] t;
+  (* the same pair inside one launch races *)
+  Shadow.set_site t 5;
+  gaccess t ~group:3 ~wave:0 ~item:192 Shadow.Write 0x10c;
+  Shadow.set_site t 6;
+  gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Read 0x10c;
+  check_classes "unordered within a launch" [ "race-rw" ] t
+
+let test_lifecycle_reset_allocs () =
+  let t = one_buffer () in
+  Shadow.host_write t 0x100;
+  Shadow.begin_launch t;
+  Shadow.set_site t 1;
+  gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Read 0x100;
+  check_classes "live and initialized" [] t;
+  Shadow.reset_allocs t;
+  Shadow.begin_launch t;
+  Shadow.set_site t 2;
+  gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Read 0x100;
+  check_classes "the range is forgotten" [ "oob" ] t;
+  Shadow.note_alloc t ~addr:0x100 ~size:64;
+  Shadow.set_site t 3;
+  gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Read 0x100;
+  check_classes "so is the init bit" [ "oob"; "uninit-read" ] t
+
+let test_lifecycle_lds () =
+  let t = Shadow.create () in
+  Shadow.begin_launch t;
+  Shadow.set_site t 1;
+  laccess t ~group:0 ~wave:0 ~item:0 Shadow.Write 0;
+  Shadow.barrier_release t ~group:0;
+  Shadow.set_site t 2;
+  laccess t ~group:0 ~wave:1 ~item:64 Shadow.Read 0;
+  check_classes "barrier-ordered" [] t;
+  (* a new launch starts the group's LDS uninitialized at epoch 0 *)
+  Shadow.begin_launch t;
+  Shadow.set_site t 3;
+  laccess t ~group:0 ~wave:1 ~item:64 Shadow.Read 0;
+  check_classes "LDS init bits reset" [ "uninit-read" ] t;
+  match Shadow.findings t with
+  | [ f ] -> check Alcotest.int "epoch reset" 0 f.Shadow.f_second.Shadow.a_epoch
+  | _ -> Alcotest.fail "expected one finding"
+
+let test_lifecycle_barrier () =
+  let run ~barrier =
+    let t = Shadow.create () in
+    Shadow.begin_launch t;
+    Shadow.set_site t 1;
+    laccess t ~group:0 ~wave:0 ~item:3 Shadow.Write 12;
+    if barrier then Shadow.barrier_release t ~group:0;
+    Shadow.set_site t 2;
+    laccess t ~group:0 ~wave:1 ~item:67 Shadow.Read 12;
+    classes t
+  in
+  check Alcotest.(list string) "separated by a barrier" [] (run ~barrier:true);
+  check Alcotest.(list string) "no barrier" [ "race-rw" ] (run ~barrier:false)
+
+(* Producer (group 0) writes data and publishes a flag with an atomic
+   read-modify-write; consumer (group 1) reads the data, after acquiring
+   the flag with the spin read or without. *)
+let test_lifecycle_atomic_publish () =
+  let data = 0x100 and flag = 0x13c in
+  let run ~acquire =
+    let t = one_buffer () in
+    Shadow.host_write t flag;
+    Shadow.begin_launch t;
+    Shadow.set_site t 1;
+    gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Write data;
+    Shadow.set_site t 2;
+    gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Atomic_rw flag;
+    if acquire then begin
+      Shadow.set_site t 3;
+      gaccess t ~group:1 ~wave:0 ~item:0 Shadow.Atomic_read flag
+    end;
+    Shadow.set_site t 4;
+    gaccess t ~group:1 ~wave:0 ~item:0 Shadow.Read data;
+    classes t
+  in
+  check Alcotest.(list string) "acquired" [] (run ~acquire:true);
+  check Alcotest.(list string) "not acquired" [ "race-rw" ] (run ~acquire:false)
+
 let suite =
   [
     tc "seeded defects all flagged" `Quick test_seeded_defects_flagged;
@@ -406,4 +589,10 @@ let suite =
     tc "static: flags elided comparison" `Quick
       test_static_checker_flags_elided_comparison;
     tc "report rendering + json round-trip" `Quick test_report_rendering;
+    tc "golden reports match golden_san.txt" `Quick test_golden_reports;
+    tc "lifecycle: launches" `Quick test_lifecycle_launches;
+    tc "lifecycle: reset_allocs" `Quick test_lifecycle_reset_allocs;
+    tc "lifecycle: LDS per launch" `Quick test_lifecycle_lds;
+    tc "lifecycle: barrier" `Quick test_lifecycle_barrier;
+    tc "lifecycle: atomic publish" `Quick test_lifecycle_atomic_publish;
   ]
