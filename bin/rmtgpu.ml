@@ -212,15 +212,23 @@ let check_target_conv =
 
 (* The check subject is a registry benchmark id or a path to an .rgk
    kernel file; files get the static contract check only (no argument
-   harness to run them under the sanitizer). *)
+   harness to run them under the sanitizer). [--scale] sizes only a
+   benchmark and [--local] only a file, so passing either to the other
+   kind of subject is a usage error rather than silently ignored. *)
 let do_check subject target scale local json_out =
   let targets =
     match target with
     | Some t -> [ t ]
     | None -> Harness.Check.standard_targets
   in
+  let misapplied opt what =
+    Printf.eprintf "rmtgpu check: option '%s' does not apply to %s\n" opt what;
+    exit 2
+  in
   let report =
     if Filename.check_suffix subject ".rgk" || Sys.file_exists subject then (
+      if scale <> None then
+        misapplied "--scale" "an .rgk file (it has no problem size)";
       let src =
         try In_channel.with_open_text subject In_channel.input_all
         with Sys_error msg ->
@@ -236,8 +244,9 @@ let do_check subject target scale local json_out =
             Printf.eprintf "%s: verification failed: %s\n" subject msg;
             exit 2
       in
-      Harness.Check.check_kernel ~local_items:local ~targets
-        ~name:(Filename.basename subject) k0)
+      Harness.Check.check_kernel
+        ~local_items:(Option.value local ~default:64)
+        ~targets ~name:(Filename.basename subject) k0)
     else
       match
         List.find_opt
@@ -245,7 +254,12 @@ let do_check subject target scale local json_out =
             String.lowercase_ascii b.id = String.lowercase_ascii subject)
           Kernels.Registry.all
       with
-      | Some b -> Harness.Check.check_bench ~scale ~targets b
+      | Some _ when local <> None ->
+          misapplied "--local"
+            "a registry benchmark (its work-group size is fixed)"
+      | Some b ->
+          Harness.Check.check_bench ~scale:(Option.value scale ~default:1)
+            ~targets b
       | None ->
           Printf.eprintf
             "unknown check subject %s (a benchmark id among: %s — or a path \
@@ -731,11 +745,21 @@ let check_cmd =
             "Check a single target (baseline, intra+lds, intra-lds, inter, \
              tmr); default: all five")
   in
+  let scale =
+    Arg.(
+      value
+      & opt (some at_least_1) None
+      & info [ "scale" ] ~docv:"N"
+          ~doc:"Problem-size multiplier of a registry benchmark (at least 1; \
+                default 1)")
+  in
   let local =
     Arg.(
-      value & opt at_least_1 64
+      value
+      & opt (some at_least_1) None
       & info [ "local" ] ~docv:"N"
-          ~doc:"Work-group size assumed when checking an .rgk file")
+          ~doc:"Work-group size assumed when checking an .rgk file (at least \
+                1; default 64)")
   in
   let json_out =
     Arg.(

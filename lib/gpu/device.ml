@@ -465,13 +465,9 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           let lds_bytes = Bytes.length g_lds in
           Some
             (fun kind sp addr lane value ->
-              let coord =
-                {
-                  Gpu_san.Shadow.c_group = g.g_index;
-                  c_wave = w.Wave.wid;
-                  c_item = w.Wave.flat_base + lane;
-                }
-              in
+              let group = g.g_index
+              and wave = w.Wave.wid
+              and item = w.Wave.flat_base + lane in
               let store = kind = Wave.MStore in
               let kind =
                 match kind with
@@ -492,8 +488,8 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
                     && Gpu_san.Shadow.in_some_range sh addr
                     && Memsys.read32 ms addr = value
                   in
-                  Gpu_san.Shadow.global_access sh ~coord ~kind ~unchanged
-                    ~addr ()
+                  Gpu_san.Shadow.global_access sh ~group ~wave ~item ~kind
+                    ~unchanged ~addr
               | Local ->
                   let unchanged =
                     store
@@ -502,8 +498,8 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
                     && addr + 4 <= lds_bytes
                     && Int32.to_int (Bytes.get_int32_le g_lds addr) = value
                   in
-                  Gpu_san.Shadow.lds_access sh ~coord ~kind ~unchanged ~addr
-                    ~lds_bytes ())
+                  Gpu_san.Shadow.lds_access sh ~group ~wave ~item ~kind
+                    ~unchanged ~addr ~lds_bytes)
     in
     let lds_check addr what =
       if addr < 0 || addr + 4 > Bytes.length g_lds then

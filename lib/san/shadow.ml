@@ -1,75 +1,39 @@
-(** Dynamic kernel sanitizer: shadow state for LDS and global memory.
+(* Dynamic kernel sanitizer shadow, struct-of-arrays.
 
-    A device is created with at most one {!t}, which it threads through
-    every launch (behind a single [san_on] test per instrumentation site,
-    the same zero-cost discipline as tracing and fault provenance) and
-    calls
-    {!global_access}/{!lds_access} for every lane of every memory
-    instruction it issues. The shadow tracks, per 4-byte word, the last
-    writer and last reader (work-item, {!Gpu_ir.Site} id, barrier epoch)
-    plus an initialized bit, and reports:
+   Per-word state lives in flat int arrays ("regions"): global memory in
+   4 KiB pages materialised on first touch (the granularity of
+   [Gpu_sim.Image]), LDS in one region per work-group sized to the
+   group's allocation. Each word occupies [stride] consecutive cells:
 
-    - {e write/write} and {e read/write} races: two conflicting accesses
-      from different work-items with no ordering between them;
-    - {e uninitialized reads}: a word read before any host or device
-      write;
-    - {e out-of-bounds accesses}: global addresses outside every live
-      buffer allocation (the bump allocator leaves the device memory
-      readable, so these are silent in an unsanitized run) and LDS
-      addresses outside the group's allocation.
+     cell 0        launch stamp lsl 1, lor the initialized bit
+     cells 1..5    last writer: site, actor, item, clock, epoch
+     cells 6..10   last reader: the same five fields
 
-    The happens-before model matches the simulator's execution model:
+   The vector clock released into a word by atomic writers sits in its
+   region's [sync] array, allocated on the region's first atomic. The
+   writer, reader and sync fields belong to the launch named by the
+   stamp: a word with a stale stamp is refreshed on its next access, so
+   [begin_launch] walks nothing. A global word keeps its initialized bit
+   through the refresh (a multi-pass benchmark reads what the previous
+   pass wrote); an LDS word starts each launch uninitialized.
 
-    - accesses from the {e same wavefront} are ordered (the interpreter
-      executes each instruction for all lanes in lockstep and the RMT
-      transforms rely on exactly this — e.g. the Intra-Group producer
-      publishes through LDS and its consumer twin reads it back with no
-      barrier);
-    - accesses from different waves of the same work-group are ordered
-      when a barrier separates them (different barrier epochs);
-    - atomics are release/acquire synchronization: every sync word
-      carries a vector clock over (group, wave) actors; an atomic
-      read-modify-write joins the word's clock into the actor's,
-      publishes the actor's clock into the word and advances the actor
-      (release + acquire), while the tagged [A_poll] spin read only
-      acquires. This orders the paper's Inter-Group flag protocol (the
-      producer's plain accesses happen-before the consumer's once the
-      consumer observes the flag) and even the pooled two-tier tag
-      rendezvous, whose plain buffer deposits are bracketed by a CAS
-      claim and an [A_xchg] publish. Atomics themselves never race, but
-      mark words initialized.
-
-    Two accesses race when neither path orders them. A store whose value
-    equals the word's current contents is exempt: it is architecturally
-    unobservable (Floyd-Warshall's in-place relaxation re-stores the
-    row-k/column-k words other groups are reading).
-
-    Findings are deduplicated by (class, space, site pair): the first
-    occurrence keeps its address and work-item coordinates, later ones
-    only bump a count. The shadow only observes — it never changes
-    execution, so a sanitized run is counter- and output-identical to a
-    plain one. *)
+   Actors are (group, wave) pairs with dense per-launch ids, found
+   through a per-group wave table. The per-lane path takes plain ints
+   and allocates nothing: [access]/[coord] records are built only when a
+   new finding is recorded, and findings are deduplicated on an int key.
+   The happens-before model is documented in shadow.mli. *)
 
 open Gpu_ir.Types
 
-type access_kind =
-  | Read
-  | Write
-  | Atomic_rw  (** read-modify-write: acquires and releases *)
-  | Atomic_read  (** the [A_poll] spin read: acquires only *)
-
-type coord = {
-  c_group : int;  (** work-group index within the launch *)
-  c_wave : int;  (** wavefront index within the group *)
-  c_item : int;  (** flat local work-item id *)
-}
+type access_kind = Read | Write | Atomic_rw | Atomic_read
+type coord = { c_group : int; c_wave : int; c_item : int }
 
 type access = {
   a_site : Gpu_ir.Site.id;
   a_coord : coord;
-  a_actor : int;  (** dense id of the (group, wave) actor *)
-  a_clock : int;  (** the actor's own logical clock at access time *)
-  a_epoch : int;  (** barrier epoch of the group at access time *)
+  a_actor : int;
+  a_clock : int;
+  a_epoch : int;
 }
 
 type cls = Race_ww | Race_rw | Uninit_read | Oob
@@ -89,48 +53,74 @@ let cls_id = function
 type finding = {
   f_class : cls;
   f_space : space;
-  f_addr : int;  (** byte address of the first occurrence *)
-  f_first : access option;  (** earlier access of a racing pair *)
-  f_second : access;  (** the access that triggered the finding *)
-  mutable f_count : int;  (** occurrences of this (class, site pair) *)
+  f_addr : int;
+  f_first : access option;
+  f_second : access;
+  mutable f_count : int;
 }
 
-(* Per-word shadow: the initialized bit survives across launches (a
-   multi-pass benchmark reads what the previous pass wrote); the
-   last-access records are per-launch (kernel boundaries order
-   everything). *)
-type word = {
-  mutable init : bool;
-  mutable lastw : access option;
-  mutable lastr : access option;
-  mutable sync : int array;
-      (** vector clock released into this word by atomic writers; [[||]]
-          until the word is used for synchronization *)
+(* ------------------------------------------------------------------ *)
+(* Layout                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let stride = 11
+let writer = 1
+let reader = 6
+
+(* field offsets within a writer/reader block; an actor of -1 marks the
+   block empty *)
+let o_site = 0
+let o_actor = 1
+let o_item = 2
+let o_clock = 3
+let o_epoch = 4
+
+type region = {
+  cells : int array;
+  mutable sync : int array array;
+      (** per-word released vector clock ([[||]] = none); [[||]] until
+          an atomic touches the region *)
 }
 
-type group_state = { mutable epoch : int; lwords : (int, word) Hashtbl.t }
+let new_region words = { cells = Array.make (words * stride) 0; sync = [||] }
+let no_region = { cells = [||]; sync = [||] }
+
+let page_bits = 12
+let page_words = 1 lsl (page_bits - 2)
+let page_mask = (1 lsl page_bits) - 1
+
+type group = {
+  mutable g_launch : int;  (** launch the fields below belong to *)
+  mutable epoch : int;  (** barrier epoch *)
+  mutable waves : int array;  (** wave -> dense actor id; -1 = unseen *)
+  mutable lds : region;
+}
 
 type t = {
-  mutable cur_site : int;  (** site of the instruction being issued *)
+  mutable launch : int;  (** current launch stamp, from 1 *)
+  mutable cur_site : int;
   mutable ranges : (int * int) list;  (** live allocations: (addr, size) *)
-  gwords : (int, word) Hashtbl.t;  (** global shadow, by word address *)
-  groups : (int, group_state) Hashtbl.t;  (** per-group LDS shadow *)
-  actors : (int * int, int) Hashtbl.t;  (** (group, wave) -> dense id *)
-  mutable avcs : int array array;  (** actor id -> its vector clock *)
+  mutable pages : region array;  (** global shadow, by page number *)
+  mutable groups : group array;  (** by group index *)
   mutable nactors : int;
-  dedup : (string, finding) Hashtbl.t;
+  mutable actor_group : int array;
+  mutable actor_wave : int array;
+  mutable avcs : int array array;  (** actor id -> its vector clock *)
+  dedup : (int, finding) Hashtbl.t;
   mutable rev_findings : finding list;  (** reverse first-occurrence order *)
 }
 
 let create () =
   {
+    launch = 1;
     cur_site = -1;
     ranges = [];
-    gwords = Hashtbl.create 4096;
-    groups = Hashtbl.create 64;
-    actors = Hashtbl.create 64;
-    avcs = [||];
+    pages = [||];
+    groups = [||];
     nactors = 0;
+    actor_group = [||];
+    actor_wave = [||];
+    avcs = [||];
     dedup = Hashtbl.create 16;
     rev_findings = [];
   }
@@ -138,57 +128,74 @@ let create () =
 let findings t = List.rev t.rev_findings
 let clean t = t.rev_findings = []
 
+(* a copy of [a] of length [n], padded with [fill] *)
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 (* ------------------------------------------------------------------ *)
 (* Host-side tracking                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let note_alloc t ~addr ~size = t.ranges <- (addr, size) :: t.ranges
 
-(** Bump-allocator reset: every buffer (and its contents) is dead. *)
 let reset_allocs t =
   t.ranges <- [];
-  Hashtbl.reset t.gwords
+  t.pages <- [||]
 
-(** The host wrote the 4-byte word at [addr]. *)
+let rec in_ranges addr = function
+  | [] -> false
+  | (a, sz) :: rest -> (addr >= a && addr + 4 <= a + sz) || in_ranges addr rest
+
+let in_some_range t addr = in_ranges addr t.ranges
+
+let page t addr =
+  let p = addr lsr page_bits in
+  if p >= Array.length t.pages then
+    t.pages <- grow t.pages (max 16 (2 * (p + 1))) no_region;
+  let r = t.pages.(p) in
+  if r != no_region then r
+  else begin
+    let r = new_region page_words in
+    t.pages.(p) <- r;
+    r
+  end
+
 let host_write t addr =
-  match Hashtbl.find_opt t.gwords addr with
-  | Some w -> w.init <- true
-  | None ->
-      Hashtbl.add t.gwords addr
-        { init = true; lastw = None; lastr = None; sync = [||] }
+  let c = (page t addr).cells in
+  let b = ((addr land page_mask) lsr 2) * stride in
+  c.(b) <- c.(b) lor 1
 
 (* ------------------------------------------------------------------ *)
 (* Launch lifecycle                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** Start of a kernel launch: clear the per-launch race state (a launch
-    boundary orders everything — including the actor registry and the
-    sync vector clocks, whose actor ids are reused by the next launch)
-    but keep the initialized bits. *)
 let begin_launch t =
+  t.launch <- t.launch + 1;
   t.cur_site <- -1;
-  Hashtbl.iter
-    (fun _ w ->
-      w.lastw <- None;
-      w.lastr <- None;
-      w.sync <- [||])
-    t.gwords;
-  Hashtbl.reset t.groups;
-  Hashtbl.reset t.actors;
   t.nactors <- 0
 
 let set_site t site = t.cur_site <- site
 
+(* Group [g]'s state, reset on its first use in the current launch. *)
 let group_state t g =
-  match Hashtbl.find_opt t.groups g with
-  | Some gs -> gs
-  | None ->
-      let gs = { epoch = 0; lwords = Hashtbl.create 64 } in
-      Hashtbl.add t.groups g gs;
-      gs
+  if g >= Array.length t.groups then begin
+    let n = max 16 (2 * (g + 1)) in
+    let old = t.groups in
+    t.groups <-
+      Array.init n (fun i ->
+          if i < Array.length old then old.(i)
+          else { g_launch = 0; epoch = 0; waves = [||]; lds = no_region })
+  end;
+  let gs = t.groups.(g) in
+  if gs.g_launch <> t.launch then begin
+    gs.g_launch <- t.launch;
+    gs.epoch <- 0;
+    Array.fill gs.waves 0 (Array.length gs.waves) (-1)
+  end;
+  gs
 
-(** All waves of group [g] passed a barrier: accesses before and after
-    are now ordered. *)
 let barrier_release t ~group =
   let gs = group_state t group in
   gs.epoch <- gs.epoch + 1
@@ -215,164 +222,207 @@ let vc_covers a b =
   done;
   !ok
 
-(** Dense id of the (group, wave) actor; a fresh actor starts its own
-    clock at 1 so that a clock of 0 never reads as happened-before. *)
-let actor_id t ~group ~wave =
-  match Hashtbl.find_opt t.actors (group, wave) with
-  | Some i -> i
-  | None ->
-      let i = t.nactors in
-      t.nactors <- i + 1;
-      if i >= Array.length t.avcs then begin
-        let n = Array.make (max 16 (2 * (i + 1))) [||] in
-        Array.blit t.avcs 0 n 0 (Array.length t.avcs);
-        t.avcs <- n
-      end;
-      let vc = Array.make (i + 1) 0 in
-      vc.(i) <- 1;
-      t.avcs.(i) <- vc;
-      Hashtbl.add t.actors (group, wave) i;
-      i
+(* Dense id of the actor (group, wave); a fresh actor starts its own
+   clock at 1 so that a clock of 0 never reads as happened-before. *)
+let actor_id t (gs : group) ~group ~wave =
+  if wave < Array.length gs.waves && gs.waves.(wave) >= 0 then gs.waves.(wave)
+  else begin
+    if wave >= Array.length gs.waves then
+      gs.waves <- grow gs.waves (max 4 (2 * (wave + 1))) (-1);
+    let i = t.nactors in
+    t.nactors <- i + 1;
+    if i >= Array.length t.avcs then begin
+      let n = max 16 (2 * (i + 1)) in
+      t.avcs <- grow t.avcs n [||];
+      t.actor_group <- grow t.actor_group n 0;
+      t.actor_wave <- grow t.actor_wave n 0
+    end;
+    let vc = Array.make (i + 1) 0 in
+    vc.(i) <- 1;
+    t.avcs.(i) <- vc;
+    t.actor_group.(i) <- group;
+    t.actor_wave.(i) <- wave;
+    gs.waves.(wave) <- i;
+    i
+  end
 
-(** Release/acquire bookkeeping for an atomic access to [w] by [actor]:
-    acquire the word's released knowledge; a read-modify-write also
-    publishes the actor's clock into the word and advances the actor, so
-    later own accesses are not covered by what was released. *)
-let sync_access t kind (w : word) actor =
-  match kind with
-  | Read | Write -> ()
-  | Atomic_read | Atomic_rw ->
-      let vc = t.avcs.(actor) in
-      let vc =
-        if vc_covers vc w.sync then vc
-        else begin
-          let j = vc_join vc w.sync in
-          t.avcs.(actor) <- j;
-          j
-        end
-      in
-      if kind = Atomic_rw then begin
-        w.sync <- vc_join w.sync vc;
-        vc.(actor) <- vc.(actor) + 1
-      end
+(* Release/acquire bookkeeping for an atomic access to word [i] of [r]:
+   acquire the word's released knowledge; a read-modify-write also
+   publishes the actor's clock into the word and advances the actor, so
+   later own accesses are not covered by what was released. *)
+let sync_access t kind r i actor =
+  if Array.length r.sync = 0 then
+    r.sync <- Array.make (Array.length r.cells / stride) [||];
+  let w = r.sync.(i) in
+  let vc = t.avcs.(actor) in
+  let vc =
+    if vc_covers vc w then vc
+    else begin
+      let j = vc_join vc w in
+      t.avcs.(actor) <- j;
+      j
+    end
+  in
+  if kind = Atomic_rw then begin
+    r.sync.(i) <- vc_join w vc;
+    vc.(actor) <- vc.(actor) + 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Findings                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let record t cls space ~addr ~first ~second =
-  let key =
-    Printf.sprintf "%s/%s/%d/%d" (cls_id cls)
-      (match space with Global -> "g" | Local -> "l")
-      (match first with Some a -> a.a_site | None -> -1)
-      second.a_site
+let cls_code = function Race_ww -> 0 | Race_rw -> 1 | Uninit_read -> 2 | Oob -> 3
+
+(* Dedup key of (class, space, first site, second site); [first] is -2
+   for a finding without a first access (sites start at -1, the host). *)
+let key cls space ~first ~second =
+  ((first + 2) lsl 34)
+  lor ((second + 1) lsl 3)
+  lor ((match space with Global -> 0 | Local -> 1) lsl 2)
+  lor cls_code cls
+
+(* Bump the count of an already recorded finding; false if it is new. *)
+let seen t k =
+  match Hashtbl.find t.dedup k with
+  | f ->
+      f.f_count <- f.f_count + 1;
+      true
+  | exception Not_found -> false
+
+let add t k cls space ~addr ~first ~second =
+  let f =
+    {
+      f_class = cls;
+      f_space = space;
+      f_addr = addr;
+      f_first = first;
+      f_second = second;
+      f_count = 1;
+    }
   in
-  match Hashtbl.find_opt t.dedup key with
-  | Some f -> f.f_count <- f.f_count + 1
-  | None ->
-      let f =
-        {
-          f_class = cls;
-          f_space = space;
-          f_addr = addr;
-          f_first = first;
-          f_second = second;
-          f_count = 1;
-        }
-      in
-      Hashtbl.add t.dedup key f;
-      t.rev_findings <- f :: t.rev_findings
+  Hashtbl.add t.dedup k f;
+  t.rev_findings <- f :: t.rev_findings
+
+(* The current access of [actor], as a report record. *)
+let current t ~actor ~item ~epoch =
+  {
+    a_site = t.cur_site;
+    a_coord =
+      { c_group = t.actor_group.(actor); c_wave = t.actor_wave.(actor); c_item = item };
+    a_actor = actor;
+    a_clock = vc_get t.avcs.(actor) actor;
+    a_epoch = epoch;
+  }
+
+(* The access stored at cell [b] of [c], as a report record. *)
+let stored t c b =
+  let actor = c.(b + o_actor) in
+  {
+    a_site = c.(b + o_site);
+    a_coord =
+      {
+        c_group = t.actor_group.(actor);
+        c_wave = t.actor_wave.(actor);
+        c_item = c.(b + o_item);
+      };
+    a_actor = actor;
+    a_clock = c.(b + o_clock);
+    a_epoch = c.(b + o_epoch);
+  }
+
+let record_single t cls space ~addr ~actor ~item ~epoch =
+  let k = key cls space ~first:(-2) ~second:t.cur_site in
+  if not (seen t k) then
+    add t k cls space ~addr ~first:None ~second:(current t ~actor ~item ~epoch)
+
+(* A race between the access stored at cell [b] of [c] and the current
+   one. *)
+let record_pair t cls space ~addr c b ~actor ~item ~epoch =
+  let k = key cls space ~first:c.(b + o_site) ~second:t.cur_site in
+  if not (seen t k) then
+    add t k cls space ~addr
+      ~first:(Some (stored t c b))
+      ~second:(current t ~actor ~item ~epoch)
 
 (* ------------------------------------------------------------------ *)
 (* Access checking                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Ordered iff same wavefront (lockstep program order), same group with
-   a barrier in between, or the earlier access is covered by the current
-   actor's acquired vector clock (atomic release/acquire chains). *)
-let ordered t (a : access) (b : access) =
-  a.a_actor = b.a_actor
-  || (a.a_coord.c_group = b.a_coord.c_group && a.a_epoch <> b.a_epoch)
-  || a.a_clock <= vc_get t.avcs.(b.a_actor) a.a_actor
+(* The access stored at cell [b] of [c] is absent, or ordered before the
+   current one: same wavefront (lockstep program order), same group with
+   a barrier in between, or covered by the current actor's acquired
+   vector clock (atomic release/acquire chains). *)
+let ordered t c b ~actor ~group ~epoch =
+  let prev = c.(b + o_actor) in
+  prev < 0 || prev = actor
+  || (t.actor_group.(prev) = group && c.(b + o_epoch) <> epoch)
+  || c.(b + o_clock) <= vc_get t.avcs.(actor) prev
 
-let check_word t space ~addr ~kind ~unchanged (w : word) (acc : access) =
+let store_access t c b ~actor ~item ~epoch =
+  c.(b + o_site) <- t.cur_site;
+  c.(b + o_actor) <- actor;
+  c.(b + o_item) <- item;
+  c.(b + o_clock) <- vc_get t.avcs.(actor) actor;
+  c.(b + o_epoch) <- epoch
+
+(* Word [i] of region [r] was accessed. [keep_init] keeps the word's
+   initialized bit when its stamp is stale (global memory). *)
+let check_word t space ~keep_init ~addr ~kind ~unchanged r i ~actor ~group
+    ~item ~epoch =
+  let c = r.cells in
+  let b = i * stride in
+  if c.(b) lsr 1 <> t.launch then begin
+    c.(b) <- (t.launch lsl 1) lor (if keep_init then c.(b) land 1 else 0);
+    c.(b + writer + o_actor) <- -1;
+    c.(b + reader + o_actor) <- -1;
+    if Array.length r.sync > 0 then r.sync.(i) <- [||]
+  end;
   match kind with
   | Atomic_rw | Atomic_read ->
       (* synchronization: exempt from race/uninit rules, but an atomic
          read-modify-write leaves the word written *)
-      w.init <- true
+      sync_access t kind r i actor;
+      c.(b) <- c.(b) lor 1
   | Write when unchanged ->
       (* A store of the word's current bit pattern is architecturally
          unobservable: no reader can tell it happened, so it creates no
          race edge in either direction. Floyd-Warshall depends on this —
          in pass k every group re-stores the row-k/column-k words it
          reads from other groups with min(d, d + dist[k][k]) = d. *)
-      w.init <- true
+      c.(b) <- c.(b) lor 1
   | Read ->
-      if not w.init then
-        record t Uninit_read space ~addr ~first:None ~second:acc;
-      (match w.lastw with
-      | Some prev when not (ordered t prev acc) ->
-          record t Race_rw space ~addr ~first:(Some prev) ~second:acc
-      | _ -> ());
-      w.lastr <- Some acc
+      if c.(b) land 1 = 0 then
+        record_single t Uninit_read space ~addr ~actor ~item ~epoch;
+      if not (ordered t c (b + writer) ~actor ~group ~epoch) then
+        record_pair t Race_rw space ~addr c (b + writer) ~actor ~item ~epoch;
+      store_access t c (b + reader) ~actor ~item ~epoch
   | Write ->
-      (match w.lastw with
-      | Some prev when not (ordered t prev acc) ->
-          record t Race_ww space ~addr ~first:(Some prev) ~second:acc
-      | _ -> (
-          match w.lastr with
-          | Some prev when not (ordered t prev acc) ->
-              record t Race_rw space ~addr ~first:(Some prev) ~second:acc
-          | _ -> ()));
-      w.init <- true;
-      w.lastw <- Some acc
+      if not (ordered t c (b + writer) ~actor ~group ~epoch) then
+        record_pair t Race_ww space ~addr c (b + writer) ~actor ~item ~epoch
+      else if not (ordered t c (b + reader) ~actor ~group ~epoch) then
+        record_pair t Race_rw space ~addr c (b + reader) ~actor ~item ~epoch;
+      c.(b) <- c.(b) lor 1;
+      store_access t c (b + writer) ~actor ~item ~epoch
 
-let word_of tbl addr =
-  match Hashtbl.find_opt tbl addr with
-  | Some w -> w
-  | None ->
-      let w = { init = false; lastw = None; lastr = None; sync = [||] } in
-      Hashtbl.add tbl addr w;
-      w
-
-let in_some_range t addr =
-  List.exists (fun (a, sz) -> addr >= a && addr + 4 <= a + sz) t.ranges
-
-let make_access t (coord : coord) epoch =
-  let actor = actor_id t ~group:coord.c_group ~wave:coord.c_wave in
-  {
-    a_site = t.cur_site;
-    a_coord = coord;
-    a_actor = actor;
-    a_clock = vc_get t.avcs.(actor) actor;
-    a_epoch = epoch;
-  }
-
-(** A lane touched global word [addr]. [unchanged] marks a store whose
-    value equals the word's current contents (a benign, unobservable
-    write — it initializes but cannot race). *)
-let global_access t ~(coord : coord) ~kind ?(unchanged = false) ~addr () =
-  let gs = group_state t coord.c_group in
-  let acc = make_access t coord gs.epoch in
+let global_access t ~group ~wave ~item ~kind ~unchanged ~addr =
+  let gs = group_state t group in
+  let actor = actor_id t gs ~group ~wave in
   if addr land 3 <> 0 || not (in_some_range t addr) then
-    record t Oob Global ~addr ~first:None ~second:acc
-  else begin
-    let w = word_of t.gwords addr in
-    sync_access t kind w acc.a_actor;
-    check_word t Global ~addr ~kind ~unchanged w acc
-  end
+    record_single t Oob Global ~addr ~actor ~item ~epoch:gs.epoch
+  else
+    check_word t Global ~keep_init:true ~addr ~kind ~unchanged (page t addr)
+      ((addr land page_mask) lsr 2)
+      ~actor ~group ~item ~epoch:gs.epoch
 
-(** A lane touched LDS word [addr] of its group ([lds_bytes] is the
-    group's allocation size). *)
-let lds_access t ~(coord : coord) ~kind ?(unchanged = false) ~addr ~lds_bytes
-    () =
-  let gs = group_state t coord.c_group in
-  let acc = make_access t coord gs.epoch in
+let lds_access t ~group ~wave ~item ~kind ~unchanged ~addr ~lds_bytes =
+  let gs = group_state t group in
+  let actor = actor_id t gs ~group ~wave in
   if addr < 0 || addr land 3 <> 0 || addr + 4 > lds_bytes then
-    record t Oob Local ~addr ~first:None ~second:acc
+    record_single t Oob Local ~addr ~actor ~item ~epoch:gs.epoch
   else begin
-    let w = word_of gs.lwords addr in
-    sync_access t kind w acc.a_actor;
-    check_word t Local ~addr ~kind ~unchanged w acc
+    let words = (lds_bytes + 3) lsr 2 in
+    if Array.length gs.lds.cells < words * stride then gs.lds <- new_region words;
+    check_word t Local ~keep_init:false ~addr ~kind ~unchanged gs.lds
+      (addr lsr 2) ~actor ~group ~item ~epoch:gs.epoch
   end

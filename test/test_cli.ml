@@ -71,7 +71,9 @@ let test_inject_count_usage_error () =
 
 (* Every size and count option shares one at-least-1 converter, so a
    value below 1 is a usage error naming the option, never an internal
-   error, a clean report of nothing, or an empty rendering. *)
+   error, a clean report of nothing, or an empty rendering. A sizing
+   option that does not apply to the subject (check's --scale on an .rgk
+   file, --local on a registry benchmark) is a usage error too. *)
 let test_scale_usage_error () =
   let saxpy = "examples/kernels/saxpy.rgk" in
   List.iter
@@ -96,6 +98,8 @@ let test_scale_usage_error () =
       ("rmtgpu check PS baseline --scale 0", "--scale");
       ("rmtgpu lint PS intra+lds --local 0", "--local");
       ("rmtgpu check " ^ saxpy ^ " --local 0", "--local");
+      ("rmtgpu check " ^ saxpy ^ " --scale 3", "--scale");
+      ("rmtgpu check FWT tmr --local 32", "--local");
       ("rmtgpu runfile " ^ saxpy ^ " --global 1024 --local 0", "--local");
       ("rmtgpu runfile " ^ saxpy ^ " --global 0 --local 64", "--global");
       ("rmtgpu profile PS original --top 0", "--top");

@@ -7,9 +7,12 @@
      the pooled Inter-Group rendezvous and a wave-resident TMR kernel
      all come back finding-free;
    - zero perturbation: a sanitized run is cycle-, counter- and
-     output-identical to a plain one;
+     output-identical to a plain one, and allocates at most 1.5x as much;
    - static: the SoR checker accepts every properly transformed kernel
-     and rejects the comparison-elided ablations. *)
+     and rejects the comparison-elided ablations;
+   - reports: byte-identical to test/golden_san.txt;
+   - lifecycle: the raw Shadow API across launches, allocation resets,
+     barriers and atomic publication. *)
 
 open Gpu_ir
 module Sim = Gpu_sim
@@ -292,6 +295,29 @@ let test_sanitizer_does_not_perturb_bench () =
       | None -> Alcotest.fail "~sanitize:true returned no shadow")
     [ T.Original; T.inter_group ]
 
+(* The shadow allocates per page, group and finding, never per lane: a
+   sanitized run allocates at most 1.5x the minor words of a plain one
+   (a shadow that builds a record per lane access allocates over 10x). *)
+let test_sanitizer_allocation () =
+  let minor_words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun id ->
+      let b = Kernels.Registry.find id in
+      let run sanitize () = Harness.Run.run ~sanitize b T.intra_plus_lds in
+      ignore (run false ());
+      let plain = minor_words (run false) in
+      let sanitized = minor_words (run true) in
+      if sanitized > 1.5 *. plain then
+        Alcotest.failf
+          "%s intra+lds: a sanitized run allocates %.0f minor words, %.1fx \
+           the %.0f of a plain run (limit 1.5x)"
+          id sanitized (sanitized /. plain) plain)
+    [ "FWT"; "BinS" ]
+
 (* ------------------------------------------------------------------ *)
 (* Static SoR-invariant checker                                        *)
 (* ------------------------------------------------------------------ *)
@@ -449,15 +475,12 @@ let test_golden_reports () =
 (* Shadow lifecycle, through the raw API                               *)
 (* ------------------------------------------------------------------ *)
 
-let gaccess t ~group ~wave ~item ?unchanged kind addr =
-  Shadow.global_access t
-    ~coord:{ Shadow.c_group = group; c_wave = wave; c_item = item }
-    ~kind ?unchanged ~addr ()
+let gaccess t ~group ~wave ~item kind addr =
+  Shadow.global_access t ~group ~wave ~item ~kind ~unchanged:false ~addr
 
 let laccess t ~group ~wave ~item kind addr =
-  Shadow.lds_access t
-    ~coord:{ Shadow.c_group = group; c_wave = wave; c_item = item }
-    ~kind ~addr ~lds_bytes:256 ()
+  Shadow.lds_access t ~group ~wave ~item ~kind ~unchanged:false ~addr
+    ~lds_bytes:256
 
 let classes t = List.map cls_label (Shadow.findings t)
 
@@ -584,6 +607,8 @@ let suite =
     tc "sanitizer does not perturb" `Quick test_sanitizer_does_not_perturb;
     tc "sanitizer does not perturb benches" `Slow
       test_sanitizer_does_not_perturb_bench;
+    tc "sanitizer allocation within 1.5x of a plain run" `Quick
+      test_sanitizer_allocation;
     tc "static: accepts transformed kernels" `Quick
       test_static_checker_accepts_transformed;
     tc "static: flags elided comparison" `Quick
