@@ -69,5 +69,38 @@ let test_golden () =
       (List.length diffs) (List.length runs)
       (String.concat "\n" diffs)
 
+(* The report text of two extension studies, each under a "== label"
+   header: the TMR study (quick campaigns, one worker) and the static
+   Table 2/3 derivation. On a mismatch the actual text is written to a
+   temporary file, which replaces golden_reports.txt when the change is
+   deliberate. *)
+let golden_reports_file =
+  Filename.concat (Filename.dirname Sys.executable_name) "golden_reports.txt"
+
+let golden_reports_text () =
+  let ctx = Harness.Experiments.create_ctx ~quick:true ~jobs:1 () in
+  let tmr = Harness.Experiments.tmr ctx in
+  Harness.Experiments.shutdown ctx;
+  Printf.sprintf "== exp tmr --quick\n%s== exp table2static\n%s" tmr
+    (Harness.Experiments.table2static ())
+
+let test_golden_reports () =
+  let expected =
+    In_channel.with_open_bin golden_reports_file In_channel.input_all
+  in
+  let actual = golden_reports_text () in
+  if actual <> expected then begin
+    let path = Filename.temp_file "golden_reports" ".txt" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc actual);
+    Alcotest.failf
+      "extension reports differ from golden_reports.txt; actual text \
+       written to %s"
+      path
+  end
+
 let suite =
-  [ Alcotest.test_case "registry runs match the golden counters" `Quick test_golden ]
+  [
+    Alcotest.test_case "registry runs match the golden counters" `Quick test_golden;
+    Alcotest.test_case "extension reports match golden_reports.txt" `Quick
+      test_golden_reports;
+  ]
