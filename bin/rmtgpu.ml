@@ -29,6 +29,8 @@
 
 module T = Rmt_core.Transform
 
+(* The kernel versions of the simulating subcommands (run, dump, trace,
+   profile, inject, runfile), by their command-line spelling. *)
 let variants =
   [
     ("original", T.Original);
@@ -39,36 +41,90 @@ let variants =
     ("inter", T.inter_group);
   ]
 
-let variant_conv =
+(* One converter for every kernel-version argument: [table] maps each
+   accepted spelling (matched case-insensitively) to its variant. The
+   value is the (spelling, variant) pair, since check and lint print the
+   spelling as the report label. *)
+let variant_conv ~what table =
   let parse s =
-    match List.assoc_opt (String.lowercase_ascii s) variants with
-    | Some v -> Ok v
+    let label = String.lowercase_ascii s in
+    match List.assoc_opt label table with
+    | Some v -> Ok (label, v)
     | None ->
         Error
           (`Msg
-            (Printf.sprintf "unknown variant %s (one of: %s)" s
-               (String.concat ", " (List.map fst variants))))
+            (Printf.sprintf "unknown %s %s (one of: %s)" what s
+               (String.concat ", " (List.map fst table))))
   in
-  let print fmt v = Format.pp_print_string fmt (T.name v) in
+  let print fmt (label, _) = Format.pp_print_string fmt label in
   Cmdliner.Arg.conv (parse, print)
+
+let find_bench s =
+  List.find_opt
+    (fun (b : Kernels.Bench.t) ->
+      String.lowercase_ascii b.id = String.lowercase_ascii s)
+    Kernels.Registry.all
+
+let bench_ids () =
+  String.concat ", "
+    (List.map (fun (b : Kernels.Bench.t) -> b.id) Kernels.Registry.all)
 
 let bench_conv =
   let parse s =
-    match
-      List.find_opt
-        (fun (b : Kernels.Bench.t) -> String.lowercase_ascii b.id = String.lowercase_ascii s)
-        Kernels.Registry.all
-    with
+    match find_bench s with
     | Some b -> Ok b
     | None ->
         Error
-          (`Msg
-            (Printf.sprintf "unknown benchmark %s (one of: %s)" s
-               (String.concat ", "
-                  (List.map (fun (b : Kernels.Bench.t) -> b.id) Kernels.Registry.all))))
+          (`Msg (Printf.sprintf "unknown benchmark %s (one of: %s)" s (bench_ids ())))
   in
   let print fmt (b : Kernels.Bench.t) = Format.pp_print_string fmt b.id in
   Cmdliner.Arg.conv (parse, print)
+
+(* Read, parse and verify an .rgk kernel file; any failure is a usage
+   error naming the file. *)
+let load_rgk path =
+  let src =
+    try In_channel.with_open_text path In_channel.input_all
+    with Sys_error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+  in
+  try Gpu_ir.Parse.kernel_of_string_checked src with
+  | Gpu_ir.Parse.Parse_error (line, msg) ->
+      Printf.eprintf "%s:%d: %s\n" path line msg;
+      exit 2
+  | Gpu_ir.Verify.Invalid msg ->
+      Printf.eprintf "%s: verification failed: %s\n" path msg;
+      exit 2
+
+(* The subject of check and lint: a path to an .rgk kernel file
+   (anything ending in .rgk or naming an existing file) or a registry
+   benchmark id. An unknown name is a usage error. *)
+let resolve_subject ~cmd subject =
+  if Filename.check_suffix subject ".rgk" || Sys.file_exists subject then
+    `File (Filename.basename subject, load_rgk subject)
+  else
+    match find_bench subject with
+    | Some b -> `Bench b
+    | None ->
+        Printf.eprintf
+          "unknown %s subject %s (a benchmark id among: %s — or a path to an \
+           .rgk kernel file)\n"
+          cmd subject (bench_ids ());
+        exit 2
+
+(* Print a findings report, write its JSON when asked, and exit 1 unless
+   the report is clean. *)
+let emit_report ~cmd ~text ~json ~clean json_out =
+  print_string text;
+  (match json_out with
+  | Some path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Gpu_trace.Json.to_string (json ()));
+          output_char oc '\n');
+      Printf.printf "%s JSON -> %s\n" cmd path
+  | None -> ());
+  if not clean then exit 1
 
 (* ---------------- list ---------------- *)
 
@@ -196,25 +252,10 @@ let do_perfdiff old_path new_path counter_rel =
 
 (* ---------------- check ---------------- *)
 
-let check_target_conv =
-  let parse s =
-    match Harness.Check.target_of_string s with
-    | Some t -> Ok (String.lowercase_ascii s, t)
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown check target %s (one of: %s)" s
-               (String.concat ", "
-                  (List.map fst Harness.Check.standard_targets))))
-  in
-  let print fmt (label, _) = Format.pp_print_string fmt label in
-  Cmdliner.Arg.conv (parse, print)
-
-(* The check subject is a registry benchmark id or a path to an .rgk
-   kernel file; files get the static contract check only (no argument
-   harness to run them under the sanitizer). [--scale] sizes only a
-   benchmark and [--local] only a file, so passing either to the other
-   kind of subject is a usage error rather than silently ignored. *)
+(* [--scale] sizes only a benchmark and [--local] only a file, so passing
+   either to the other kind of subject is a usage error rather than
+   silently ignored. Files get the static contract check only (no
+   argument harness to run them under the sanitizer). *)
 let do_check subject target scale local json_out =
   let targets =
     match target with
@@ -226,132 +267,46 @@ let do_check subject target scale local json_out =
     exit 2
   in
   let report =
-    if Filename.check_suffix subject ".rgk" || Sys.file_exists subject then (
-      if scale <> None then
-        misapplied "--scale" "an .rgk file (it has no problem size)";
-      let src =
-        try In_channel.with_open_text subject In_channel.input_all
-        with Sys_error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2
-      in
-      let k0 =
-        try Gpu_ir.Parse.kernel_of_string_checked src with
-        | Gpu_ir.Parse.Parse_error (line, msg) ->
-            Printf.eprintf "%s:%d: %s\n" subject line msg;
-            exit 2
-        | Gpu_ir.Verify.Invalid msg ->
-            Printf.eprintf "%s: verification failed: %s\n" subject msg;
-            exit 2
-      in
-      Harness.Check.check_kernel
-        ~local_items:(Option.value local ~default:64)
-        ~targets ~name:(Filename.basename subject) k0)
-    else
-      match
-        List.find_opt
-          (fun (b : Kernels.Bench.t) ->
-            String.lowercase_ascii b.id = String.lowercase_ascii subject)
-          Kernels.Registry.all
-      with
-      | Some _ when local <> None ->
-          misapplied "--local"
-            "a registry benchmark (its work-group size is fixed)"
-      | Some b ->
-          Harness.Check.check_bench ~scale:(Option.value scale ~default:1)
-            ~targets b
-      | None ->
-          Printf.eprintf
-            "unknown check subject %s (a benchmark id among: %s — or a path \
-             to an .rgk kernel file)\n"
-            subject
-            (String.concat ", "
-               (List.map (fun (b : Kernels.Bench.t) -> b.id) Kernels.Registry.all));
-          exit 2
+    match resolve_subject ~cmd:"check" subject with
+    | `File (name, k0) ->
+        if scale <> None then
+          misapplied "--scale" "an .rgk file (it has no problem size)";
+        Harness.Check.check_kernel
+          ~local_items:(Option.value local ~default:64)
+          ~targets ~name k0
+    | `Bench _ when local <> None ->
+        misapplied "--local" "a registry benchmark (its work-group size is fixed)"
+    | `Bench b ->
+        Harness.Check.check_bench ~scale:(Option.value scale ~default:1)
+          ~targets b
   in
-  print_string (Harness.Check.to_string report);
-  (match json_out with
-  | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            (Gpu_trace.Json.to_string (Harness.Check.to_json report));
-          output_char oc '\n');
-      Printf.printf "check JSON -> %s\n" path
-  | None -> ());
-  if not (Harness.Check.clean report) then exit 1
+  emit_report ~cmd:"check"
+    ~text:(Harness.Check.to_string report)
+    ~json:(fun () -> Harness.Check.to_json report)
+    ~clean:(Harness.Check.clean report) json_out
 
 (* ---------------- lint ---------------- *)
 
-let lint_target_conv =
-  let parse s =
-    match Harness.Lint.target_of_string s with
-    | Some t -> Ok (String.lowercase_ascii s, t)
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown lint target %s (one of: %s)" s
-               (String.concat ", "
-                  (List.map fst Harness.Lint.standard_targets))))
-  in
-  let print fmt (label, _) = Format.pp_print_string fmt label in
-  Cmdliner.Arg.conv (parse, print)
-
-(* Like check, the lint subject is a registry benchmark id or a path to
-   an .rgk kernel file; both get the full translation validation (the
+(* Both kinds of subject get the full translation validation: the
    validator brings its own synthetic launch, so no host harness is
-   needed). *)
+   needed. *)
 let do_lint subject target local max_exp full json_out =
   let targets =
     match target with Some t -> [ t ] | None -> Harness.Lint.standard_targets
   in
   let max_experiments = if full then max_int else max_exp in
   let report =
-    if Filename.check_suffix subject ".rgk" || Sys.file_exists subject then (
-      let src =
-        try In_channel.with_open_text subject In_channel.input_all
-        with Sys_error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2
-      in
-      let k0 =
-        try Gpu_ir.Parse.kernel_of_string_checked src with
-        | Gpu_ir.Parse.Parse_error (line, msg) ->
-            Printf.eprintf "%s:%d: %s\n" subject line msg;
-            exit 2
-        | Gpu_ir.Verify.Invalid msg ->
-            Printf.eprintf "%s: verification failed: %s\n" subject msg;
-            exit 2
-      in
-      Harness.Lint.lint_kernel ~local_items:local ~max_experiments ~targets
-        ~name:(Filename.basename subject) k0)
-    else
-      match
-        List.find_opt
-          (fun (b : Kernels.Bench.t) ->
-            String.lowercase_ascii b.id = String.lowercase_ascii subject)
-          Kernels.Registry.all
-      with
-      | Some b ->
-          Harness.Lint.lint_bench ~local_items:local ~max_experiments ~targets b
-      | None ->
-          Printf.eprintf
-            "unknown lint subject %s (a benchmark id among: %s — or a path \
-             to an .rgk kernel file)\n"
-            subject
-            (String.concat ", "
-               (List.map (fun (b : Kernels.Bench.t) -> b.id) Kernels.Registry.all));
-          exit 2
+    match resolve_subject ~cmd:"lint" subject with
+    | `File (name, k0) ->
+        Harness.Lint.lint_kernel ~local_items:local ~max_experiments ~targets
+          ~name k0
+    | `Bench b ->
+        Harness.Lint.lint_bench ~local_items:local ~max_experiments ~targets b
   in
-  print_string (Harness.Lint.to_string report);
-  (match json_out with
-  | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            (Gpu_trace.Json.to_string (Harness.Lint.to_json report));
-          output_char oc '\n');
-      Printf.printf "lint JSON -> %s\n" path
-  | None -> ());
-  if not (Harness.Lint.clean report) then exit 1
+  emit_report ~cmd:"lint"
+    ~text:(Harness.Lint.to_string report)
+    ~json:(fun () -> Harness.Lint.to_json report)
+    ~clean:(Harness.Lint.clean report) json_out
 
 (* ---------------- inject ---------------- *)
 
@@ -461,20 +416,34 @@ let show_conv =
     ( (fun sp -> try parse_show sp with _ -> Error (`Msg ("bad --show " ^ sp))),
       fun fmt _ -> Format.pp_print_string fmt "<show>" )
 
+(* Bad input is a usage error naming the option, checked before
+   anything is simulated; a launch that does not finish exits 1. *)
 let do_runfile path variant global local arg_specs shows =
-  let src = In_channel.with_open_text path In_channel.input_all in
-  let k0 =
-    try Gpu_ir.Parse.kernel_of_string_checked src with
-    | Gpu_ir.Parse.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" path line msg;
-        exit 2
-    | Gpu_ir.Verify.Invalid msg ->
-        Printf.eprintf "%s: verification failed: %s\n" path msg;
-        exit 2
+  let usage fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "rmtgpu runfile: %s\n" msg;
+        exit 2)
+      fmt
   in
+  if global mod local <> 0 then
+    usage "option '--global': %d is not a multiple of --local %d" global local;
+  let k0 = load_rgk path in
+  let nparams = Gpu_ir.Types.param_count k0 in
+  if List.length arg_specs <> nparams then
+    usage "option '--arg': kernel %s takes %d parameters, got %d"
+      k0.Gpu_ir.Types.kname nparams (List.length arg_specs);
+  List.iter
+    (fun (idx, lo, hi, _) ->
+      if lo < 0 || lo > hi then
+        usage "option '--show': range %d..%d needs 0 <= LO <= HI" lo hi;
+      match List.nth_opt arg_specs idx with
+      | Some (RA_buf _) -> ()
+      | _ -> usage "option '--show': no buffer at parameter %d" idx)
+    shows;
   let k =
     try T.apply variant ~local_items:local k0
-    with Rmt_core.Intra_group.Unsupported msg ->
+    with T.Unsupported msg ->
       Printf.eprintf "cannot apply %s: %s\n" (T.name variant) msg;
       exit 2
   in
@@ -502,24 +471,23 @@ let do_runfile path variant global local arg_specs shows =
         | RA_f32 x -> Gpu_sim.Device.A_f32 x)
       arg_specs
   in
-  let args = args @ T.extra_args variant dev ~nd:nd0 in
+  let args = args @ (T.make_extras variant dev ~nd:nd0).ex_args in
   let r = Gpu_sim.Device.launch dev k ~nd ~args in
   Printf.printf "%s under %s: %d cycles (%s)\n" k0.Gpu_ir.Types.kname
     (T.name variant) r.Gpu_sim.Device.cycles
     (Harness.Run.outcome_name r.Gpu_sim.Device.outcome);
   List.iter
     (fun (idx, lo, hi, as_f32) ->
-      match Hashtbl.find_opt buffers idx with
-      | None -> Printf.eprintf "no buffer at parameter %d\n" idx
-      | Some (b, words) ->
-          let hi = min hi words in
-          Printf.printf "param %d [%d..%d):" idx lo hi;
-          for i = lo to hi - 1 do
-            if as_f32 then Printf.printf " %g" (Gpu_sim.Device.read_f32 dev b i)
-            else Printf.printf " %d" (Gpu_sim.Device.read_i32 dev b i)
-          done;
-          print_newline ())
-    shows
+      let b, words = Hashtbl.find buffers idx in
+      let hi = min hi words in
+      Printf.printf "param %d [%d..%d):" idx lo hi;
+      for i = lo to hi - 1 do
+        if as_f32 then Printf.printf " %g" (Gpu_sim.Device.read_f32 dev b i)
+        else Printf.printf " %d" (Gpu_sim.Device.read_i32 dev b i)
+      done;
+      print_newline ())
+    shows;
+  if r.Gpu_sim.Device.outcome <> Gpu_sim.Device.Finished then exit 1
 
 (* ---------------- exp ---------------- *)
 
@@ -586,8 +554,16 @@ let verbose_flag =
 
 let bench_arg = Arg.(required & pos 0 (some bench_conv) None & info [] ~docv:"BENCH")
 
+(* The kernel-version argument of the simulating subcommands; they need
+   only the variant, not its spelling. *)
+let variant_of_cli = variant_conv ~what:"variant" variants
+
 let variant_arg ~pos:p =
-  Arg.(value & pos p variant_conv T.Original & info [] ~docv:"VARIANT")
+  Term.(
+    const snd
+    $ Arg.(
+        value & pos p variant_of_cli ("original", T.Original)
+        & info [] ~docv:"VARIANT"))
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the benchmark kernels")
@@ -671,7 +647,9 @@ let trace_cmd =
 
 let inject_cmd =
   let variant =
-    Arg.(required & pos 1 (some variant_conv) None & info [] ~docv:"VARIANT")
+    Term.(
+      const snd
+      $ Arg.(required & pos 1 (some variant_of_cli) None & info [] ~docv:"VARIANT"))
   in
   let target =
     Arg.(required & pos 2 (some target_conv) None & info [] ~docv:"TARGET")
@@ -739,7 +717,10 @@ let check_cmd =
   let target =
     Arg.(
       value
-      & pos 1 (some check_target_conv) None
+      & pos 1
+          (some
+             (variant_conv ~what:"check target" Harness.Check.standard_targets))
+          None
       & info [] ~docv:"TARGET"
           ~doc:
             "Check a single target (baseline, intra+lds, intra-lds, inter, \
@@ -787,7 +768,9 @@ let lint_cmd =
   let target =
     Arg.(
       value
-      & pos 1 (some lint_target_conv) None
+      & pos 1
+          (some (variant_conv ~what:"lint target" Harness.Lint.standard_targets))
+          None
       & info [] ~docv:"TARGET"
           ~doc:
             "Lint a single target (intra+lds, intra-lds, intra+fast, inter, \
@@ -869,7 +852,12 @@ let exp_cmd =
 let runfile_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let variant =
-    Arg.(value & opt variant_conv T.Original & info [ "variant" ] ~docv:"VARIANT")
+    Term.(
+      const snd
+      $ Arg.(
+          value
+          & opt variant_of_cli ("original", T.Original)
+          & info [ "variant" ] ~docv:"VARIANT"))
   in
   let global =
     Arg.(required & opt (some at_least_1) None & info [ "global" ] ~docv:"N")

@@ -38,7 +38,7 @@ let run_once ~label kernel variant ?inject () =
   let nd = T.map_ndrange variant nd0 in
   let args =
     [ Device.A_buf x; Device.A_buf y; Device.A_f32 2.0; Device.A_i32 n ]
-    @ T.extra_args variant dev ~nd:nd0
+    @ (T.make_extras variant dev ~nd:nd0).ex_args
   in
   let opts = { Device.default_opts with Device.inject } in
   let r = Device.launch ~opts dev kernel ~nd ~args in

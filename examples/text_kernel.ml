@@ -81,7 +81,7 @@ let () =
     let nd = T.map_ndrange variant nd0 in
     let args =
       [ Device.A_buf input; A_buf output; A_buf hist ]
-      @ T.extra_args variant dev ~nd:nd0
+      @ (T.make_extras variant dev ~nd:nd0).ex_args
     in
     let r = Device.launch dev kernel ~nd ~args in
     let ok = ref true in

@@ -69,11 +69,11 @@ let () =
   let k = stencil () in
   let nd0 = Gpu_sim.Geom.make_ndrange n wg in
   let dmr = T.apply T.intra_plus_lds ~local_items:wg k in
-  let tmr = Rmt_core.Tmr.transform ~local_items:wg k in
+  let tmr = T.apply T.Tmr ~local_items:wg k in
   print_endline "fault-free:";
   run ~label:"  original" k ~nd:nd0 ();
   run ~label:"  DMR (Intra-Group+LDS)" dmr ~nd:(T.map_ndrange T.intra_plus_lds nd0) ();
-  run ~label:"  TMR (majority vote)" tmr ~nd:(Rmt_core.Tmr.map_ndrange nd0) ();
+  run ~label:"  TMR (majority vote)" tmr ~nd:(T.map_ndrange T.Tmr nd0) ();
   print_endline "\nwith a VGPR bit flip (same seeds for both):";
   List.iter
     (fun seed ->
@@ -88,7 +88,7 @@ let () =
       run
         ~label:(Printf.sprintf "  TMR, flip #%d" seed)
         tmr
-        ~nd:(Rmt_core.Tmr.map_ndrange nd0)
+        ~nd:(T.map_ndrange T.Tmr nd0)
         ~inject ())
     [ 1; 2; 3; 4 ];
   print_endline

@@ -39,21 +39,6 @@
 open Gpu_ir.Types
 module Site = Gpu_ir.Site
 
-(** Which contract to enforce. *)
-type flavor =
-  | F_original  (** no contract: nothing to check *)
-  | F_intra_plus  (** Intra-Group +LDS: global stores compared *)
-  | F_intra_minus  (** Intra-Group −LDS: global and local stores compared *)
-  | F_inter  (** Inter-Group: global stores compared via the comm buffer *)
-  | F_tmr  (** TMR: global stores majority-voted (trap on 3-way split) *)
-
-let flavor_name = function
-  | F_original -> "original"
-  | F_intra_plus -> "intra+lds"
-  | F_intra_minus -> "intra-lds"
-  | F_inter -> "inter"
-  | F_tmr -> "tmr"
-
 type violation = {
   v_site : Site.id;  (** site of the offending store *)
   v_inst : string;  (** rendered instruction *)
@@ -77,35 +62,45 @@ let is_addr_arith = function
   | Mov _ | Mad _ | Iarith _ -> true
   | _ -> false
 
-let checked_space flavor sp =
-  match (flavor, sp) with
-  | F_original, _ -> false
+(* Which stores exit the SoR: global stores under every redundant
+   variant, local stores too under Intra-Group -LDS. *)
+let checked_space (variant : Transform.variant) sp =
+  match (variant, sp) with
+  | Original, _ -> false
   | _, Global -> true
-  | F_intra_minus, Local -> true
+  | Intra { include_lds = false; _ }, Local -> true
   | _, Local -> false
 
-(* The LDS allocation naming the channel, per flavor. *)
-let chan_lds_name = function
-  | F_intra_plus | F_intra_minus -> Some Intra_group.comm_lds_name
-  | F_tmr -> Some Tmr.comm_lds_name
-  | F_original | F_inter -> None
+(* The LDS allocation naming the channel, per variant. *)
+let chan_lds_name : Transform.variant -> string option = function
+  | Intra _ -> Some Intra_group.comm_lds_name
+  | Tmr -> Some Tmr.comm_lds_name
+  | Original | Inter _ -> None
+
+(* Inter-Group's channel is its two appended buffer parameters, and its
+   stores must also be gated by the hand-off flag protocol. *)
+let is_inter : Transform.variant -> bool = function
+  | Inter _ -> true
+  | Original | Intra _ | Tmr -> false
 
 (* Forward taint pass in program (= site) order: [addr_taint] marks
    registers holding channel addresses, [chan] registers holding data
    read back over the channel. *)
-let channel_taints (flavor : flavor) (k : kernel) (insts : inst array) =
+let channel_taints (variant : Transform.variant) (k : kernel)
+    (insts : inst array) =
   let nsites = Array.length insts in
   let np = param_count k in
   let nregs = max k.nregs 1 in
   let addr_taint = Array.make nregs false in
   let chan = Array.make nregs false in
-  let lds_chan = chan_lds_name flavor in
+  let lds_chan = chan_lds_name variant in
+  let inter = is_inter variant in
   for s = 0 to nsites - 1 do
     let i = insts.(s) in
     (match i with
     | Special (Lds_base name, d) when Some name = lds_chan ->
         addr_taint.(d) <- true
-    | Arg (d, idx) when flavor = F_inter && idx >= np - 2 ->
+    | Arg (d, idx) when inter && idx >= np - 2 ->
         addr_taint.(d) <- true
     | _ -> ());
     match inst_def i with
@@ -131,9 +126,10 @@ let channel_taints (flavor : flavor) (k : kernel) (insts : inst array) =
     these: the checking code the transforms insert is not itself
     replicated, so faults in its addressing are the scheme's documented
     unprotected residue, not contract violations. *)
-let channel_address_regs (flavor : flavor) (k : kernel) : bool array =
+let channel_address_regs (variant : Transform.variant) (k : kernel) :
+    bool array =
   let sl = Gpu_ir.Slice.of_kernel k in
-  let addr_taint, _ = channel_taints flavor k sl.Gpu_ir.Slice.insts in
+  let addr_taint, _ = channel_taints variant k sl.Gpu_ir.Slice.insts in
   addr_taint
 
 (** Sites of the protocol's own publishes into the communication
@@ -142,10 +138,11 @@ let channel_address_regs (flavor : flavor) (k : kernel) : bool array =
     the translation validator classifies any corruption they commit as
     protocol residue (a misdirected publish ends in a detectable
     protocol failure, not a silent output). *)
-let channel_publish_sites (flavor : flavor) (k : kernel) : bool array =
+let channel_publish_sites (variant : Transform.variant) (k : kernel) :
+    bool array =
   let sl = Gpu_ir.Slice.of_kernel k in
   let insts = sl.Gpu_ir.Slice.insts in
-  let addr_taint, _ = channel_taints flavor k insts in
+  let addr_taint, _ = channel_taints variant k insts in
   Array.map
     (function
       | Store (_, Reg r, _)
@@ -155,17 +152,17 @@ let channel_publish_sites (flavor : flavor) (k : kernel) : bool array =
       | _ -> false)
     insts
 
-(** [check flavor k] verifies the SoR contract of [k] under [flavor] and
-    returns the violations ([] = contract holds). [k] must be the
+(** [check variant k] verifies the SoR contract of [k] under [variant]
+    and returns the violations ([] = contract holds). [k] must be the
     {e transformed} kernel. *)
-let check (flavor : flavor) (k : kernel) : violation list =
-  if flavor = F_original then []
+let check (variant : Transform.variant) (k : kernel) : violation list =
+  if variant = Transform.Original then []
   else begin
     let sl = Gpu_ir.Slice.of_kernel k in
     let insts = sl.Gpu_ir.Slice.insts in
     let in_if = sl.Gpu_ir.Slice.guarded in
     let nsites = Array.length insts in
-    let addr_taint, chan = channel_taints flavor k insts in
+    let addr_taint, chan = channel_taints variant k insts in
     (* ---- backward register closure from a site ---- *)
     let closure ~from seeds = Gpu_ir.Slice.closure sl ~from seeds in
     let intersects = Gpu_ir.Slice.intersects in
@@ -195,7 +192,7 @@ let check (flavor : flavor) (k : kernel) : violation list =
     in
     for s = 0 to nsites - 1 do
       match insts.(s) with
-      | Store (sp, addr, v) when checked_space flavor sp -> (
+      | Store (sp, addr, v) when checked_space variant sp -> (
           let addr_is_chan =
             match addr with Reg r -> addr_taint.(r) | _ -> false
           in
@@ -236,7 +233,7 @@ let check (flavor : flavor) (k : kernel) : violation list =
                   fail s sp
                     "preceding traps do not read the twin's copy over the \
                      communication channel";
-              if flavor = F_inter && not (List.exists (fun t -> t < s) !polls)
+              if is_inter variant && not (List.exists (fun t -> t < s) !polls)
               then
                 fail s sp
                   "store is not gated by a hand-off flag poll on the \

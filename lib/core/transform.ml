@@ -8,6 +8,9 @@ type variant =
   | Original
   | Intra of { include_lds : bool; comm : Intra_group.comm }
   | Inter of { comm : bool }
+  | Tmr
+
+exception Unsupported = Intra_group.Unsupported
 
 (** The headline flavors of the paper. *)
 let intra_plus_lds = Intra { include_lds = true; comm = Intra_group.Comm_lds }
@@ -27,6 +30,7 @@ let name = function
         | Intra_group.Comm_fast -> " FAST"
         | Intra_group.Comm_none -> " (no comm)")
   | Inter { comm } -> "Inter-Group" ^ if comm then "" else " (no comm)"
+  | Tmr -> "tmr"
 
 (** Transform [k] for [variant]. [local_items] is the original flat
     work-group size of the intended launch. *)
@@ -39,6 +43,7 @@ let apply variant ~local_items (k : kernel) : kernel =
       Inter_group.transform
         { Inter_group.scheme = (if comm then Inter_group.Per_item else Inter_group.No_comm) }
         k
+  | Tmr -> Tmr.transform ~local_items k
 
 (** Adapt the original NDRange for the transformed kernel. *)
 let map_ndrange variant (nd : Gpu_sim.Geom.ndrange) =
@@ -46,11 +51,7 @@ let map_ndrange variant (nd : Gpu_sim.Geom.ndrange) =
   | Original -> nd
   | Intra _ -> Intra_group.map_ndrange nd
   | Inter _ -> Inter_group.map_ndrange nd
-
-(** Does the variant append the counter + communication buffers? *)
-let needs_extra_buffers = function
-  | Inter _ -> true
-  | Original | Intra _ -> false
+  | Tmr -> Tmr.map_ndrange nd
 
 (** Extra launch state for a variant: the arguments to append and a
     [reset] to call before every kernel launch (the Inter-Group group-id
@@ -65,7 +66,7 @@ type extras = {
     the {e original} NDRange [nd]. *)
 let make_extras variant dev ~(nd : Gpu_sim.Geom.ndrange) : extras =
   match variant with
-  | Original | Intra _ -> { ex_args = []; reset = (fun () -> ()) }
+  | Original | Intra _ | Tmr -> { ex_args = []; reset = (fun () -> ()) }
   | Inter _ ->
       let counter = Gpu_sim.Device.alloc dev Inter_group.comm_counter_bytes in
       let comm = Gpu_sim.Device.alloc dev (Inter_group.comm_buffer_bytes nd) in
@@ -76,6 +77,3 @@ let make_extras variant dev ~(nd : Gpu_sim.Geom.ndrange) : extras =
         ex_args = [ Gpu_sim.Device.A_buf counter; Gpu_sim.Device.A_buf comm ];
         reset;
       }
-
-(** Convenience for single-launch callers. *)
-let extra_args variant dev ~nd = (make_extras variant dev ~nd).ex_args

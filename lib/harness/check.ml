@@ -25,35 +25,16 @@ module Sor_check = Rmt_core.Sor_check
 module Json = Gpu_trace.Json
 module Findings = Gpu_findings.Findings
 
-(** A checkable kernel version: the harness variants, plus TMR (which is
-    not a {!Transform.variant} because its tripled launch geometry does
-    not fit the registry workloads). *)
-type target = T_variant of Transform.variant | T_tmr
-
 (** The gate matrix of the CI check: baseline + the paper's headline RMT
     flavors + TMR. *)
-let standard_targets : (string * target) list =
+let standard_targets : (string * Transform.variant) list =
   [
-    ("baseline", T_variant Transform.Original);
-    ("intra+lds", T_variant Transform.intra_plus_lds);
-    ("intra-lds", T_variant Transform.intra_minus_lds);
-    ("inter", T_variant Transform.inter_group);
-    ("tmr", T_tmr);
+    ("baseline", Transform.Original);
+    ("intra+lds", Transform.intra_plus_lds);
+    ("intra-lds", Transform.intra_minus_lds);
+    ("inter", Transform.inter_group);
+    ("tmr", Transform.Tmr);
   ]
-
-let target_of_string s =
-  match List.assoc_opt (String.lowercase_ascii s) standard_targets with
-  | Some t -> Some t
-  | None -> None
-
-let flavor_of_target = function
-  | T_variant Transform.Original -> Sor_check.F_original
-  | T_variant (Transform.Intra { include_lds = true; _ }) ->
-      Sor_check.F_intra_plus
-  | T_variant (Transform.Intra { include_lds = false; _ }) ->
-      Sor_check.F_intra_minus
-  | T_variant (Transform.Inter _) -> Sor_check.F_inter
-  | T_tmr -> Sor_check.F_tmr
 
 (** Why an entry's dynamic check did not run — a machine-readable
     classification next to the human note, so CI consumers can assert
@@ -124,18 +105,17 @@ let clean r = List.for_all entry_clean r.r_entries
 let tmr_static_local_items = 16
 
 let check_target ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
-    (bench : Kernels.Bench.t) (label, target) : entry =
-  let flavor = flavor_of_target target in
-  match target with
-  | T_tmr ->
+    (bench : Kernels.Bench.t) (label, variant) : entry =
+  match (variant : Transform.variant) with
+  | Tmr ->
       let kernel =
-        Rmt_core.Tmr.transform ~local_items:tmr_static_local_items
+        Transform.apply variant ~local_items:tmr_static_local_items
           (bench.Kernels.Bench.make_kernel ())
       in
       {
         e_label = label;
         e_kernel = kernel;
-        e_static = Sor_check.check flavor kernel;
+        e_static = Sor_check.check variant kernel;
         e_shadow = None;
         e_skip_kind = Some Sk_static_only;
         e_skip_reason =
@@ -144,7 +124,7 @@ let check_target ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
              and every registry workload uses >= 64-item groups";
         e_run_problem = None;
       }
-  | T_variant variant ->
+  | Original | Intra _ | Inter _ ->
       let summary = Run.run ~cfg ~scale ~sanitize:true bench variant in
       let kernel = summary.Run.kernel in
       let problem =
@@ -157,7 +137,7 @@ let check_target ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
       {
         e_label = label;
         e_kernel = kernel;
-        e_static = Sor_check.check flavor kernel;
+        e_static = Sor_check.check variant kernel;
         e_shadow = summary.Run.san;
         e_skip_kind = None;
         e_skip_reason = None;
@@ -184,27 +164,21 @@ let check_kernel ?(local_items = 64) ?(targets = standard_targets) ~name
     "dynamic check skipped: freestanding kernel has no argument/reference \
      harness; static contract only"
   in
-  let entry (label, target) =
-    let flavor = flavor_of_target target in
-    match
-      match target with
-      | T_tmr -> Rmt_core.Tmr.transform ~local_items:tmr_static_local_items k0
-      | T_variant v -> Transform.apply v ~local_items k0
-    with
+  let entry (label, variant) =
+    let tmr = variant = Transform.Tmr in
+    let local_items = if tmr then tmr_static_local_items else local_items in
+    match Transform.apply variant ~local_items k0 with
     | k ->
         {
           e_label = label;
           e_kernel = k;
-          e_static = Sor_check.check flavor k;
+          e_static = Sor_check.check variant k;
           e_shadow = None;
-          e_skip_kind =
-            Some (if target = T_tmr then Sk_static_only else Sk_no_harness);
+          e_skip_kind = Some (if tmr then Sk_static_only else Sk_no_harness);
           e_skip_reason = Some dynamic_note;
           e_run_problem = None;
         }
-    | exception
-        ( Rmt_core.Intra_group.Unsupported msg
-        | Rmt_core.Tmr.Unsupported msg ) ->
+    | exception Transform.Unsupported msg ->
         {
           e_label = label;
           e_kernel = k0;

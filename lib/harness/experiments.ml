@@ -636,7 +636,7 @@ let opt_ablation ctx =
 let tmr_wg = 16
 let tmr_n = 1024
 
-let tmr_workload () =
+let tmr_kernel () =
   let open Gpu_ir in
   let b = Builder.create "tmr_stencil" in
   let input = Builder.buffer_param b "input" in
@@ -656,57 +656,56 @@ let tmr_workload () =
   Builder.gstore_elem b output gid v;
   Builder.finish b
 
-type tmr_run = { t_cycles : int; t_outcome : Gpu_sim.Device.outcome; t_ok : bool }
+(* The stencil as a benchmark of its own, so every version of the study
+   runs through [Run.run]; [scale] is ignored (one fixed size). *)
+let tmr_bench : Kernels.Bench.t =
+  {
+    id = "tmr_stencil";
+    name = "3-point stencil";
+    character = Kernels.Bench.Memory_bound;
+    make_kernel = tmr_kernel;
+    prepare =
+      (fun dev ~scale:_ ->
+        let input = Gpu_sim.Device.alloc dev (tmr_n * 4) in
+        let output = Gpu_sim.Device.alloc dev (tmr_n * 4) in
+        let data = Array.init tmr_n (fun i -> (i * 37) land 0xFFFF) in
+        Gpu_sim.Device.write_i32_array dev input data;
+        let expected =
+          let at j = data.(max 0 (min j (tmr_n - 1))) in
+          Array.init tmr_n (fun i -> at (i - 1) + (2 * at i) + at (i + 1))
+        in
+        {
+          steps =
+            [
+              {
+                args = [ A_buf input; A_buf output; A_i32 tmr_n ];
+                nd = Gpu_sim.Geom.make_ndrange tmr_n tmr_wg;
+              };
+            ];
+          verify =
+            (fun () -> Kernels.Bench.verify_i32_buffer dev output expected);
+        });
+  }
 
-let tmr_run_once ~flavor ?inject () : tmr_run =
-  let k0 = tmr_workload () in
-  let k, nd =
-    let nd0 = Gpu_sim.Geom.make_ndrange tmr_n tmr_wg in
-    match flavor with
-    | `Original -> (k0, nd0)
-    | `Dmr ->
-        ( T.apply T.intra_plus_lds ~local_items:tmr_wg k0,
-          T.map_ndrange T.intra_plus_lds nd0 )
-    | `Tmr -> (Rmt_core.Tmr.transform ~local_items:tmr_wg k0, Rmt_core.Tmr.map_ndrange nd0)
-  in
-  let dev = Gpu_sim.Device.create Gpu_sim.Config.default in
-  let input = Gpu_sim.Device.alloc dev (tmr_n * 4) in
-  let output = Gpu_sim.Device.alloc dev (tmr_n * 4) in
-  let data = Array.init tmr_n (fun i -> (i * 37) land 0xFFFF) in
-  Gpu_sim.Device.write_i32_array dev input data;
-  let opts =
-    { Gpu_sim.Device.default_opts with Gpu_sim.Device.inject; max_cycles = Some 5_000_000 }
-  in
-  let r =
-    Gpu_sim.Device.launch ~opts dev k ~nd
-      ~args:[ Gpu_sim.Device.A_buf input; A_buf output; A_i32 tmr_n ]
-  in
-  let expected i =
-    let at j = data.(max 0 (min j (tmr_n - 1))) in
-    at (i - 1) + (2 * at i) + at (i + 1)
-  in
-  let ok = ref true in
-  for i = 0 to tmr_n - 1 do
-    if Gpu_sim.Device.read_i32 dev output i <> expected i then ok := false
-  done;
-  { t_cycles = r.Gpu_sim.Device.cycles; t_outcome = r.Gpu_sim.Device.outcome; t_ok = !ok }
+let tmr_run ?inject variant =
+  Run.run ~max_cycles:5_000_000 ?inject tmr_bench variant
 
 let tmr ctx =
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: DMR (detect) vs TMR (correct) on a 3-point stencil";
-  let base = tmr_run_once ~flavor:`Original () in
-  let dmr = tmr_run_once ~flavor:`Dmr () in
-  let tmr_ = tmr_run_once ~flavor:`Tmr () in
+  let base = tmr_run T.Original in
+  let dmr = tmr_run T.intra_plus_lds in
+  let tmr_ = tmr_run T.Tmr in
   Report.row buf "%-10s %8s %10s" "version" "cycles" "slowdown";
-  Report.row buf "%-10s %8d %9.2fx" "original" base.t_cycles 1.0;
-  Report.row buf "%-10s %8d %9.2fx" "DMR" dmr.t_cycles
-    (float_of_int dmr.t_cycles /. float_of_int base.t_cycles);
-  Report.row buf "%-10s %8d %9.2fx" "TMR" tmr_.t_cycles
-    (float_of_int tmr_.t_cycles /. float_of_int base.t_cycles);
+  Report.row buf "%-10s %8d %9.2fx" "original" base.Run.cycles 1.0;
+  Report.row buf "%-10s %8d %9.2fx" "DMR" dmr.Run.cycles
+    (Run.slowdown ~base dmr);
+  Report.row buf "%-10s %8d %9.2fx" "TMR" tmr_.Run.cycles
+    (Run.slowdown ~base tmr_);
   (* fault response: inject VGPR flips, compare dispositions *)
   let n_inj = if ctx.quick then 10 else 30 in
-  let tally flavor =
+  let tally variant =
     (* independent injected runs: fan out on the pool, fold in order *)
     let runs =
       List.init n_inj (fun i -> i + 1)
@@ -720,21 +719,21 @@ let tmr ctx =
                      iseed = seed;
                    }
                  in
-                 tmr_run_once ~flavor ~inject ()))
+                 tmr_run ~inject variant))
       |> List.map Pool.await
     in
     let aborted = ref 0 and correct = ref 0 and sdc = ref 0 and other = ref 0 in
     List.iter
-      (fun r ->
-        match r.t_outcome with
+      (fun (r : Run.summary) ->
+        match r.outcome with
         | Gpu_sim.Device.Detected -> incr aborted
-        | Gpu_sim.Device.Finished -> if r.t_ok then incr correct else incr sdc
+        | Gpu_sim.Device.Finished -> if r.verified then incr correct else incr sdc
         | Gpu_sim.Device.Crashed _ | Gpu_sim.Device.Hung -> incr other)
       runs;
     (!aborted, !correct, !sdc, !other)
   in
-  let da, dc, ds, do_ = tally `Dmr in
-  let ta, tc_, ts, to_ = tally `Tmr in
+  let da, dc, ds, do_ = tally T.intra_plus_lds in
+  let ta, tc_, ts, to_ = tally T.Tmr in
   Report.row buf "";
   Report.row buf "%d VGPR bit flips each:" n_inj;
   Report.row buf
@@ -848,7 +847,6 @@ let explain ctx =
           "         occupancy drops under RMT (%s -> %s): scheduling cost"
           (Gpu_sim.Occupancy.to_string base.Run.occupancy)
           (Gpu_sim.Occupancy.to_string plus.Run.occupancy);
-      ignore dominant;
       Report.row buf "         classified as %s by counters" dominant)
     all_benches;
   Buffer.contents buf
@@ -1276,30 +1274,23 @@ let table2static () =
        table2static_bench);
   let reports =
     List.map
-      (fun (_, t) -> Gpu_tv.Domains.of_kernel t k0)
+      (fun (_, v) -> (v, Gpu_tv.Domains.of_kernel v k0))
       Lint.standard_targets
   in
-  String.split_on_char '\n' (Gpu_tv.Domains.table reports)
+  String.split_on_char '\n' (Gpu_tv.Domains.table (List.map snd reports))
   |> List.iter (fun l -> if l <> "" then Report.row buf "%s" l);
   let mismatches =
     List.concat_map
-      (fun (r : Gpu_tv.Domains.report) ->
-        match
-          List.find_opt
-            (fun (_, t) -> Gpu_tv.Simrel.target_name t = r.Gpu_tv.Domains.dr_label)
-            Lint.standard_targets
-        with
+      (fun (v, (r : Gpu_tv.Domains.report)) ->
+        match Gpu_tv.Domains.sor_flavor v with
         | None -> []
-        | Some (_, t) -> (
-            match Gpu_tv.Domains.sor_flavor_of_target t with
-            | None -> []
-            | Some f ->
-                List.map
-                  (fun s ->
-                    Printf.sprintf "%s disagrees with Sor.protects on %s"
-                      r.Gpu_tv.Domains.dr_label
-                      (Rmt_core.Sor.structure_name s))
-                  (Gpu_tv.Domains.crosscheck_sor r f)))
+        | Some f ->
+            List.map
+              (fun s ->
+                Printf.sprintf "%s disagrees with Sor.protects on %s"
+                  r.Gpu_tv.Domains.dr_label
+                  (Rmt_core.Sor.structure_name s))
+              (Gpu_tv.Domains.crosscheck_sor r f))
       reports
   in
   (match mismatches with
@@ -1342,8 +1333,7 @@ let coststatic ctx =
         (fun (name, v) ->
           let s = get ctx b v in
           let p =
-            Gpu_tv.Costmodel.predict ~cfg:ctx.cfg ~local_items:local
-              (Gpu_tv.Simrel.V v) k0
+            Gpu_tv.Costmodel.predict ~cfg:ctx.cfg ~local_items:local v k0
           in
           let problems =
             Gpu_tv.Costmodel.reconcile p ~base:(measured_of base)

@@ -32,17 +32,14 @@ module Json = Gpu_trace.Json
 
 (** The lint matrix: every RMT flavor with a pairing to validate
     (the baseline has no redundancy to lint). *)
-let standard_targets : (string * Simrel.target) list =
+let standard_targets : (string * Rmt_core.Transform.variant) list =
   [
-    ("intra+lds", Simrel.V Rmt_core.Transform.intra_plus_lds);
-    ("intra-lds", Simrel.V Rmt_core.Transform.intra_minus_lds);
-    ("intra+fast", Simrel.V Rmt_core.Transform.intra_plus_lds_fast);
-    ("inter", Simrel.V Rmt_core.Transform.inter_group);
-    ("tmr", Simrel.Tmr);
+    ("intra+lds", Rmt_core.Transform.intra_plus_lds);
+    ("intra-lds", Rmt_core.Transform.intra_minus_lds);
+    ("intra+fast", Rmt_core.Transform.intra_plus_lds_fast);
+    ("inter", Rmt_core.Transform.inter_group);
+    ("tmr", Rmt_core.Transform.Tmr);
   ]
-
-let target_of_string s =
-  List.assoc_opt (String.lowercase_ascii s) standard_targets
 
 (* Sampling cap per subject: experiments are enumerated replica-major
    and sampled by stride, so every replica stays represented. The cap
@@ -90,9 +87,9 @@ let violation_findings (subj : Simrel.subject) (res : Simrel.result) :
 let lint_target ?(local_items = Simrel.default_local_items)
     ?(max_experiments = default_max_experiments) ?step_limit
     ?(cfg = Gpu_sim.Config.default) ~(k0 : Gpu_ir.Types.kernel)
-    ((label, target) : string * Simrel.target) : entry =
-  match Simrel.subject ~local_items target k0 with
-  | exception Simrel.Unsupported msg ->
+    (label, variant) : entry =
+  match Simrel.subject ~local_items variant k0 with
+  | exception Rmt_core.Transform.Unsupported msg ->
       {
         l_label = label;
         l_kernel = None;
@@ -105,11 +102,11 @@ let lint_target ?(local_items = Simrel.default_local_items)
   | subj ->
       let res = Simrel.validate ~max_experiments ?step_limit subj in
       let domains =
-        Domains.derive ~target ~original:subj.Simrel.s_original
+        Domains.derive ~variant ~original:subj.Simrel.s_original
           ~transformed:subj.Simrel.s_transformed
       in
       let domain_findings =
-        match Domains.sor_flavor_of_target target with
+        match Domains.sor_flavor variant with
         | None -> []
         | Some flavor ->
             List.map
@@ -121,7 +118,7 @@ let lint_target ?(local_items = Simrel.default_local_items)
                      (Rmt_core.Sor.structure_name s)))
               (Domains.crosscheck_sor domains flavor)
       in
-      let cost = Costmodel.predict ~cfg ~local_items target k0 in
+      let cost = Costmodel.predict ~cfg ~local_items variant k0 in
       {
         l_label = label;
         l_kernel = Some subj.Simrel.s_transformed;

@@ -67,15 +67,14 @@ type prediction = {
           are at least floor × baseline *)
 }
 
-let replicas_of = function
-  | Simrel.V Transform.Original -> 1
-  | Simrel.V (Transform.Intra _) | Simrel.V (Transform.Inter _) -> 2
-  | Simrel.Tmr -> 3
+let replicas_of : Transform.variant -> int = function
+  | Original -> 1
+  | Intra _ | Inter _ -> 2
+  | Tmr -> 3
 
-let comm_census (target : Simrel.target) ~(original : kernel)
-    ~(transformed : kernel) : comm_counts =
-  let flavor = Simrel.sor_flavor_of_target target in
-  let publish = Rmt_core.Sor_check.channel_publish_sites flavor transformed in
+let comm_census variant ~(original : kernel) ~(transformed : kernel) :
+    comm_counts =
+  let publish = Rmt_core.Sor_check.channel_publish_sites variant transformed in
   let sl = Gpu_ir.Slice.of_kernel transformed in
   let insts = sl.Gpu_ir.Slice.insts in
   let sl0 = Gpu_ir.Slice.of_kernel original in
@@ -89,54 +88,51 @@ let comm_census (target : Simrel.target) ~(original : kernel)
       Array.length insts - Array.length sl0.Gpu_ir.Slice.insts;
   }
 
-(** Predict the cost of [target] applied to [k0] for a launch with flat
+(** Predict the cost of [variant] applied to [k0] for a launch with flat
     work-group size [local_items] (the {e original} launch's; the
     transform's own geometry mapping is applied internally, mirroring
     the harness). *)
 let predict ?(cfg = Gpu_sim.Config.default) ?(local_items = 64)
-    (target : Simrel.target) (k0 : kernel) : prediction =
-  let transformed, group_items =
-    match target with
-    | Simrel.V v ->
-        let nd0 = Gpu_sim.Geom.make_ndrange local_items local_items in
-        let nd = Transform.map_ndrange v nd0 in
-        (Transform.apply v ~local_items k0, Gpu_sim.Geom.group_items nd)
-    | Simrel.Tmr ->
-        (Rmt_core.Tmr.transform ~local_items k0, 3 * local_items)
+    (variant : Transform.variant) (k0 : kernel) : prediction =
+  let transformed = Transform.apply variant ~local_items k0 in
+  let group_items =
+    Gpu_sim.Geom.group_items
+      (Transform.map_ndrange variant
+         (Gpu_sim.Geom.make_ndrange local_items local_items))
   in
-  let usage_base = Regpressure.analyze k0 in
+let usage_base = Regpressure.analyze k0 in
   let usage_rmt = Regpressure.analyze transformed in
   let occ_base =
     Occupancy.compute cfg ~usage:usage_base ~group_items:local_items
   in
   let occ_rmt = Occupancy.compute cfg ~usage:usage_rmt ~group_items in
-  let replicas = replicas_of target in
+  let replicas = replicas_of variant in
   let store_lo, store_hi =
-    match target with
-    | Simrel.V Transform.Original -> (1, 1)
-    | Simrel.V (Transform.Intra _) -> (1, 2)
+    match variant with
+    | Original -> (1, 1)
+    | Intra _ -> (1, 2)
         (* consumer-only commits, but per-issue counting doubles
            wave-filling stores across the doubled wave population *)
-    | Simrel.V (Transform.Inter { comm = true }) ->
+    | Inter { comm = true } ->
         (3, 3) (* commit + addr/value deposits, all group-uniform *)
-    | Simrel.V (Transform.Inter { comm = false }) -> (1, 3)
-    | Simrel.Tmr -> (1, 3) (* voter-only commits, tripled lanes *)
+    | Inter { comm = false } -> (1, 3)
+    | Tmr -> (1, 3) (* voter-only commits, tripled lanes *)
   in
   let inst_floor =
-    match target with
-    | Simrel.V Transform.Original -> 1
-    | Simrel.V (Transform.Intra _) | Simrel.Tmr -> 1 (* lane-level *)
-    | Simrel.V (Transform.Inter _) -> replicas (* every wave re-runs *)
+    match variant with
+    | Original -> 1
+    | Intra _ | Tmr -> 1 (* lane-level *)
+    | Inter _ -> replicas (* every wave re-runs *)
   in
   {
-    c_label = Simrel.target_name target;
+    c_label = Transform.name variant;
     c_group_items = group_items;
     c_replicas = replicas;
     c_usage_base = usage_base;
     c_usage_rmt = usage_rmt;
     c_occ_base = occ_base;
     c_occ_rmt = occ_rmt;
-    c_comm = comm_census target ~original:k0 ~transformed;
+    c_comm = comm_census variant ~original:k0 ~transformed;
     c_store_lo = store_lo;
     c_store_hi = store_hi;
     c_inst_floor = inst_floor;

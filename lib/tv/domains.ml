@@ -87,15 +87,16 @@ let channel_names =
 
 (* The flavor's stated LDS policy, the fallback when the kernel has no
    LDS of its own to read the policy off. *)
-let policy_replicates_lds = function
-  | Simrel.V (Rmt_core.Transform.Intra { include_lds; _ }) -> include_lds
-  | Simrel.Tmr -> true
-  | Simrel.V Rmt_core.Transform.Original -> false
-  | Simrel.V (Rmt_core.Transform.Inter _) -> true
+let policy_replicates_lds : Rmt_core.Transform.variant -> bool = function
+  | Intra { include_lds; _ } -> include_lds
+  | Tmr -> true
+  | Original -> false
+  | Inter _ -> true
 
-let derive ~(target : Simrel.target) ~(original : Gpu_ir.Types.kernel)
-    ~(transformed : Gpu_ir.Types.kernel) : report =
-  let pairing = Simrel.pairing_of_target target in
+let derive ~(variant : Rmt_core.Transform.variant)
+    ~(original : Gpu_ir.Types.kernel) ~(transformed : Gpu_ir.Types.kernel) :
+    report =
+  let pairing = Simrel.pairing_of_variant variant in
   let loc = locality_of pairing in
   let lds_rep =
     match loc with
@@ -103,7 +104,7 @@ let derive ~(target : Simrel.target) ~(original : Gpu_ir.Types.kernel)
     | Lx_group -> true (* per-group LDS: replicas in distinct groups *)
     | Lx_lane ->
         if original.Gpu_ir.Types.lds_allocs = [] then
-          policy_replicates_lds target
+          policy_replicates_lds variant
         else lds_replicated ~original ~transformed
   in
   let protected_ (s : Sor.structure) =
@@ -136,7 +137,7 @@ let derive ~(target : Simrel.target) ~(original : Gpu_ir.Types.kernel)
       0 transformed.Gpu_ir.Types.lds_allocs
   in
   {
-    dr_label = Simrel.target_name target;
+    dr_label = Rmt_core.Transform.name variant;
     dr_pairing = pairing;
     dr_domains =
       List.map
@@ -154,14 +155,10 @@ let derive ~(target : Simrel.target) ~(original : Gpu_ir.Types.kernel)
 (** Derive a flavor's report from a fresh transform of [k0] (a
     convenience over {!Simrel.subject} for callers that only need the
     static matrix). *)
-let of_kernel ?(local_items = Simrel.default_local_items)
-    (target : Simrel.target) (k0 : Gpu_ir.Types.kernel) : report =
-  let transformed =
-    match target with
-    | Simrel.V v -> Rmt_core.Transform.apply v ~local_items k0
-    | Simrel.Tmr -> Rmt_core.Tmr.transform ~local_items k0
-  in
-  derive ~target ~original:k0 ~transformed
+let of_kernel ?(local_items = Simrel.default_local_items) variant
+    (k0 : Gpu_ir.Types.kernel) : report =
+  derive ~variant ~original:k0
+    ~transformed:(Rmt_core.Transform.apply variant ~local_items k0)
 
 let protects r s =
   match List.find_opt (fun d -> d.dm_structure = s) r.dr_domains with
@@ -174,13 +171,11 @@ let protects r s =
 
 (** The {!Rmt_core.Sor} flavor whose declared matrix this report must
     reproduce, when the paper states one. *)
-let sor_flavor_of_target = function
-  | Simrel.V (Rmt_core.Transform.Intra { include_lds = true; _ }) ->
-      Some Sor.Intra_plus_lds
-  | Simrel.V (Rmt_core.Transform.Intra { include_lds = false; _ }) ->
-      Some Sor.Intra_minus_lds
-  | Simrel.V (Rmt_core.Transform.Inter _) -> Some Sor.Inter_group
-  | Simrel.V Rmt_core.Transform.Original | Simrel.Tmr -> None
+let sor_flavor : Rmt_core.Transform.variant -> Sor.flavor option = function
+  | Intra { include_lds = true; _ } -> Some Sor.Intra_plus_lds
+  | Intra { include_lds = false; _ } -> Some Sor.Intra_minus_lds
+  | Inter _ -> Some Sor.Inter_group
+  | Original | Tmr -> None
 
 (** Structures on which the derived matrix disagrees with the declared
     {!Sor.protects} table ([[]] = the derivation reproduces the paper's

@@ -36,29 +36,15 @@ module Geom = Gpu_sim.Geom
 module Transform = Rmt_core.Transform
 module Slice = Gpu_ir.Slice
 
-(** A validated kernel version: the harness transforms plus TMR. *)
-type target = V of Transform.variant | Tmr
-
-let target_name = function
-  | V v -> Transform.name v
-  | Tmr -> "tmr"
-
 type pairing = P_none | P_lane_parity | P_group_parity | P_lane_mod3
 
-let pairing_of_target = function
-  | V Transform.Original -> P_none
-  | V (Transform.Intra _) -> P_lane_parity
-  | V (Transform.Inter _) -> P_group_parity
+(** How a variant's replicas are laid out: the pairing map the fault
+    experiments inject into. *)
+let pairing_of_variant : Transform.variant -> pairing = function
+  | Original -> P_none
+  | Intra _ -> P_lane_parity
+  | Inter _ -> P_group_parity
   | Tmr -> P_lane_mod3
-
-let sor_flavor_of_target = function
-  | V Transform.Original -> Rmt_core.Sor_check.F_original
-  | V (Transform.Intra { include_lds = true; _ }) ->
-      Rmt_core.Sor_check.F_intra_plus
-  | V (Transform.Intra { include_lds = false; _ }) ->
-      Rmt_core.Sor_check.F_intra_minus
-  | V (Transform.Inter _) -> Rmt_core.Sor_check.F_inter
-  | Tmr -> Rmt_core.Sor_check.F_tmr
 
 type subject = {
   s_label : string;
@@ -79,8 +65,6 @@ type subject = {
           unreplicated slot/flag addressing of the inserted checking
           code, cut out of the injection slice *)
 }
-
-exception Unsupported of string
 
 (* Synthetic launch: buffer parameters get well-separated base
    addresses (memory is unbounded and pseudo-randomly initialized, so
@@ -103,26 +87,22 @@ let synth_args (k : kernel) =
 let default_local_items = 16
 let default_logical_groups = 2
 
+(** The validation subject of [variant] on [k0]: both kernels with the
+    synthetic launch plans of [logical_groups] groups of [local_items].
+    @raise Transform.Unsupported when the transform rejects [k0]. *)
 let subject ?(local_items = default_local_items)
     ?(logical_groups = default_logical_groups) ?(mutate = fun k -> k)
-    (target : target) (k0 : kernel) : subject =
+    (variant : Transform.variant) (k0 : kernel) : subject =
   let nd0 = Geom.make_ndrange (logical_groups * local_items) local_items in
-  let transformed, nd_rmt =
-    try
-      match target with
-      | V v -> (Transform.apply v ~local_items k0, Transform.map_ndrange v nd0)
-      | Tmr -> (Rmt_core.Tmr.transform ~local_items k0, Rmt_core.Tmr.map_ndrange nd0)
-    with
-    | Rmt_core.Intra_group.Unsupported m | Rmt_core.Tmr.Unsupported m ->
-        raise (Unsupported m)
-  in
+  let transformed = Transform.apply variant ~local_items k0 in
+  let nd_rmt = Transform.map_ndrange variant nd0 in
   (* [mutate] seeds a defect into the transformed kernel (the
      miscompile fixtures); the identity for genuine validation. *)
   let transformed = mutate transformed in
   let args0 = synth_args k0 in
   let args_rmt, init_rmt, exempt_global =
-    match target with
-    | V (Transform.Inter _) ->
+    match variant with
+    | Inter _ ->
         let comm_bytes = Rmt_core.Inter_group.comm_buffer_bytes nd0 in
         (* The launcher zeroes the counter and the comm buffer (the
            hand-off flags must read 0 before the first deposit). *)
@@ -148,20 +128,17 @@ let subject ?(local_items = default_local_items)
       (Machine.lds_offsets transformed)
   in
   let compare_local =
-    match target with
-    | V (Transform.Intra { include_lds = false; _ }) -> true
-    | _ -> false
+    match variant with Intra { include_lds = false; _ } -> true | _ -> false
   in
-  let flavor = sor_flavor_of_target target in
-  let publish = Rmt_core.Sor_check.channel_publish_sites flavor transformed in
+  let publish = Rmt_core.Sor_check.channel_publish_sites variant transformed in
   let chan_addr =
-    Rmt_core.Sor_check.channel_address_regs flavor transformed
+    Rmt_core.Sor_check.channel_address_regs variant transformed
   in
   {
-    s_label = target_name target;
+    s_label = Transform.name variant;
     s_original = k0;
     s_transformed = transformed;
-    s_pairing = pairing_of_target target;
+    s_pairing = pairing_of_variant variant;
     s_publish = publish;
     s_chan_addr = chan_addr;
     s_plan_orig =

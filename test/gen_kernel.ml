@@ -248,7 +248,7 @@ let run ?(transform = Rmt_core.Transform.Original) ?(optimize = false) ?defect
   let nd = Rmt_core.Transform.map_ndrange transform nd0 in
   let args =
     [ Gpu_sim.Device.A_buf input; A_buf output; A_i32 12345 ]
-    @ Rmt_core.Transform.extra_args transform dev ~nd:nd0
+    @ (Rmt_core.Transform.make_extras transform dev ~nd:nd0).ex_args
   in
   let res = Gpu_sim.Device.launch dev k ~nd ~args in
   (match res.Gpu_sim.Device.outcome with

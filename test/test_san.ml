@@ -167,7 +167,7 @@ let test_tmr_dynamic_clean () =
   in
   Builder.gstore_elem b output gid w;
   let k0 = Builder.finish b in
-  let k = Rmt_core.Tmr.transform ~local_items:wg k0 in
+  let k = T.apply T.Tmr ~local_items:wg k0 in
   Verify.check k;
   let n = 256 in
   let san = Shadow.create () in
@@ -178,7 +178,7 @@ let test_tmr_dynamic_clean () =
   Sim.Device.write_i32_array dev inp data;
   let r =
     Sim.Device.launch dev k
-      ~nd:(Rmt_core.Tmr.map_ndrange (Sim.Geom.make_ndrange n wg))
+      ~nd:(T.map_ndrange T.Tmr (Sim.Geom.make_ndrange n wg))
       ~args:[ Sim.Device.A_buf inp; A_buf out ]
   in
   check Alcotest.bool "finished" true
@@ -207,7 +207,7 @@ let test_check_bench_clean () =
 let test_check_tmr_static_only_skip () =
   let report =
     Harness.Check.check_bench
-      ~targets:[ ("tmr", Harness.Check.T_tmr) ]
+      ~targets:[ ("tmr", T.Tmr) ]
       (Kernels.Registry.find "BinS")
   in
   let e =
@@ -339,53 +339,51 @@ let sor_kernel () =
 let test_static_checker_accepts_transformed () =
   let k0 = sor_kernel () in
   List.iter
-    (fun (variant, flavor, label) ->
-      let k = T.apply variant ~local_items:64 k0 in
-      match Sor.check flavor k with
+    (fun (variant, local_items, label) ->
+      let k = T.apply variant ~local_items k0 in
+      match Sor.check variant k with
       | [] -> ()
       | v :: _ ->
           Alcotest.fail
             (Printf.sprintf "%s rejected: %s" label (Sor.describe v)))
     [
-      (T.Original, Sor.F_original, "original");
-      (T.intra_plus_lds, Sor.F_intra_plus, "intra+lds");
-      (T.intra_plus_lds_fast, Sor.F_intra_plus, "intra+lds fast");
-      (T.intra_minus_lds, Sor.F_intra_minus, "intra-lds");
-      (T.intra_minus_lds_fast, Sor.F_intra_minus, "intra-lds fast");
-      (T.inter_group, Sor.F_inter, "inter");
-    ];
-  match Sor.check Sor.F_tmr (Rmt_core.Tmr.transform ~local_items:16 k0) with
-  | [] -> ()
-  | v :: _ -> Alcotest.fail (Printf.sprintf "tmr rejected: %s" (Sor.describe v))
+      (T.Original, 64, "original");
+      (T.intra_plus_lds, 64, "intra+lds");
+      (T.intra_plus_lds_fast, 64, "intra+lds fast");
+      (T.intra_minus_lds, 64, "intra-lds");
+      (T.intra_minus_lds_fast, 64, "intra-lds fast");
+      (T.inter_group, 64, "inter");
+      (T.Tmr, 16, "tmr");
+    ]
 
 let test_static_checker_flags_elided_comparison () =
   let k0 = sor_kernel () in
   let cases =
     [
       (* untransformed code claims an RMT contract *)
-      (k0, Sor.F_intra_plus, "untransformed as intra+lds");
+      (k0, T.intra_plus_lds, "untransformed as intra+lds");
       (* comparison elided: the ablations duplicate but never compare *)
       ( T.apply
           (T.Intra { include_lds = true; comm = Rmt_core.Intra_group.Comm_none })
           ~local_items:64 k0,
-        Sor.F_intra_plus,
+        T.intra_plus_lds,
         "intra no-comm" );
       ( T.apply (T.Inter { comm = false }) ~local_items:64 k0,
-        Sor.F_inter,
+        T.inter_group,
         "inter no-comm" );
       (* +LDS kernels leave local stores uncompared: the -LDS contract
          (local stores inside the sphere) must reject them *)
       ( T.apply T.intra_plus_lds ~local_items:64 k0,
-        Sor.F_intra_minus,
+        T.intra_minus_lds,
         "intra+lds under the -LDS contract" );
     ]
   in
   List.iter
-    (fun (k, flavor, label) ->
+    (fun (k, contract, label) ->
       check Alcotest.bool
         (Printf.sprintf "%s flagged" label)
         true
-        (Sor.check flavor k <> []))
+        (Sor.check contract k <> []))
     cases
 
 (* ------------------------------------------------------------------ *)

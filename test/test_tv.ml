@@ -15,13 +15,13 @@ module P = Gpu_prof.Provenance
 let tc = Alcotest.test_case
 let check = Alcotest.check
 
-let all_targets =
+let all_variants =
   [
-    ("intra+lds", Simrel.V T.intra_plus_lds);
-    ("intra-lds", Simrel.V T.intra_minus_lds);
-    ("intra+fast", Simrel.V T.intra_plus_lds_fast);
-    ("inter", Simrel.V T.inter_group);
-    ("tmr", Simrel.Tmr);
+    ("intra+lds", T.intra_plus_lds);
+    ("intra-lds", T.intra_minus_lds);
+    ("intra+fast", T.intra_plus_lds_fast);
+    ("inter", T.inter_group);
+    ("tmr", T.Tmr);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -33,9 +33,9 @@ let test_registry_accepted () =
     (fun (b : Kernels.Bench.t) ->
       let k0 = b.make_kernel () in
       List.iter
-        (fun (label, target) ->
-          match Simrel.subject target k0 with
-          | exception Simrel.Unsupported _ -> ()
+        (fun (label, variant) ->
+          match Simrel.subject variant k0 with
+          | exception T.Unsupported _ -> ()
           | subj ->
               let r = Simrel.validate ~max_experiments:150 subj in
               if not (Simrel.ok r) then
@@ -47,7 +47,7 @@ let test_registry_accepted () =
                               (Gpu_ir.Slice.of_kernel subj.Simrel.s_transformed)
                                 .Gpu_ir.Slice.insts)
                            r.Simrel.res_violations))))
-        all_targets)
+        all_variants)
     Kernels.Registry.all
 
 (* ------------------------------------------------------------------ *)
@@ -59,14 +59,11 @@ let negative_benches = [ "MM"; "R"; "BinS"; "DCT" ]
 let ablations =
   [
     ( "intra+lds/no-comm",
-      Simrel.V
-        (T.Intra
-           { include_lds = true; comm = Rmt_core.Intra_group.Comm_none }) );
+      T.Intra { include_lds = true; comm = Rmt_core.Intra_group.Comm_none } );
     ( "intra-lds/no-comm",
-      Simrel.V
-        (T.Intra
-           { include_lds = false; comm = Rmt_core.Intra_group.Comm_none }) );
-    ("inter/no-comm", Simrel.V (T.Inter { comm = false }));
+      T.Intra { include_lds = false; comm = Rmt_core.Intra_group.Comm_none }
+    );
+    ("inter/no-comm", T.Inter { comm = false });
   ]
 
 (* An accepted negative is a validator escape: a transform whose checks
@@ -76,8 +73,8 @@ let test_ablations_rejected () =
     (fun id ->
       let k0 = (Kernels.Registry.find id).make_kernel () in
       List.iter
-        (fun (label, target) ->
-          let subj = Simrel.subject target k0 in
+        (fun (label, variant) ->
+          let subj = Simrel.subject variant k0 in
           let r = Simrel.validate ~max_experiments:150 subj in
           if Simrel.ok r then
             Alcotest.fail
@@ -93,7 +90,7 @@ let test_miscompiles_rejected () =
         (fun mode ->
           let subj =
             Simrel.subject ~mutate:(Miscompile.apply mode)
-              (Simrel.V T.intra_plus_lds) k0
+              T.intra_plus_lds k0
           in
           (* the surgery keeps the kernel structurally well-formed *)
           Gpu_ir.Verify.check subj.Simrel.s_transformed;
@@ -127,11 +124,11 @@ let test_domains_match_sor () =
     (fun (b : Kernels.Bench.t) ->
       let k0 = b.make_kernel () in
       List.iter
-        (fun (label, target) ->
-          match Domains.of_kernel target k0 with
-          | exception Simrel.Unsupported _ -> ()
+        (fun (label, variant) ->
+          match Domains.of_kernel variant k0 with
+          | exception T.Unsupported _ -> ()
           | r -> (
-              match Domains.sor_flavor_of_target target with
+              match Domains.sor_flavor variant with
               | None -> ()
               | Some flavor -> (
                   match Domains.crosscheck_sor r flavor with
@@ -142,7 +139,7 @@ let test_domains_match_sor () =
                            label
                            (String.concat ", "
                               (List.map Rmt_core.Sor.structure_name ss))))))
-        all_targets)
+        all_variants)
     Kernels.Registry.all
 
 let provenance_record ~structure ~consumed ~detected =
@@ -163,7 +160,7 @@ let provenance_record ~structure ~consumed ~detected =
 
 let test_campaign_crosscheck () =
   let k0 = (Kernels.Registry.find "MM").make_kernel () in
-  let r = Domains.of_kernel (Simrel.V T.intra_plus_lds) k0 in
+  let r = Domains.of_kernel T.intra_plus_lds k0 in
   (* consumed-and-detected VGPR fault: consistent with VRF protection *)
   let good =
     P.aggregate [ provenance_record ~structure:P.S_vgpr ~consumed:true ~detected:true ]
@@ -211,7 +208,7 @@ let test_costmodel_reconciles () =
       let base = Harness.Run.run b T.Original in
       List.iter
         (fun (label, v) ->
-          let p = Costmodel.predict ~local_items:local (Simrel.V v) k0 in
+          let p = Costmodel.predict ~local_items:local v k0 in
           let rmt = Harness.Run.run b v in
           match
             Costmodel.reconcile p ~base:(measured_of base)
@@ -232,10 +229,10 @@ let test_costmodel_reconciles () =
    claim; assert the prediction states it as an exact bound. *)
 let test_costmodel_bounds_shape () =
   let k0 = (Kernels.Registry.find "MM").make_kernel () in
-  let inter = Costmodel.predict (Simrel.V T.inter_group) k0 in
+  let inter = Costmodel.predict T.inter_group k0 in
   check Alcotest.(pair int int) "inter stores exactly 3x" (3, 3)
     (inter.Costmodel.c_store_lo, inter.Costmodel.c_store_hi);
-  let intra = Costmodel.predict (Simrel.V T.intra_plus_lds) k0 in
+  let intra = Costmodel.predict T.intra_plus_lds k0 in
   check Alcotest.(pair int int) "intra stores within [1x, 2x]" (1, 2)
     (intra.Costmodel.c_store_lo, intra.Costmodel.c_store_hi);
   check Alcotest.bool "intra inserts checks" true
@@ -258,11 +255,11 @@ let test_regpressure_never_underestimates () =
       let kernels =
         (b.id ^ "/original", k0)
         :: List.filter_map
-             (fun (label, target) ->
-               match Simrel.subject target k0 with
-               | exception Simrel.Unsupported _ -> None
+             (fun (label, variant) ->
+               match Simrel.subject variant k0 with
+               | exception T.Unsupported _ -> None
                | subj -> Some (b.id ^ "/" ^ label, subj.Simrel.s_transformed))
-             all_targets
+             all_variants
       in
       List.iter
         (fun (what, k) ->
