@@ -69,9 +69,10 @@ let test_golden () =
       (List.length diffs) (List.length runs)
       (String.concat "\n" diffs)
 
-(* The report text of two extension studies, each under a "== label"
-   header: the TMR study (quick campaigns, one worker) and the static
-   Table 2/3 derivation. On a mismatch the actual text is written to a
+(* The report text of three extension studies, each under a "== label"
+   header: the TMR study (quick campaigns, one worker), the static
+   Table 2/3 derivation and the wavefront-size study (one worker; its
+   runs use configs other than the context's). On a mismatch the actual text is written to a
    temporary file, which replaces golden_reports.txt when the change is
    deliberate. *)
 let golden_reports_file =
@@ -80,9 +81,12 @@ let golden_reports_file =
 let golden_reports_text () =
   let ctx = Harness.Experiments.create_ctx ~quick:true ~jobs:1 () in
   let tmr = Harness.Experiments.tmr ctx in
+  let wavesize = Harness.Experiments.wavesize ctx in
   Harness.Experiments.shutdown ctx;
-  Printf.sprintf "== exp tmr --quick\n%s== exp table2static\n%s" tmr
+  Printf.sprintf "== exp tmr --quick\n%s== exp table2static\n%s== exp wavesize\n%s"
+    tmr
     (Harness.Experiments.table2static ())
+    wavesize
 
 let test_golden_reports () =
   let expected =
