@@ -20,8 +20,10 @@
                                  relation under fault injection) + static
                                  protection-domain report + cost prediction;
                                  exit 1 on findings
-     exp     <name>              regenerate one table/figure (table1..fig9,
-                                 coverage, all)
+     exp     <name>...           regenerate tables, figures and studies
+                                 (table1..fig9, coverage, the extensions,
+                                 export, all); --metrics writes the
+                                 BENCH_<rev>.json trajectory
 
    Exit codes are uniform: 0 success, 1 findings/regressions in otherwise
    valid invocations, 2 usage errors (unknown subcommand, argument or
@@ -428,6 +430,13 @@ let do_runfile path variant global local arg_specs shows =
   in
   if global mod local <> 0 then
     usage "option '--global': %d is not a multiple of --local %d" global local;
+  let cfg = Gpu_sim.Config.default in
+  let nd0 = Gpu_sim.Geom.make_ndrange global local in
+  let nd = T.map_ndrange variant nd0 in
+  let items = Gpu_sim.Geom.group_items nd in
+  if items > cfg.max_workgroup_size then
+    usage "option '--local': %d work-items per group under %s exceed the \
+           device maximum of %d" items (T.name variant) cfg.max_workgroup_size;
   let k0 = load_rgk path in
   let nparams = Gpu_ir.Types.param_count k0 in
   if List.length arg_specs <> nparams then
@@ -438,18 +447,31 @@ let do_runfile path variant global local arg_specs shows =
       if lo < 0 || lo > hi then
         usage "option '--show': range %d..%d needs 0 <= LO <= HI" lo hi;
       match List.nth_opt arg_specs idx with
-      | Some (RA_buf _) -> ()
+      | Some (RA_buf (words, _)) ->
+          if lo >= words then
+            usage "option '--show': LO %d is not below the %d words of \
+                   parameter %d" lo words idx
       | _ -> usage "option '--show': no buffer at parameter %d" idx)
     shows;
+  List.iteri
+    (fun i (param, spec) ->
+      match (param, spec) with
+      | Gpu_ir.Types.Param_buffer _, RA_buf _
+      | Gpu_ir.Types.Param_scalar _, (RA_i32 _ | RA_f32 _) -> ()
+      | Gpu_ir.Types.Param_buffer name, _ ->
+          usage "option '--arg': parameter %d (%s) is a buffer (buf:WORDS)" i
+            name
+      | Gpu_ir.Types.Param_scalar name, _ ->
+          usage "option '--arg': parameter %d (%s) is a scalar (i32:V or f32:X)"
+            i name)
+    (List.combine k0.Gpu_ir.Types.params arg_specs);
   let k =
     try T.apply variant ~local_items:local k0
     with T.Unsupported msg ->
       Printf.eprintf "cannot apply %s: %s\n" (T.name variant) msg;
       exit 2
   in
-  let dev = Gpu_sim.Device.create Gpu_sim.Config.default in
-  let nd0 = Gpu_sim.Geom.make_ndrange global local in
-  let nd = T.map_ndrange variant nd0 in
+  let dev = Gpu_sim.Device.create cfg in
   let buffers = Hashtbl.create 8 in
   let args =
     List.mapi
@@ -491,54 +513,44 @@ let do_runfile path variant global local arg_specs shows =
 
 (* ---------------- exp ---------------- *)
 
-let do_exp name quick jobs =
-  let ctx = Harness.Experiments.create_ctx ~quick ?jobs () in
-  let table =
-    [
-      ("table1", fun () -> Harness.Experiments.table1 ());
-      ("table2", fun () -> Harness.Experiments.table2 ());
-      ("table3", fun () -> Harness.Experiments.table3 ());
-      ("fig2", fun () -> Harness.Experiments.fig2 ctx);
-      ("fig3", fun () -> Harness.Experiments.fig3 ctx);
-      ("fig4", fun () -> Harness.Experiments.fig4 ctx);
-      ("fig5", fun () -> Harness.Experiments.fig5 ctx);
-      ("fig6", fun () -> Harness.Experiments.fig6 ctx);
-      ("fig7", fun () -> Harness.Experiments.fig7 ctx);
-      ("fig8", fun () -> Harness.Experiments.fig8 ());
-      ("fig9", fun () -> Harness.Experiments.fig9 ctx);
-      ("coverage", fun () -> Harness.Experiments.coverage ctx);
-      ("opt", fun () -> Harness.Experiments.opt_ablation ctx);
-      ("tmr", fun () -> Harness.Experiments.tmr ctx);
-      ("wavesize", fun () -> Harness.Experiments.wavesize ctx);
-      ("naive", fun () -> Harness.Experiments.naive ctx);
-      ("schedpolicy", fun () -> Harness.Experiments.schedpolicy ctx);
-      ("occupancy", fun () -> Harness.Experiments.occupancy ctx);
-      ("pool", fun () -> Harness.Experiments.pool ctx);
-      ("devscale", fun () -> Harness.Experiments.devscale ctx);
-      ("table2static", fun () -> Harness.Experiments.table2static ());
-      ("coststatic", fun () -> Harness.Experiments.coststatic ctx);
-      ("explain", fun () -> Harness.Experiments.explain ctx);
-      ("compare", fun () -> Harness.Experiments.paper_compare ctx);
-      ("export", fun () -> Harness.Experiments.export ctx);
-      ("all", fun () -> Harness.Experiments.all ctx);
-    ]
+module E = Harness.Experiments
+
+let do_exp names quick jobs metrics =
+  let table = E.registry @ [ ("all", E.all) ] in
+  let no_dir =
+    match Option.map Filename.dirname metrics with
+    | Some d when not (Sys.file_exists d && Sys.is_directory d) -> Some d
+    | _ -> None
   in
-  match List.assoc_opt name table with
-  | Some f ->
-      let text = f () in
-      (* Pool observability goes to stderr: report text on stdout must stay
-         byte-identical at any -j. *)
-      if Harness.Experiments.jobs ctx > 1 then
-        Printf.eprintf "pool: %s\n%!" (Harness.Experiments.pool_stats_line ctx);
-      Harness.Experiments.shutdown ctx;
-      print_string text;
-      `Ok ()
-  | None ->
+  match (List.find_opt (fun n -> not (List.mem_assoc n table)) names, no_dir) with
+  | Some n, _ ->
       `Error
         ( true,
-          "unknown experiment (table1-3, fig2-9, coverage, occupancy, \
-           explain, opt, tmr, wavesize, naive, schedpolicy, pool, devscale, \
-           table2static, coststatic, compare, export, all)" )
+          Printf.sprintf "unknown experiment %s (one of: %s)" n
+            (String.concat ", " (List.map fst table)) )
+  | None, Some d ->
+      `Error (true, Printf.sprintf "option '--metrics': no directory %s" d)
+  | None, None ->
+      let ctx = E.create_ctx ~quick ?jobs () in
+      List.iter
+        (fun n ->
+          print_string (List.assoc n table ctx);
+          flush stdout)
+        names;
+      Option.iter
+        (fun path ->
+          Harness.Metrics.write_file path
+            (Harness.Metrics.bench_json ~rev:(Harness.Metrics.rev ())
+               ~jobs:(E.jobs ctx) ~runs:(E.cached_summaries ctx)
+               ~pool:(E.pool_stats ctx));
+          Printf.eprintf "metrics -> %s\n%!" path)
+        metrics;
+      (* Pool observability goes to stderr: report text on stdout must stay
+         byte-identical at any -j. *)
+      if E.jobs ctx > 1 then
+        Printf.eprintf "pool: %s\n%!" (E.pool_stats_line ctx);
+      E.shutdown ctx;
+      `Ok ()
 
 (* ---------------- cmdliner wiring ---------------- *)
 
@@ -839,15 +851,27 @@ let perfdiff_cmd =
     Term.(const do_perfdiff $ old_path $ new_path $ counter_tol)
 
 let exp_cmd =
-  let exp_name =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXP")
+  let names =
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"EXP")
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced fault campaigns")
   in
+  let metrics =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics" ] ~docv:"FILE"
+          ~doc:
+            "Also write the BENCH perf-trajectory JSON (every completed \
+             run's counters and the pool statistics) for $(b,perfdiff)")
+  in
   Cmd.v
-    (Cmd.info "exp" ~doc:"Regenerate a table or figure of the paper")
-    Term.(ret (const do_exp $ exp_name $ quick $ jobs_opt))
+    (Cmd.info "exp"
+       ~doc:
+         "Regenerate tables, figures and extension studies, in the order \
+          given; $(b,all) runs every one but $(b,export)")
+    Term.(ret (const do_exp $ names $ quick $ jobs_opt $ metrics))
 
 let runfile_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in

@@ -2,17 +2,17 @@
     table and figure, each returning the regenerated content as text.
 
     Results are cached per complete run fingerprint — (benchmark,
-    variant, scale, usage override, power window, device config) —
-    within a context, so that figures sharing runs (2/3/4, 6/7) do not
-    re-simulate. Runs execute on the context's {!Pool} of worker
-    domains: each figure first {e plans} its whole grid (submitting
-    every run it will need), then renders its report by awaiting the
-    cached futures in a fixed order, so the report text is byte-for-byte
-    identical at any [-j]. Progress goes to stderr (and may interleave
-    under [-j]); the report text is the return value. *)
+    variant, scale, usage override, power window, device config,
+    optimizer) — within a context, so that figures and studies sharing
+    runs (2/3/4, 6/7, the wave=64 and Greedy columns) do not re-simulate.
+    Runs execute on the context's {!Pool} of worker domains: each figure
+    first {e plans} its whole grid (submitting every run it will need),
+    then renders its report by awaiting the cached futures in a fixed
+    order, so the report text is byte-for-byte identical at any [-j].
+    Progress goes to stderr (and may interleave under [-j]); the report
+    text is the return value. *)
 
 module T = Rmt_core.Transform
-module Run_ = Run
 module Counters = Gpu_sim.Counters
 
 (* The cache key is a complete fingerprint of every run-affecting
@@ -27,8 +27,12 @@ type run_key = {
   k_scale : int;
   k_usage : (int * int * int) option;  (* vgprs, sgprs, lds override *)
   k_window : int option;
-  k_cfg : string;  (* digest of the device configuration *)
+  k_cfg : string;  (* digest of the run's device configuration *)
+  k_optimize : bool;
 }
+
+let cfg_fingerprint (cfg : Gpu_sim.Config.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string cfg []))
 
 type ctx = {
   cfg : Gpu_sim.Config.t;
@@ -42,7 +46,7 @@ type ctx = {
 let create_ctx ?(cfg = Gpu_sim.Config.default) ?(quick = false) ?jobs () =
   {
     cfg;
-    cfg_fp = Digest.to_hex (Digest.string (Marshal.to_string cfg []));
+    cfg_fp = cfg_fingerprint cfg;
     cache = Hashtbl.create 64;
     cache_lock = Mutex.create ();
     pool = Pool.create ?jobs ();
@@ -58,7 +62,7 @@ let campaign_map ctx f xs = Pool.map ctx.pool f xs
 
 let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
-let run_key ctx ~scale ~usage_override ~window_cycles
+let run_key ~cfg ~scale ~usage_override ~window_cycles ~optimize
     (bench : Kernels.Bench.t) variant =
   {
     k_bench = bench.id;
@@ -69,33 +73,37 @@ let run_key ctx ~scale ~usage_override ~window_cycles
         (fun (u : Gpu_ir.Regpressure.usage) -> (u.vgprs, u.sgprs, u.lds))
         usage_override;
     k_window = window_cycles;
-    k_cfg = ctx.cfg_fp;
+    k_cfg = cfg_fingerprint cfg;
+    k_optimize = optimize;
   }
 
 (* Look up the future for a run, submitting it to the pool on a miss.
    The cache is mutex-guarded; the submitted task touches neither the
    cache nor its lock (workers never submit work), so this cannot
    deadlock even when [jobs = 1] runs the task inline. *)
-let find_or_submit ctx ?(tag = "") ?(scale = 1) ?usage_override ?window_cycles
+let find_or_submit ctx ?(tag = "") ?(cfg = ctx.cfg) ?(scale = 1)
+    ?usage_override ?window_cycles ?(optimize = false)
     (bench : Kernels.Bench.t) variant : Run.summary Pool.future =
-  let key = run_key ctx ~scale ~usage_override ~window_cycles bench variant in
+  let key =
+    run_key ~cfg ~scale ~usage_override ~window_cycles ~optimize bench variant
+  in
   Mutex.lock ctx.cache_lock;
   match Hashtbl.find_opt ctx.cache key with
   | Some fut ->
       Mutex.unlock ctx.cache_lock;
       fut
   | None ->
-      progress "  running %-8s %s%s" bench.id (T.name variant)
-        (if tag = "" then "" else " [" ^ tag ^ "]");
+      let tag = if tag = "" then "" else " [" ^ tag ^ "]" in
+      progress "  running %-8s %s%s" bench.id (T.name variant) tag;
       let fut =
         Pool.submit ctx.pool (fun () ->
             let s =
-              Run.run ~cfg:ctx.cfg ~scale ?usage_override ?window_cycles bench
-                variant
+              Run.run ~cfg ~scale ~optimize ?usage_override ?window_cycles
+                bench variant
             in
             (if not s.verified then
-               progress "  WARNING: %s %s failed verification (%s)" bench.id
-                 (T.name variant)
+               progress "  WARNING: %s %s%s failed verification (%s)" bench.id
+                 (T.name variant) tag
                  (Run.outcome_name s.outcome));
             s)
       in
@@ -103,31 +111,37 @@ let find_or_submit ctx ?(tag = "") ?(scale = 1) ?usage_override ?window_cycles
       Mutex.unlock ctx.cache_lock;
       fut
 
-let get ctx ?tag ?scale ?usage_override ?window_cycles
+let get ctx ?tag ?cfg ?scale ?usage_override ?window_cycles ?optimize
     (bench : Kernels.Bench.t) variant : Run.summary =
   Pool.await
-    (find_or_submit ctx ?tag ?scale ?usage_override ?window_cycles bench
-       variant)
+    (find_or_submit ctx ?tag ?cfg ?scale ?usage_override ?window_cycles
+       ?optimize bench variant)
 
-let prefetch ctx ?tag ?scale ?usage_override ?window_cycles
+let prefetch ctx ?tag ?cfg ?scale ?usage_override ?window_cycles ?optimize
     (bench : Kernels.Bench.t) variant : unit =
   ignore
-    (find_or_submit ctx ?tag ?scale ?usage_override ?window_cycles bench
-       variant)
+    (find_or_submit ctx ?tag ?cfg ?scale ?usage_override ?window_cycles
+       ?optimize bench variant)
 
 (* ---- observability hooks for the metrics-export layer ---- *)
 
 let pool_stats ctx = Pool.stats ctx.pool
 let pool_stats_line ctx = Pool.stats_line ctx.pool
 
-let key_label (k : run_key) =
+(* Runs on the context's own config without the optimizer keep the
+   labels of the committed perfdiff baseline; every other run names its
+   config digest and the optimizer, so labels stay distinct. *)
+let key_label ctx (k : run_key) =
   String.concat "/"
     ([ k.k_bench; k.k_variant ]
     @ (if k.k_scale <> 1 then [ Printf.sprintf "x%d" k.k_scale ] else [])
     @ (match k.k_window with
       | Some w -> [ Printf.sprintf "w%d" w ]
       | None -> [])
-    @ match k.k_usage with Some _ -> [ "inflated" ] | None -> [])
+    @ (match k.k_usage with Some _ -> [ "inflated" ] | None -> [])
+    @ (if k.k_cfg <> ctx.cfg_fp then [ "cfg-" ^ String.sub k.k_cfg 0 8 ]
+       else [])
+    @ if k.k_optimize then [ "opt" ] else [])
 
 (* Completed runs currently in the cache, labelled and sorted so the
    export is deterministic. Pending or failed futures are skipped — a
@@ -135,7 +149,7 @@ let key_label (k : run_key) =
 let cached_summaries ctx : (string * Run.summary) list =
   Mutex.lock ctx.cache_lock;
   let entries =
-    Hashtbl.fold (fun k fut acc -> (key_label k, fut) :: acc) ctx.cache []
+    Hashtbl.fold (fun k fut acc -> (key_label ctx k, fut) :: acc) ctx.cache []
   in
   Mutex.unlock ctx.cache_lock;
   List.filter_map
@@ -571,42 +585,15 @@ let coverage ctx =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-
-let all ctx =
-  String.concat ""
-    [
-      table1 ();
-      table2 ();
-      table3 ();
-      fig2 ctx;
-      fig3 ctx;
-      fig4 ctx;
-      fig5 ctx;
-      fig6 ctx;
-      fig7 ctx;
-      fig8 ();
-      fig9 ctx;
-      coverage ctx;
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Extension: optimizer ablation (paper Sec. 6.6 suggests better        *)
 (* compiler register allocation would reduce RMT's scheduling costs)    *)
 (* ------------------------------------------------------------------ *)
 
 let opt_ablation ctx =
-  (* optimized runs bypass the cache (the fingerprint has no [optimize]
-     axis, and nothing else reuses them) but still fan out on the pool *)
   plan ctx [ T.Original; T.intra_plus_lds ];
-  let opt_futures =
-    List.map
-      (fun (b : Kernels.Bench.t) ->
-        progress "  running %-8s %s [optimized]" b.id (T.name T.intra_plus_lds);
-        ( b,
-          Pool.submit ctx.pool (fun () ->
-              Run.run ~cfg:ctx.cfg ~optimize:true b T.intra_plus_lds) ))
-      all_benches
-  in
+  List.iter
+    (fun b -> prefetch ctx ~tag:"optimized" ~optimize:true b T.intra_plus_lds)
+    all_benches;
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: optimizer ablation — Intra-Group+LDS slowdown and VGPR \
@@ -614,17 +601,15 @@ let opt_ablation ctx =
   Report.row buf "%-8s %10s %10s %12s %12s" "kernel" "unopt" "optimized"
     "VGPRs unopt" "VGPRs opt";
   List.iter
-    (fun ((b : Kernels.Bench.t), fut) ->
+    (fun (b : Kernels.Bench.t) ->
       let base = get ctx b T.Original in
       let rmt = get ctx b T.intra_plus_lds in
-      let opt = Pool.await fut in
-      if not opt.Run.verified then
-        progress "  WARNING: optimized %s failed verification" b.id;
+      let opt = get ctx ~optimize:true b T.intra_plus_lds in
       Report.row buf "%-8s %9.2fx %9.2fx %12d %12d" b.id
         (Run.slowdown ~base rmt) (Run.slowdown ~base opt)
         rmt.Run.usage.Gpu_ir.Regpressure.vgprs
         opt.Run.usage.Gpu_ir.Regpressure.vgprs)
-    opt_futures;
+    all_benches;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -708,19 +693,18 @@ let tmr ctx =
   let tally variant =
     (* independent injected runs: fan out on the pool, fold in order *)
     let runs =
-      List.init n_inj (fun i -> i + 1)
-      |> List.map (fun seed ->
-             progress "  injecting tmr-study seed %d" seed;
-             Pool.submit ctx.pool (fun () ->
-                 let inject =
-                   {
-                     Gpu_sim.Device.at_cycle = 50 + (seed * 41);
-                     target = Gpu_sim.Device.T_vgpr;
-                     iseed = seed;
-                   }
-                 in
-                 tmr_run ~inject variant))
-      |> List.map Pool.await
+      Pool.map ctx.pool
+        (fun seed ->
+          progress "  injecting tmr-study seed %d" seed;
+          tmr_run
+            ~inject:
+              {
+                Gpu_sim.Device.at_cycle = 50 + (seed * 41);
+                target = Gpu_sim.Device.T_vgpr;
+                iseed = seed;
+              }
+            variant)
+        (List.init n_inj (fun i -> i + 1))
     in
     let aborted = ref 0 and correct = ref 0 and sdc = ref 0 and other = ref 0 in
     List.iter
@@ -751,31 +735,54 @@ let tmr ctx =
 (* adjustable wavefront size as an RMT-friendly hardware knob)          *)
 (* ------------------------------------------------------------------ *)
 
+(* The studies that vary the device: each column is a cell (tag, config,
+   variant) whose value is the variant's slowdown over [Original] run
+   under the same config and scale. Every run goes through the cache, so
+   a column on the context's own config reuses the figures' runs. *)
+let plan_cells ctx ?scale benches cells =
+  List.iter
+    (fun b ->
+      List.iter
+        (fun (tag, cfg, v) ->
+          prefetch ctx ~tag ~cfg ?scale b T.Original;
+          prefetch ctx ~tag ~cfg ?scale b v)
+        cells)
+    benches
+
+let cell_slowdown ctx ?scale b (tag, cfg, v) =
+  Run.slowdown
+    ~base:(get ctx ~tag ~cfg ?scale b T.Original)
+    (get ctx ~tag ~cfg ?scale b v)
+
+(* Plan every cell, then one row per kernel: the id, then each cell's
+   slowdown right-aligned in a [width]-wide column. *)
+let slowdown_rows ctx buf ?scale ~width ids cells =
+  let benches = List.map Kernels.Registry.find ids in
+  plan_cells ctx ?scale benches cells;
+  List.iter
+    (fun (b : Kernels.Bench.t) ->
+      Report.row buf "%-8s%s" b.id
+        (String.concat ""
+           (List.map
+              (fun c ->
+                Printf.sprintf " %*.2fx" (width - 1)
+                  (cell_slowdown ctx ?scale b c))
+              cells)))
+    benches
+
 let wavesize ctx =
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: Intra-Group+LDS slowdown vs wavefront size";
   Report.row buf "%-8s %8s %8s %8s" "kernel" "wave=64" "wave=32" "wave=16";
-  let submit_slowdown_at ws (b : Kernels.Bench.t) =
-    progress "  running %-8s wave=%d" b.id ws;
-    Pool.submit ctx.pool (fun () ->
-        let cfg = { ctx.cfg with Gpu_sim.Config.wave_size = ws } in
-        let base = Run.run ~cfg b T.Original in
-        let rmt = Run.run ~cfg b T.intra_plus_lds in
-        if not (base.Run.verified && rmt.Run.verified) then
-          progress "  WARNING: %s wave=%d failed verification" b.id ws;
-        Run.slowdown ~base rmt)
-  in
-  List.map
-    (fun id ->
-      let b = Kernels.Registry.find id in
-      (b, List.map (fun ws -> submit_slowdown_at ws b) [ 64; 32; 16 ]))
+  slowdown_rows ctx buf ~width:8
     [ "BinS"; "BlkSch"; "DWT"; "R"; "SF"; "URNG" ]
-  |> List.iter (fun ((b : Kernels.Bench.t), cells) ->
-         match List.map Pool.await cells with
-         | [ s64; s32; s16 ] ->
-             Report.row buf "%-8s %7.2fx %7.2fx %7.2fx" b.id s64 s32 s16
-         | _ -> assert false);
+    (List.map
+       (fun ws ->
+         ( Printf.sprintf "wave=%d" ws,
+           { ctx.cfg with Gpu_sim.Config.wave_size = ws },
+           T.intra_plus_lds ))
+       [ 64; 32; 16 ]);
   Report.row buf
     "(on this device model smaller wavefronts mostly RAISE Intra-Group";
   Report.row buf
@@ -851,9 +858,6 @@ let explain ctx =
     all_benches;
   Buffer.contents buf
 
-(** Everything: the paper's evaluation plus the extension studies. *)
-let all_paper = all
-
 (* ------------------------------------------------------------------ *)
 (* Extension: naive full duplication baseline (paper Sec. 3.4)          *)
 (* ------------------------------------------------------------------ *)
@@ -894,35 +898,25 @@ let naive ctx =
 (* ------------------------------------------------------------------ *)
 
 let schedpolicy ctx =
+  let under tag p =
+    (tag, { ctx.cfg with Gpu_sim.Config.sched_policy = p }, T.intra_plus_lds)
+  in
+  let greedy = under "greedy" Gpu_sim.Config.Greedy
+  and rr = under "rr" Gpu_sim.Config.Round_robin in
+  let benches = List.map Kernels.Registry.find [ "BO"; "MM"; "R"; "SC"; "SF" ] in
+  plan_cells ctx benches [ greedy; rr ];
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: greedy vs round-robin wavefront scheduling under \
      Intra-Group+LDS";
   Report.row buf "%-8s %12s %12s %14s %14s" "kernel" "greedy base"
     "greedy RMT" "round-robin" "rr RMT";
-  List.map
-    (fun id ->
-      let b = Kernels.Registry.find id in
-      let submit_run policy variant =
-        progress "  running %-8s %s [%s]" b.id (T.name variant)
-          (match policy with
-          | Gpu_sim.Config.Greedy -> "greedy"
-          | Gpu_sim.Config.Round_robin -> "rr");
-        Pool.submit ctx.pool (fun () ->
-            let cfg = { ctx.cfg with Gpu_sim.Config.sched_policy = policy } in
-            Run.run ~cfg b variant)
-      in
-      ( b,
-        submit_run Gpu_sim.Config.Greedy T.Original,
-        submit_run Gpu_sim.Config.Greedy T.intra_plus_lds,
-        submit_run Gpu_sim.Config.Round_robin T.Original,
-        submit_run Gpu_sim.Config.Round_robin T.intra_plus_lds ))
-    [ "BO"; "MM"; "R"; "SC"; "SF" ]
-  |> List.iter (fun ((b : Kernels.Bench.t), gb, gr, rb, rr) ->
-         let gb = Pool.await gb and gr = Pool.await gr in
-         let rb = Pool.await rb and rr = Pool.await rr in
-         Report.row buf "%-8s %11dc %11.2fx %13dc %13.2fx" b.id gb.Run.cycles
-           (Run.slowdown ~base:gb gr) rb.Run.cycles (Run.slowdown ~base:rb rr));
+  List.iter
+    (fun (b : Kernels.Bench.t) ->
+      let cycles (tag, cfg, _) = (get ctx ~tag ~cfg b T.Original).Run.cycles in
+      Report.row buf "%-8s %11dc %11.2fx %13dc %13.2fx" b.id (cycles greedy)
+        (cell_slowdown ctx b greedy) (cycles rr) (cell_slowdown ctx b rr))
+    benches;
   Report.row buf
     "(the paper attributes some accidental RMT speedups to the greedy";
   Report.row buf
@@ -1225,29 +1219,15 @@ let devscale ctx =
     "Extension: RMT cost vs device size (12 CUs / 96 B-per-cycle DRAM      against 32 CUs / 160 B-per-cycle)";
   Report.row buf "%-8s %12s %12s %12s %12s" "kernel" "small intra"
     "big intra" "small inter" "big inter";
-  List.map
-    (fun id ->
-      let b = Kernels.Registry.find id in
-      let submit_slow cfg variant =
-        progress "  running %-8s %s [%d CUs]" b.id (T.name variant)
-          cfg.Gpu_sim.Config.n_cus;
-        Pool.submit ctx.pool (fun () ->
-            let base = Run.run ~cfg ~scale:2 b T.Original in
-            Run.slowdown ~base (Run.run ~cfg ~scale:2 b variant))
-      in
-      let small = ctx.cfg and big = big_cfg ctx.cfg in
-      ( b,
-        [
-          submit_slow small T.intra_plus_lds; submit_slow big T.intra_plus_lds;
-          submit_slow small T.inter_group; submit_slow big T.inter_group;
-        ] ))
+  slowdown_rows ctx buf ~scale:2 ~width:12
     [ "BinS"; "BlkSch"; "FWT"; "R"; "SF" ]
-  |> List.iter (fun ((b : Kernels.Bench.t), cells) ->
-         match List.map Pool.await cells with
-         | [ si; bi; sg; bg ] ->
-             Report.row buf "%-8s %11.2fx %11.2fx %11.2fx %11.2fx" b.id si bi
-               sg bg
-         | _ -> assert false);
+    (List.concat_map
+       (fun v ->
+         List.map
+           (fun (cfg : Gpu_sim.Config.t) ->
+             (Printf.sprintf "%d CUs" cfg.n_cus, cfg, v))
+           [ ctx.cfg; big_cfg ctx.cfg ])
+       [ T.intra_plus_lds; T.inter_group ]);
   Report.row buf
     "(more CUs per byte of DRAM bandwidth squeeze the memory-bound";
   Report.row buf
@@ -1363,9 +1343,41 @@ let coststatic ctx =
 
 (* ------------------------------------------------------------------ *)
 
-(** Everything: the paper's evaluation plus the extension studies
-    (CSV export is separate — it writes files). *)
+(** Every experiment by its [rmtgpu exp] name, in report order; the CSV
+    export, which writes files, comes last. *)
+let registry : (string * (ctx -> string)) list =
+  [
+    ("table1", fun _ -> table1 ());
+    ("table2", fun _ -> table2 ());
+    ("table3", fun _ -> table3 ());
+    ("fig2", fig2);
+    ("fig3", fig3);
+    ("fig4", fig4);
+    ("fig5", fig5);
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fun _ -> fig8 ());
+    ("fig9", fig9);
+    ("coverage", coverage);
+    (* extensions beyond the paper *)
+    ("occupancy", occupancy);
+    ("explain", explain);
+    ("compare", paper_compare);
+    ("opt", opt_ablation);
+    ("tmr", tmr);
+    ("wavesize", wavesize);
+    ("naive", naive);
+    ("schedpolicy", schedpolicy);
+    ("pool", pool);
+    ("devscale", devscale);
+    ("table2static", fun _ -> table2static ());
+    ("coststatic", coststatic);
+    ("export", fun ctx -> export ctx);
+  ]
+
+(** Everything in {!registry} but the CSV export. *)
 let all ctx =
-  all_paper ctx ^ occupancy ctx ^ explain ctx ^ paper_compare ctx
-  ^ opt_ablation ctx ^ tmr ctx ^ wavesize ctx ^ naive ctx ^ schedpolicy ctx
-  ^ pool ctx ^ devscale ctx ^ table2static () ^ coststatic ctx
+  String.concat ""
+    (List.filter_map
+       (fun (name, f) -> if name = "export" then None else Some (f ctx))
+       registry)

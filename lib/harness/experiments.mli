@@ -3,7 +3,8 @@
     regenerated content as text.
 
     Runs are cached per complete fingerprint (benchmark, variant, scale,
-    usage override, power window, device config) and executed on the
+    usage override, power window, device config, optimizer) and
+    executed on the
     context's {!Pool} of worker domains: each figure plans its whole run
     grid up front, then renders by awaiting the cached results in a
     fixed order. Report text is therefore byte-identical at any worker
@@ -35,28 +36,37 @@ val pool_stats_line : ctx -> string
 
 val cached_summaries : ctx -> (string * Run.summary) list
 (** Completed runs currently in the cache, labelled
-    ["bench/variant[/xS][/wW][/inflated]"] and sorted by label. Pending
-    and failed runs are skipped (never blocks). *)
+    ["bench/variant[/xS][/wW][/inflated][/cfg-HHHHHHHH][/opt]"] and sorted
+    by label. The config segment (the first 8 hex digits of the config
+    digest) appears only for runs on a config other than the context's,
+    and [opt] only for optimized runs. Pending and failed runs are
+    skipped (never blocks). *)
 
 val get :
   ctx ->
   ?tag:string ->
+  ?cfg:Gpu_sim.Config.t ->
   ?scale:int ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
   ?window_cycles:int ->
+  ?optimize:bool ->
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
   Run.summary
 (** Cached {!Run.run}: submits the run to the pool on a cache miss and
-    awaits it. The cache key fingerprints every run-affecting parameter
-    ([tag] is display-only and deliberately excluded). *)
+    awaits it. [cfg] defaults to the context's config, [optimize] to
+    [false]. The cache key fingerprints every run-affecting parameter,
+    the config by its digest ([tag] is display-only and deliberately
+    excluded). *)
 
 val prefetch :
   ctx ->
   ?tag:string ->
+  ?cfg:Gpu_sim.Config.t ->
   ?scale:int ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
   ?window_cycles:int ->
+  ?optimize:bool ->
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
   unit
@@ -156,5 +166,10 @@ val export : ?dir:string -> ?benches:Kernels.Bench.t list -> ctx -> string
 (** Write the headline figure series as CSV files; returns a report of
     the paths written. *)
 
+val registry : (string * (ctx -> string)) list
+(** Every experiment above by its [rmtgpu exp] name, in report order:
+    the paper's tables and figures, the coverage campaigns, the
+    extension studies, then [export] last. *)
+
 val all : ctx -> string
-(** Everything above except {!export}. *)
+(** Every {!registry} entry but [export], concatenated in order. *)

@@ -1,6 +1,6 @@
 (** Machine-readable run metrics: JSON serialization of counters and run
-    summaries, plus the [BENCH_<rev>.json] perf-trajectory file the bench
-    driver emits so future revisions can diff wall-clock and simulated
+    summaries, plus the [BENCH_<rev>.json] perf-trajectory file that
+    [rmtgpu exp --metrics] writes so future revisions can diff simulated
     behaviour against this one. *)
 
 module Json = Gpu_trace.Json
@@ -54,40 +54,30 @@ let pool_json (p : Pool.stats) : Json.t =
       ("max_queue_wait_s", Json.Float p.Pool.max_queue_wait);
     ]
 
-(** The whole perf-trajectory document: wall-clock per experiment, every
-    completed simulated run (cycles, counters, cache hit rates), and the
-    worker-pool statistics of the producing process. *)
-let bench_json ~rev ~jobs ~(experiments : (string * float) list)
-    ~(runs : (string * Run.summary) list) ~(pool : Pool.stats) : Json.t =
+(** The whole perf-trajectory document: every completed simulated run
+    (cycles, counters, cache hit rates) and the worker-pool statistics
+    of the producing process. *)
+let bench_json ~rev ~jobs ~(runs : (string * Run.summary) list)
+    ~(pool : Pool.stats) : Json.t =
   Json.Obj
     [
       ("schema", Json.Int schema_version);
       ("rev", Json.Str rev);
       ("jobs", Json.Int jobs);
-      ( "experiments",
-        Json.List
-          (List.map
-             (fun (name, wall_s) ->
-               Json.Obj
-                 [ ("name", Json.Str name); ("wall_s", Json.Float wall_s) ])
-             experiments) );
       ("runs", Json.List (List.map (fun (l, s) -> summary_json ~label:l s) runs));
       ("pool", pool_json pool);
     ]
 
-(** Revision stamp for the trajectory filename: [$RMTGPU_REV] when set,
-    otherwise the short git head, otherwise ["dev"]. *)
+(** Revision stamp of the trajectory: the short git head, otherwise
+    ["dev"]. *)
 let rev () =
-  match Sys.getenv_opt "RMTGPU_REV" with
-  | Some r when String.trim r <> "" -> String.trim r
-  | _ -> (
-      try
-        let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-        let line = try input_line ic with End_of_file -> "" in
-        match Unix.close_process_in ic with
-        | Unix.WEXITED 0 when String.trim line <> "" -> String.trim line
-        | _ -> "dev"
-      with _ -> "dev")
+  try
+    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let line = try input_line ic with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when String.trim line <> "" -> String.trim line
+    | _ -> "dev"
+  with _ -> "dev"
 
 (* Atomic: write to a temp file in the destination directory, then
    rename over the target, so a reader (or a crashed writer) never sees

@@ -1,6 +1,7 @@
 (** Machine-readable run metrics: JSON serialization of {!Counters} and
     {!Run.summary}, and the [BENCH_<rev>.json] perf-trajectory document
-    emitted by [bench/main.exe] for future revisions to diff against. *)
+    written by [rmtgpu exp --metrics] for future revisions to diff
+    against. *)
 
 val schema_version : int
 
@@ -14,14 +15,13 @@ val pool_json : Pool.stats -> Gpu_trace.Json.t
 val bench_json :
   rev:string ->
   jobs:int ->
-  experiments:(string * float) list ->
   runs:(string * Run.summary) list ->
   pool:Pool.stats ->
   Gpu_trace.Json.t
-(** The whole trajectory document: per-experiment wall-clock seconds,
-    completed simulated runs, and worker-pool statistics. *)
+(** The whole trajectory document: completed simulated runs and
+    worker-pool statistics. *)
 
 val rev : unit -> string
-(** [$RMTGPU_REV] when set, else the short git head, else ["dev"]. *)
+(** The short git head, else ["dev"]. *)
 
 val write_file : string -> Gpu_trace.Json.t -> unit

@@ -5,8 +5,11 @@
     perf-trajectory files (the documents {!Metrics.bench_json} emits),
     matched by run label and gated by a relative-increase threshold.
     Counters are deterministic, so a tight tolerance catches real
-    simulator or kernel-shape changes. The files' per-experiment wall
-    clock is ignored: host time is measured by perfbench.
+    simulator or kernel-shape changes. A baseline run missing from the
+    new file fails the gate too: a relabelled or dropped run would
+    otherwise pass unseen. Any other field (such as the per-experiment
+    wall clock of older files) is ignored: host time is measured by
+    perfbench.
 
     The comparison is a library function returning structured findings
     so tests can exercise the gate without subprocesses; the CLI
@@ -107,8 +110,8 @@ let rev path doc =
 let pct_change o n = if o = 0.0 then 0.0 else 100.0 *. (n -. o) /. o
 
 (** Diff two parsed trajectory documents. Findings are ordered:
-    regressions first, then informational notes (new/vanished runs;
-    improvements are not reported). *)
+    regressions first (grown counters, then vanished runs), then
+    informational notes (new runs; improvements are not reported). *)
 let diff ?(counter_rel = default_counter_rel) ~old_path ~new_path old_doc
     new_doc : finding list =
   let regressions = ref [] and infos = ref [] in
@@ -156,9 +159,9 @@ let diff ?(counter_rel = default_counter_rel) ~old_path ~new_path old_doc
   List.iter
     (fun (label, _) ->
       if List.assoc_opt label new_runs = None then
-        info
+        reg
           {
-            severity = Info;
+            severity = Regression;
             subject = label;
             metric = "counters";
             old_value = 0.0;

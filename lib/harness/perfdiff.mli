@@ -1,7 +1,9 @@
 (** Perf-regression diff gate over two [BENCH_<rev>.json] trajectory
     files: per-run simulated cost counters matched by run label, against
-    a relative threshold (tight — counters are deterministic). The
-    files' per-experiment wall clock is not compared. *)
+    a relative threshold (tight — counters are deterministic). A run
+    of the old file that is missing from the new one is a regression;
+    a run only in the new file is an info note. Host time is not
+    compared. *)
 
 val default_counter_rel : float
 (** [0.02]: a gated counter is flagged when it grew by more than this
@@ -33,7 +35,8 @@ val diff :
   Gpu_trace.Json.t ->
   finding list
 (** Diff two parsed trajectory documents ([old_path]/[new_path] label
-    error messages only). Regressions come first, then info notes. *)
+    error messages only). Regressions (grown counters, vanished runs)
+    come first, then info notes (new runs). *)
 
 val diff_files :
   ?counter_rel:float ->

@@ -73,10 +73,14 @@ let test_inject_count_usage_error () =
    value below 1 is a usage error naming the option, never an internal
    error, a clean report of nothing, or an empty rendering. A sizing
    option that does not apply to the subject (check's --scale on an .rgk
-   file, --local on a registry benchmark) is a usage error too, and so is
+   file, --local on a registry benchmark) is a usage error too, as is an
+   exp --metrics file in a directory that does not exist, and so is
    runfile input that cannot be launched: a reversed or negative --show
-   range, a --show on a scalar or missing parameter, an --arg count that
-   differs from the kernel's, a --global that --local does not divide. *)
+   range, a --show on a scalar or missing parameter or starting past the
+   buffer's end, an --arg count that differs from the kernel's or an
+   --arg of the wrong kind for its parameter, a --global that --local
+   does not divide, a --local above the device's work-group maximum on
+   its own or once the variant doubles the group. *)
 let test_scale_usage_error () =
   let saxpy = "examples/kernels/saxpy.rgk" in
   let run_saxpy = "rmtgpu runfile " ^ saxpy ^ " --global 1024 --local 64" in
@@ -114,6 +118,7 @@ let test_scale_usage_error () =
       ("rmtgpu trace PS original --width 0 -o /dev/null", "--width");
       ("rmtgpu inject PS intra+lds lds -n 2 -j 0", "-j");
       ("rmtgpu exp table1 -j 0", "-j");
+      ("rmtgpu exp fig2 --metrics no-such-dir/m.json", "--metrics");
       (run_saxpy ^ bufs ^ " --show 1:-1:8", "--show");
       (run_saxpy ^ bufs ^ " --show 1:8:4", "--show");
       (run_saxpy ^ bufs ^ " --show 5:0:8", "--show");
@@ -121,6 +126,13 @@ let test_scale_usage_error () =
       (run_saxpy ^ " --arg buf:1024:findex", "--arg");
       (run_saxpy ^ bufs ^ " --arg i32:3", "--arg");
       ("rmtgpu runfile " ^ saxpy ^ " --global 1000 --local 64" ^ bufs, "--global");
+      ("rmtgpu runfile " ^ saxpy ^ " --global 1024 --local 512" ^ bufs, "--local");
+      ( "rmtgpu runfile " ^ saxpy
+        ^ " --global 1024 --local 256 --variant intra+lds" ^ bufs,
+        "--local" );
+      (run_saxpy ^ bufs ^ " --show 1:1024:2000", "--show");
+      (run_saxpy ^ " --arg i32:5 --arg buf:1024:f32=1.0", "--arg");
+      (run_saxpy ^ " --arg buf:1024:findex --arg f32:1.0", "--arg");
     ]
 
 (* A launch that does not finish is a failure of the command: a kernel

@@ -1,6 +1,6 @@
 (* Tests for the parallel harness: the domain pool (ordering, inline
    sequential mode, exception propagation), the run-cache fingerprint
-   (window/usage-override runs must never collide), campaign map
+   (window/usage-override/config/optimizer runs must never collide), campaign map
    equivalence, and j-independence of report text. *)
 
 module T = Rmt_core.Transform
@@ -123,8 +123,45 @@ let test_cache_key_ignores_tag () =
   Harness.Experiments.shutdown ctx;
   check Alcotest.bool "tag does not shadow the fingerprint" true (s1 == s2)
 
+(* The device config and the optimizer are fingerprinted per run, so
+   studies that vary them (wavesize, schedpolicy, devscale, opt) share
+   the cache: the same non-default config twice is one run, any other
+   config or [~optimize:true] is another, and the metrics labels of all
+   of them stay pairwise distinct. *)
+let test_cache_key_cfg_and_optimize () =
+  let ctx = Harness.Experiments.create_ctx ~jobs:1 () in
+  let b = Kernels.Registry.find "PS" in
+  let wave32 = { Gpu_sim.Config.default with Gpu_sim.Config.wave_size = 32 } in
+  let rr =
+    { Gpu_sim.Config.default with sched_policy = Gpu_sim.Config.Round_robin }
+  in
+  let get = Harness.Experiments.get ctx in
+  let base = get b T.Original in
+  let default = get ~cfg:Gpu_sim.Config.default b T.Original in
+  let w1 = get ~cfg:wave32 b T.Original in
+  let w2 = get ~tag:"again" ~cfg:{ wave32 with wave_size = 32 } b T.Original in
+  let r = get ~cfg:rr b T.Original in
+  let o = get ~optimize:true b T.Original in
+  let wo = get ~cfg:wave32 ~optimize:true b T.Original in
+  let labels = List.map fst (Harness.Experiments.cached_summaries ctx) in
+  Harness.Experiments.shutdown ctx;
+  check Alcotest.bool "the context's config passed explicitly is one run" true
+    (base == default);
+  check Alcotest.bool "same non-default config twice is one run" true (w1 == w2);
+  check Alcotest.bool "a non-default config is a distinct run" true (w1 != base);
+  check Alcotest.bool "another config is another run" true (r != w1 && r != base);
+  check Alcotest.bool "the optimizer is a distinct run" true
+    (o != base && wo != w1 && wo != o);
+  check Alcotest.int "five runs cached" 5 (List.length labels);
+  check Alcotest.int "labels pairwise distinct" 5
+    (List.length (List.sort_uniq compare labels));
+  check Alcotest.bool "the context's run keeps its plain label" true
+    (List.mem "PS/Original" labels)
+
 let cache_suite =
   [
+    tc "cache key: cfg and optimize fingerprinted" `Quick
+      test_cache_key_cfg_and_optimize;
     tc "cache key: window_cycles fingerprinted" `Quick test_cache_key_window;
     tc "cache key: usage_override fingerprinted" `Quick
       test_cache_key_usage_override;

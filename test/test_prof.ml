@@ -398,7 +398,8 @@ let test_perfdiff_identical_passes () =
   let fs = d ~old_doc:doc ~new_doc:doc in
   check Alcotest.bool "no findings" true (fs = []);
   check Alcotest.bool "no regression" false (PD.has_regression fs);
-  (* host wall clock is recorded in the file but never compared *)
+  (* older files (the committed baseline) record per-experiment host
+     wall clock; it is never compared *)
   let slower = traj ~wall:2.0 ~rev:"b" ~cycles:1000 ~valu:500 () in
   check Alcotest.bool "wall_s ignored" true (d ~old_doc:doc ~new_doc:slower = [])
 
@@ -424,23 +425,24 @@ let test_perfdiff_flags_counter_regression () =
   check Alcotest.bool "valu_insts never gated" false
     (List.mem "counters.valu_insts" (List.map (fun f -> f.PD.metric) fs))
 
-let test_perfdiff_vanished_is_info_only () =
-  let old_doc = traj ~rev:"a" ~cycles:1000 ~valu:500 () in
+(* A baseline run missing from the new trajectory (dropped, or
+   relabelled) fails the gate even at zero counter tolerance; a run only
+   in the new trajectory is an info note. *)
+let test_perfdiff_vanished_is_regression () =
+  let doc = traj ~rev:"a" ~cycles:1000 ~valu:500 () in
   let empty =
     Json.Obj
-      [
-        ("schema", Json.Int 1);
-        ("rev", Json.Str "b");
-        ("experiments", Json.List []);
-        ("runs", Json.List []);
-      ]
+      [ ("schema", Json.Int 1); ("rev", Json.Str "b"); ("runs", Json.List []) ]
   in
-  let fs = d ~old_doc ~new_doc:empty in
-  check Alcotest.bool "vanished runs reported" true (fs <> []);
-  check Alcotest.bool "but not as regressions" false (PD.has_regression fs);
-  List.iter
-    (fun f -> check Alcotest.bool "info severity" true (f.PD.severity = PD.Info))
-    fs
+  let severities fs = List.map (fun f -> (f.PD.subject, f.PD.severity)) fs in
+  let fs = PD.diff ~counter_rel:0.0 ~old_path:"o" ~new_path:"n" doc empty in
+  check Alcotest.bool "vanished run fails the gate" true (PD.has_regression fs);
+  check Alcotest.bool "one regression, on the vanished run" true
+    (severities fs = [ ("PS/Original", PD.Regression) ]);
+  let fs = d ~old_doc:empty ~new_doc:doc in
+  check Alcotest.bool "a new run passes the gate" false (PD.has_regression fs);
+  check Alcotest.bool "as one info note" true
+    (severities fs = [ ("PS/Original", PD.Info) ])
 
 let test_perfdiff_files_and_report () =
   let dir = Filename.temp_file "rmtgpu_pd" "" in
@@ -492,6 +494,7 @@ let suite =
     tc "perfdiff: identical passes" `Quick test_perfdiff_identical_passes;
     tc "perfdiff: counter regression" `Quick
       test_perfdiff_flags_counter_regression;
-    tc "perfdiff: vanished is info" `Quick test_perfdiff_vanished_is_info_only;
+    tc "perfdiff: vanished run is a regression" `Quick
+      test_perfdiff_vanished_is_regression;
     tc "perfdiff: files and report" `Quick test_perfdiff_files_and_report;
   ]
