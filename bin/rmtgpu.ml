@@ -343,7 +343,6 @@ let do_inject (b : Kernels.Bench.t) variant target n jobs show_prov sanitize =
     Fault.Campaign.run_observations ~n
       ~map:(Harness.Experiments.campaign_map ctx) ~target ~seed:97 e
   in
-  Harness.Experiments.shutdown ctx;
   let t = Fault.Campaign.tally_of_observations obs in
   Printf.printf "%s under %s: %s%s\n" b.id (T.name variant)
     (Fault.Campaign.tally_to_string t)
@@ -517,20 +516,13 @@ module E = Harness.Experiments
 
 let do_exp names quick jobs metrics =
   let table = E.registry @ [ ("all", E.all) ] in
-  let no_dir =
-    match Option.map Filename.dirname metrics with
-    | Some d when not (Sys.file_exists d && Sys.is_directory d) -> Some d
-    | _ -> None
-  in
-  match (List.find_opt (fun n -> not (List.mem_assoc n table)) names, no_dir) with
-  | Some n, _ ->
+  match List.find_opt (fun n -> not (List.mem_assoc n table)) names with
+  | Some n ->
       `Error
         ( true,
           Printf.sprintf "unknown experiment %s (one of: %s)" n
             (String.concat ", " (List.map fst table)) )
-  | None, Some d ->
-      `Error (true, Printf.sprintf "option '--metrics': no directory %s" d)
-  | None, None ->
+  | None ->
       let ctx = E.create_ctx ~quick ?jobs () in
       List.iter
         (fun n ->
@@ -549,7 +541,6 @@ let do_exp names quick jobs metrics =
          byte-identical at any -j. *)
       if E.jobs ctx > 1 then
         Printf.eprintf "pool: %s\n%!" (E.pool_stats_line ctx);
-      E.shutdown ctx;
       `Ok ()
 
 (* ---------------- cmdliner wiring ---------------- *)
@@ -604,15 +595,34 @@ let at_least_1 =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Every output-file option (trace -o, profile/check/lint --json, exp
+   --metrics): a FILE that is a directory or whose directory does not
+   exist is a usage error naming the option, found before anything is
+   simulated rather than when the report is written. *)
+let out_file =
+  let parse s =
+    let d = Filename.dirname s in
+    if not (Sys.file_exists d && Sys.is_directory d) then
+      Error (`Msg (Printf.sprintf "no directory %s" d))
+    else if Sys.file_exists s && Sys.is_directory s then
+      Error (`Msg (Printf.sprintf "%s is a directory" s))
+    else Ok s
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+(* RMTGPU_JOBS goes through the same converter as -j, so a bad value is a
+   usage error naming the variable. *)
 let jobs_opt =
   Arg.(
     value
     & opt (some at_least_1) None
     & info [ "j"; "jobs" ] ~docv:"N"
+        ~env:(Cmd.Env.info "RMTGPU_JOBS")
         ~doc:
-          "Worker domains for independent simulations (at least 1; default: \
-           $(b,RMTGPU_JOBS), else the machine's recommended domain count; \
-           1 = sequential). Output is byte-identical at any $(docv).")
+          "Workers for independent simulations: the calling domain plus \
+           $(docv)-1 helper domains (at least 1; default: the machine's \
+           recommended domain count; 1 = sequential). Output is \
+           byte-identical at any $(docv).")
 
 (* Problem-size multiplier of the simulating subcommands. *)
 let scale =
@@ -632,7 +642,7 @@ let trace_cmd =
   let out =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:
             "Chrome-trace JSON output path (default: \
@@ -700,7 +710,7 @@ let profile_cmd =
   let json_out =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Also write the profile as JSON")
   in
   let top =
@@ -757,7 +767,7 @@ let check_cmd =
   let json_out =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON")
   in
   Cmd.v
@@ -813,7 +823,7 @@ let lint_cmd =
   let json_out =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON")
   in
   Cmd.v
@@ -860,7 +870,7 @@ let exp_cmd =
   let metrics =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some out_file) None
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
             "Also write the BENCH perf-trajectory JSON (every completed \

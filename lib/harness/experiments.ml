@@ -54,7 +54,6 @@ let create_ctx ?(cfg = Gpu_sim.Config.default) ?(quick = false) ?jobs () =
   }
 
 let jobs ctx = Pool.jobs ctx.pool
-let shutdown ctx = Pool.shutdown ctx.pool
 
 (* [Pool.map] over the context's pool, for callers (fault campaigns)
    that fan independent work out without going through the run cache. *)

@@ -15,14 +15,12 @@ type ctx
 val create_ctx :
   ?cfg:Gpu_sim.Config.t -> ?quick:bool -> ?jobs:int -> unit -> ctx
 (** [quick] shrinks the fault campaigns (CI use). [jobs] sizes the
-    worker-domain pool (default [$RMTGPU_JOBS], else
-    {!Domain.recommended_domain_count}; [1] = sequential, in-process). *)
+    context's {!Pool} (default {!Domain.recommended_domain_count}; [1] =
+    sequential, in-process). The pool holds no domain between drains, so
+    a context needs no shutdown. *)
 
 val jobs : ctx -> int
-(** Worker-domain count of the context's pool. *)
-
-val shutdown : ctx -> unit
-(** Stop and join the context's worker domains (also done [at_exit]). *)
+(** Worker count of the context's pool. *)
 
 val campaign_map : ctx -> ('a -> 'b) -> 'a list -> 'b list
 (** {!Pool.map} over the context's pool — submission-ordered parallel

@@ -1,131 +1,108 @@
-(** Fixed-size domain pool for embarrassingly parallel simulation work.
+(** Domain pool for embarrassingly parallel simulation work.
 
     The experiment grid is a set of independent [Run.run] calls: every
     run builds its own {!Gpu_sim.Device} and shares no mutable state
-    with any other. The pool runs such closures on OCaml 5 worker
-    domains fed from a mutex/condition work queue, and hands each
-    submission a {!type:future} so callers collect results in
-    submission order — which is what keeps parallel report text
-    byte-identical to the sequential text.
+    with any other. The pool queues such closures and hands each
+    submission a {!type:future}; the first {!await} of a pending future
+    drains the whole queue. The awaiting domain runs tasks itself, beside
+    at most [jobs - 1] helper domains spawned for that drain, and joins
+    the helpers before returning. No domain outlives a drain, so an idle
+    pool costs nothing (in OCaml 5 every minor collection stops every
+    domain, idle ones too) and a pool needs no shutdown.
 
-    Determinism contract: a task's [result] depends only on its closure
-    (never on scheduling), futures are awaited in submission order, and
-    with [jobs = 1] no domain is spawned at all — tasks execute inline
-    at submission, reproducing the sequential harness exactly. *)
+    Determinism contract: a task's result depends only on its closure
+    (never on scheduling), callers await futures in submission order —
+    which is what keeps parallel report text byte-identical to the
+    sequential text — and with [jobs = 1] no domain is spawned at all:
+    tasks execute inline at submission, reproducing the sequential
+    harness exactly. *)
 
 type 'a state =
   | Pending
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
 
-type 'a future = {
-  f_lock : Mutex.t;
-  f_cond : Condition.t;
-  mutable f_state : 'a state;
-}
-
 (** Per-pool observability: how many tasks each worker executed and how
     long tasks sat queued before a worker picked them up. Queue-wait is
-    the scheduling-delay signal — a deep backlog with idle-free workers
-    means the grid is submission-bound, not worker-bound. *)
+    the scheduling-delay signal: work is queued until its first await, so
+    a long wait means results were needed late, not that workers lagged. *)
 type stats = {
   s_jobs : int;
-  tasks_per_worker : int array;  (** index = worker (0 = inline caller) *)
+  tasks_per_worker : int array;  (** index = worker (0 = awaiting domain) *)
   total_queue_wait : float;  (** seconds, summed over dequeued tasks *)
   max_queue_wait : float;  (** seconds *)
 }
 
 type t = {
   jobs : int;
+  lock : Mutex.t;  (** guards [queue] and the statistics below *)
   queue : (float * (unit -> unit)) Queue.t;  (** (submit time, task) *)
-  lock : Mutex.t;
-  work_ready : Condition.t;
-  mutable stopping : bool;
-  mutable workers : unit Domain.t list;
   task_counts : int array;
   mutable total_wait : float;
   mutable max_wait : float;
 }
 
-let env_var = "RMTGPU_JOBS"
-
-let default_jobs () =
-  match Sys.getenv_opt env_var with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ ->
-          Printf.eprintf "warning: ignoring invalid %s=%S\n%!" env_var s;
-          Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
-
-(* Workers drain the queue even while stopping, so every submitted
-   future still resolves and no await can hang across a shutdown. *)
-let worker pool wid () =
-  let rec loop () =
-    Mutex.lock pool.lock;
-    while Queue.is_empty pool.queue && not pool.stopping do
-      Condition.wait pool.work_ready pool.lock
-    done;
-    match Queue.take_opt pool.queue with
-    | None -> Mutex.unlock pool.lock
-    | Some (submitted, task) ->
-        let wait = Unix.gettimeofday () -. submitted in
-        pool.task_counts.(wid) <- pool.task_counts.(wid) + 1;
-        pool.total_wait <- pool.total_wait +. wait;
-        if wait > pool.max_wait then pool.max_wait <- wait;
-        Mutex.unlock pool.lock;
-        task ();
-        loop ()
-  in
-  loop ()
-
-let shutdown pool =
-  Mutex.lock pool.lock;
-  let workers = pool.workers in
-  pool.workers <- [];
-  pool.stopping <- true;
-  Condition.broadcast pool.work_ready;
-  Mutex.unlock pool.lock;
-  List.iter Domain.join workers
+(* Written only by its task, which runs either inline in [submit] or in
+   a drain; read only after that drain's join. *)
+type 'a future = { pool : t; mutable state : 'a state }
 
 let create ?jobs () =
-  let jobs = max 1 (match jobs with Some j -> j | None -> default_jobs ()) in
-  let pool =
-    {
-      jobs;
-      queue = Queue.create ();
-      lock = Mutex.create ();
-      work_ready = Condition.create ();
-      stopping = false;
-      workers = [];
-      task_counts = Array.make jobs 0;
-      total_wait = 0.0;
-      max_wait = 0.0;
-    }
+  let jobs =
+    max 1
+      (match jobs with Some j -> j | None -> Domain.recommended_domain_count ())
   in
-  if jobs > 1 then begin
-    pool.workers <- List.init jobs (fun wid -> Domain.spawn (worker pool wid));
-    (* a straggler pool (e.g. in a test that never calls [shutdown])
-       must not leave domains blocked in Condition.wait at exit *)
-    at_exit (fun () -> shutdown pool)
-  end;
-  pool
+  {
+    jobs;
+    lock = Mutex.create ();
+    queue = Queue.create ();
+    task_counts = Array.make jobs 0;
+    total_wait = 0.0;
+    max_wait = 0.0;
+  }
 
 let jobs pool = pool.jobs
 
-let submit pool f =
-  let fut =
-    { f_lock = Mutex.create (); f_cond = Condition.create (); f_state = Pending }
-  in
-  let task () =
-    let r =
-      try Done (f ()) with e -> Failed (e, Printexc.get_raw_backtrace ())
+(* Run every queued task: the calling domain and up to [jobs - 1] helpers
+   pull tasks through one atomic index. Each worker returns its own tally
+   (tasks run, summed and longest queue wait), merged after the join. *)
+let drain pool =
+  Mutex.lock pool.lock;
+  let tasks = Array.of_seq (Queue.to_seq pool.queue) in
+  Queue.clear pool.queue;
+  Mutex.unlock pool.lock;
+  let n = Array.length tasks in
+  let next = Atomic.make 0 in
+  let work () =
+    let rec loop count total longest =
+      let i = Atomic.fetch_and_add next 1 in
+      if i >= n then (count, total, longest)
+      else
+        let submitted, task = tasks.(i) in
+        let wait = Unix.gettimeofday () -. submitted in
+        task ();
+        loop (count + 1) (total +. wait) (Float.max longest wait)
     in
-    Mutex.lock fut.f_lock;
-    fut.f_state <- r;
-    Condition.broadcast fut.f_cond;
-    Mutex.unlock fut.f_lock
+    loop 0 0.0 0.0
+  in
+  let helpers =
+    List.init (max 0 (min (pool.jobs - 1) (n - 1))) (fun _ -> Domain.spawn work)
+  in
+  let mine = work () (* bound first: the caller works before it joins *) in
+  let tallies = mine :: List.map Domain.join helpers in
+  Mutex.lock pool.lock;
+  List.iteri
+    (fun wid (count, total, longest) ->
+      pool.task_counts.(wid) <- pool.task_counts.(wid) + count;
+      pool.total_wait <- pool.total_wait +. total;
+      pool.max_wait <- Float.max pool.max_wait longest)
+    tallies;
+  Mutex.unlock pool.lock
+
+let submit pool f =
+  let fut = { pool; state = Pending } in
+  let task () =
+    fut.state <-
+      (try Done (f ()) with e -> Failed (e, Printexc.get_raw_backtrace ()))
   in
   if pool.jobs <= 1 then begin
     (* inline execution: the caller is "worker 0" and nothing queues *)
@@ -134,39 +111,21 @@ let submit pool f =
   end
   else begin
     Mutex.lock pool.lock;
-    if pool.stopping then begin
-      Mutex.unlock pool.lock;
-      invalid_arg "Pool.submit: pool is shut down"
-    end;
     Queue.push (Unix.gettimeofday (), task) pool.queue;
-    Condition.signal pool.work_ready;
     Mutex.unlock pool.lock
   end;
   fut
 
 (* Non-blocking: [Some v] once the task has finished, [None] while it is
    pending or if it failed (metrics drains must never block or re-raise). *)
-let peek fut =
-  Mutex.lock fut.f_lock;
-  let s = fut.f_state in
-  Mutex.unlock fut.f_lock;
-  match s with Done v -> Some v | Pending | Failed _ -> None
+let peek fut = match fut.state with Done v -> Some v | Pending | Failed _ -> None
 
 let await fut =
-  Mutex.lock fut.f_lock;
-  let rec settled () =
-    match fut.f_state with
-    | Pending ->
-        Condition.wait fut.f_cond fut.f_lock;
-        settled ()
-    | s -> s
-  in
-  let s = settled () in
-  Mutex.unlock fut.f_lock;
-  match s with
+  (match fut.state with Pending -> drain fut.pool | Done _ | Failed _ -> ());
+  match fut.state with
   | Done v -> v
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Pending -> assert false
+  | Pending -> invalid_arg "Pool.await: the task is in another domain's drain"
 
 let map pool f xs =
   let futures = List.map (fun x -> submit pool (fun () -> f x)) xs in

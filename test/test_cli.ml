@@ -73,8 +73,10 @@ let test_inject_count_usage_error () =
    value below 1 is a usage error naming the option, never an internal
    error, a clean report of nothing, or an empty rendering. A sizing
    option that does not apply to the subject (check's --scale on an .rgk
-   file, --local on a registry benchmark) is a usage error too, as is an
-   exp --metrics file in a directory that does not exist, and so is
+   file, --local on a registry benchmark) is a usage error too, as are
+   an output file (trace -o, profile/check/lint --json, exp --metrics)
+   that is a directory or lies in a directory that does not exist and an
+   RMTGPU_JOBS below 1, and so is
    runfile input that cannot be launched: a reversed or negative --show
    range, a --show on a scalar or missing parameter or starting past the
    buffer's end, an --arg count that differs from the kernel's or an
@@ -119,6 +121,12 @@ let test_scale_usage_error () =
       ("rmtgpu inject PS intra+lds lds -n 2 -j 0", "-j");
       ("rmtgpu exp table1 -j 0", "-j");
       ("rmtgpu exp fig2 --metrics no-such-dir/m.json", "--metrics");
+      ("rmtgpu trace PS original -o no-such-dir/t.json", "-o");
+      ("rmtgpu profile PS original --json no-such-dir/p.json", "--json");
+      ("rmtgpu check PS baseline --json no-such-dir/c.json", "--json");
+      ("rmtgpu lint PS intra+lds --json no-such-dir/l.json", "--json");
+      ("rmtgpu profile PS original --json .", "--json");
+      ("RMTGPU_JOBS=0 rmtgpu exp table1", "RMTGPU_JOBS");
       (run_saxpy ^ bufs ^ " --show 1:-1:8", "--show");
       (run_saxpy ^ bufs ^ " --show 1:8:4", "--show");
       (run_saxpy ^ bufs ^ " --show 5:0:8", "--show");

@@ -82,7 +82,6 @@ let golden_reports_text () =
   let ctx = Harness.Experiments.create_ctx ~quick:true ~jobs:1 () in
   let tmr = Harness.Experiments.tmr ctx in
   let wavesize = Harness.Experiments.wavesize ctx in
-  Harness.Experiments.shutdown ctx;
   Printf.sprintf "== exp tmr --quick\n%s== exp table2static\n%s== exp wavesize\n%s"
     tmr
     (Harness.Experiments.table2static ())

@@ -16,7 +16,6 @@ let test_pool_ordering () =
   let pool = Harness.Pool.create ~jobs:4 () in
   let xs = List.init 64 Fun.id in
   let ys = Harness.Pool.map pool (fun i -> (i * i) - i) xs in
-  Harness.Pool.shutdown pool;
   check
     Alcotest.(list int)
     "submission-ordered results"
@@ -40,8 +39,7 @@ let test_pool_sequential_inline () =
   check
     Alcotest.(list int)
     "futures hold the results" [ 10; 20; 30 ]
-    (List.map Harness.Pool.await futures);
-  Harness.Pool.shutdown pool
+    (List.map Harness.Pool.await futures)
 
 exception Boom of int
 
@@ -56,7 +54,6 @@ let test_pool_exception_propagation () =
       None
     with Boom i -> Some i
   in
-  Harness.Pool.shutdown pool;
   check
     Alcotest.(option int)
     "worker exception re-raised at await" (Some 2) observed
@@ -64,9 +61,29 @@ let test_pool_exception_propagation () =
 let test_pool_more_tasks_than_workers () =
   let pool = Harness.Pool.create ~jobs:2 () in
   let ys = Harness.Pool.map pool (fun i -> i + 1) (List.init 200 Fun.id) in
-  Harness.Pool.shutdown pool;
   check Alcotest.int "all 200 tasks completed" 200 (List.length ys);
   check Alcotest.int "last result" 200 (List.nth ys 199)
+
+(* OCaml 5.1 runs at most 128 domains at once. A pool holds none between
+   drains, so 130 pools that are never shut down, each drained by a map
+   and by a submit-then-await, leave room for a further domain. A drain
+   of one task spawns no helper: the awaiting domain runs it. *)
+let test_pool_no_domain_outlives_drain () =
+  for i = 1 to 130 do
+    let pool = Harness.Pool.create ~jobs:2 () in
+    check Alcotest.(list int) "map drained" [ i + 1; i + 2 ]
+      (Harness.Pool.map pool (fun d -> i + d) [ 1; 2 ]);
+    check Alcotest.int "await drained" i
+      (Harness.Pool.await (Harness.Pool.submit pool (fun () -> i)))
+  done;
+  check Alcotest.int "a further domain spawns and joins" 7
+    (Domain.join (Domain.spawn (fun () -> 7)));
+  let pool = Harness.Pool.create ~jobs:4 () in
+  ignore (Harness.Pool.await (Harness.Pool.submit pool (fun () -> ())));
+  check
+    Alcotest.(array int)
+    "the awaiting domain ran the lone task" [| 1; 0; 0; 0 |]
+    (Harness.Pool.stats pool).Harness.Pool.tasks_per_worker
 
 let pool_suite =
   [
@@ -74,6 +91,8 @@ let pool_suite =
     tc "pool: jobs=1 runs inline" `Quick test_pool_sequential_inline;
     tc "pool: exception propagation" `Quick test_pool_exception_propagation;
     tc "pool: queue longer than pool" `Quick test_pool_more_tasks_than_workers;
+    tc "pool: no domain outlives a drain" `Quick
+      test_pool_no_domain_outlives_drain;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -91,7 +110,6 @@ let test_cache_key_window () =
   let s2 = Harness.Experiments.get ctx ~window_cycles:500 b T.Original in
   let s3 = Harness.Experiments.get ctx b T.Original in
   let s4 = Harness.Experiments.get ctx ~window_cycles:500 b T.Original in
-  Harness.Experiments.shutdown ctx;
   check Alcotest.bool "windowed run is a distinct summary" true (s1 != s2);
   check Alcotest.bool "un-windowed key still cached" true (s1 == s3);
   check Alcotest.bool "windowed key cached too" true (s2 == s4);
@@ -107,7 +125,6 @@ let test_cache_key_usage_override () =
   let u = { s1.Harness.Run.usage with Gpu_ir.Regpressure.vgprs = 200 } in
   let s2 = Harness.Experiments.get ctx ~usage_override:u b T.Original in
   let s3 = Harness.Experiments.get ctx ~usage_override:u b T.Original in
-  Harness.Experiments.shutdown ctx;
   check Alcotest.bool "inflated run is a distinct summary" true (s1 != s2);
   check Alcotest.bool "inflated key cached" true (s2 == s3);
   check Alcotest.bool "inflation lowered occupancy" true
@@ -120,7 +137,6 @@ let test_cache_key_ignores_tag () =
   let b = Kernels.Registry.find "PS" in
   let s1 = Harness.Experiments.get ctx ~tag:"a" b T.Original in
   let s2 = Harness.Experiments.get ctx ~tag:"b" b T.Original in
-  Harness.Experiments.shutdown ctx;
   check Alcotest.bool "tag does not shadow the fingerprint" true (s1 == s2)
 
 (* The device config and the optimizer are fingerprinted per run, so
@@ -144,7 +160,6 @@ let test_cache_key_cfg_and_optimize () =
   let o = get ~optimize:true b T.Original in
   let wo = get ~cfg:wave32 ~optimize:true b T.Original in
   let labels = List.map fst (Harness.Experiments.cached_summaries ctx) in
-  Harness.Experiments.shutdown ctx;
   check Alcotest.bool "the context's config passed explicitly is one run" true
     (base == default);
   check Alcotest.bool "same non-default config twice is one run" true (w1 == w2);
@@ -199,7 +214,6 @@ let test_campaign_map_equivalence () =
     Fault.Campaign.run ~n:16 ~map:(Harness.Pool.map pool) ~target ~seed:42
       experiment
   in
-  Harness.Pool.shutdown pool;
   check Alcotest.string "identical tallies"
     (Fault.Campaign.tally_to_string seq)
     (Fault.Campaign.tally_to_string par);
@@ -214,12 +228,7 @@ let campaign_suite =
 (* ------------------------------------------------------------------ *)
 
 let test_fig2_j_independence () =
-  let fig2_at jobs =
-    let ctx = Harness.Experiments.create_ctx ~jobs () in
-    let text = Harness.Experiments.fig2 ctx in
-    Harness.Experiments.shutdown ctx;
-    text
-  in
+  let fig2_at jobs = Harness.Experiments.fig2 (Harness.Experiments.create_ctx ~jobs ()) in
   let t1 = fig2_at 1 in
   let t4 = fig2_at 4 in
   check Alcotest.bool "fig2 text is non-trivial" true

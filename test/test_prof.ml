@@ -82,10 +82,7 @@ let test_reconciles_across_variants_and_jobs () =
     (Printf.sprintf "%s/%s" bench.Kernels.Bench.id (T.name v), s, c)
   in
   let run_at jobs =
-    let p = Harness.Pool.create ~jobs () in
-    let r = Harness.Pool.map p job cases in
-    Harness.Pool.shutdown p;
-    r
+    Harness.Pool.map (Harness.Pool.create ~jobs ()) job cases
   in
   let results1 = run_at 1 and results4 = run_at 4 in
   List.iter

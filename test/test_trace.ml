@@ -137,10 +137,7 @@ let test_trace_deterministic_across_jobs () =
   let bench = Kernels.Registry.find "PS" in
   let job () = trace_string_of_run bench T.intra_plus_lds in
   let with_pool jobs =
-    let p = Harness.Pool.create ~jobs () in
-    let r = Harness.Pool.map p (fun () -> job ()) [ (); () ] in
-    Harness.Pool.shutdown p;
-    r
+    Harness.Pool.map (Harness.Pool.create ~jobs ()) (fun () -> job ()) [ (); () ]
   in
   let seq = with_pool 1 and par = with_pool 4 in
   check Alcotest.bool "streams nonempty" true (List.hd seq <> "");
