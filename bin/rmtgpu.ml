@@ -386,6 +386,8 @@ let parse_runfile_arg sp =
   match parts with
   | [ "i32"; v ] -> Ok (RA_i32 (int_of_string v))
   | [ "f32"; x ] -> Ok (RA_f32 (float_of_string x))
+  | "buf" :: words :: _ when int_of_string words < 1 ->
+      Error (`Msg ("buf:" ^ words ^ ": WORDS must be at least 1"))
   | "buf" :: words :: rest -> (
       let words = int_of_string words in
       match rest with

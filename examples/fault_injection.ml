@@ -25,7 +25,10 @@ let () =
       let e = Harness.Experiments.coverage_experiment ctx bench variant in
       List.iter
         (fun (target, tname) ->
-          let t = C.run ~n:16 ~target ~seed:31 e in
+          let t =
+            C.run_observations ~n:16 ~target ~seed:31 e
+            |> C.tally_of_observations
+          in
           Printf.printf "%-14s %-6s %-48s %s\n" name tname
             (C.tally_to_string t)
             (if C.covered t then "covered" else "NOT covered"))

@@ -38,10 +38,6 @@ open Gpu_ir.Types
     Figure 7 ablation. *)
 type comm_scheme = Per_item | Pooled of int | No_comm
 
-type opts = { scheme : comm_scheme }
-
-let default = { scheme = Per_item }
-
 let wgid_lds_name = "__rmt_wgid"
 
 exception Unsupported = Intra_group.Unsupported
@@ -53,17 +49,17 @@ let extra_params = [ Param_buffer "__rmt_counter"; Param_buffer "__rmt_comm" ]
 
 (** Bytes required for the communication buffer of an original NDRange
     under the given scheme. *)
-let comm_buffer_bytes ?(scheme = Per_item) (nd : Gpu_sim.Geom.ndrange) =
+let comm_buffer_bytes ~scheme (nd : Gpu_sim.Geom.ndrange) =
   match scheme with
   | Per_item | No_comm -> 3 * 4 * Gpu_sim.Geom.total_items nd
   | Pooled n -> 3 * 4 * n
 
 let comm_counter_bytes = 4
 
-(** [transform opts k] rewrites [k] for Inter-Group RMT. The host must
+(** [transform scheme k] rewrites [k] for Inter-Group RMT. The host must
     launch the result with the dimension-0 global size doubled (local
     size unchanged) and the two extra buffers appended and zeroed. *)
-let transform (opts : opts) (k : kernel) : kernel =
+let transform (scheme : comm_scheme) (k : kernel) : kernel =
   Intra_group.reject_unsupported k;
   if List.mem_assoc wgid_lds_name k.lds_allocs then
     raise (Unsupported (wgid_lds_name ^ " LDS allocation already exists"));
@@ -179,7 +175,7 @@ let transform (opts : opts) (k : kernel) : kernel =
         Emit.store e Global addr v)
   in
   let guard_store addr v : stmt list =
-    (match opts.scheme with
+    (match scheme with
     | Per_item ->
         Emit.when_ e is_prod (fun () ->
             spin 0;
@@ -217,7 +213,7 @@ let transform (opts : opts) (k : kernel) : kernel =
     kname =
       (k.kname ^ "_inter"
       ^
-      match opts.scheme with
+      match scheme with
       | Per_item -> ""
       | Pooled n -> Printf.sprintf "_pool%d" n
       | No_comm -> "_nocomm");

@@ -22,10 +22,6 @@ type comm_scheme =
           pool at or above the device's resident-item capacity. *)
   | No_comm
 
-type opts = { scheme : comm_scheme }
-
-val default : opts
-
 val wgid_lds_name : string
 (** LDS slot used to broadcast the acquired group id. *)
 
@@ -35,13 +31,14 @@ val extra_params : Gpu_ir.Types.param list
 (** Parameters appended by the transform: the group counter and the
     communication buffer. *)
 
-val comm_buffer_bytes : ?scheme:comm_scheme -> Gpu_sim.Geom.ndrange -> int
-(** Size of the communication buffer for an original NDRange under the
-    given scheme (default [Per_item]: three words per logical item). *)
+val comm_buffer_bytes : scheme:comm_scheme -> Gpu_sim.Geom.ndrange -> int
+(** Size of the communication buffer for an original NDRange under
+    [scheme]: three words per logical item ([Per_item], [No_comm]) or per
+    pooled buffer ([Pooled n]). *)
 
 val comm_counter_bytes : int
 
-val transform : opts -> Gpu_ir.Types.kernel -> Gpu_ir.Types.kernel
+val transform : comm_scheme -> Gpu_ir.Types.kernel -> Gpu_ir.Types.kernel
 (** Launch the result with {!map_ndrange} and the extra buffers of
     {!Transform.make_extras} appended (counter re-zeroed per launch). *)
 

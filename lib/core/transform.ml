@@ -7,7 +7,7 @@ open Gpu_ir.Types
 type variant =
   | Original
   | Intra of { include_lds : bool; comm : Intra_group.comm }
-  | Inter of { comm : bool }
+  | Inter of Inter_group.comm_scheme
   | Tmr
 
 exception Unsupported = Intra_group.Unsupported
@@ -18,7 +18,7 @@ let intra_plus_lds = Intra { include_lds = true; comm = Intra_group.Comm_lds }
 let intra_minus_lds = Intra { include_lds = false; comm = Intra_group.Comm_lds }
 let intra_plus_lds_fast = Intra { include_lds = true; comm = Intra_group.Comm_fast }
 let intra_minus_lds_fast = Intra { include_lds = false; comm = Intra_group.Comm_fast }
-let inter_group = Inter { comm = true }
+let inter_group = Inter Inter_group.Per_item
 
 let name = function
   | Original -> "Original"
@@ -29,7 +29,12 @@ let name = function
         | Intra_group.Comm_lds -> ""
         | Intra_group.Comm_fast -> " FAST"
         | Intra_group.Comm_none -> " (no comm)")
-  | Inter { comm } -> "Inter-Group" ^ if comm then "" else " (no comm)"
+  | Inter scheme ->
+      "Inter-Group"
+      ^ (match scheme with
+        | Inter_group.Per_item -> ""
+        | Inter_group.No_comm -> " (no comm)"
+        | Inter_group.Pooled n -> Printf.sprintf " (pool of %d)" n)
   | Tmr -> "tmr"
 
 (** Transform [k] for [variant]. [local_items] is the original flat
@@ -39,10 +44,7 @@ let apply variant ~local_items (k : kernel) : kernel =
   | Original -> k
   | Intra { include_lds; comm } ->
       Intra_group.transform { include_lds; comm } ~local_items k
-  | Inter { comm } ->
-      Inter_group.transform
-        { Inter_group.scheme = (if comm then Inter_group.Per_item else Inter_group.No_comm) }
-        k
+  | Inter scheme -> Inter_group.transform scheme k
   | Tmr -> Tmr.transform ~local_items k
 
 (** Adapt the original NDRange for the transformed kernel. *)
@@ -67,10 +69,11 @@ type extras = {
 let make_extras variant dev ~(nd : Gpu_sim.Geom.ndrange) : extras =
   match variant with
   | Original | Intra _ | Tmr -> { ex_args = []; reset = (fun () -> ()) }
-  | Inter _ ->
+  | Inter scheme ->
+      let bytes = Inter_group.comm_buffer_bytes ~scheme nd in
       let counter = Gpu_sim.Device.alloc dev Inter_group.comm_counter_bytes in
-      let comm = Gpu_sim.Device.alloc dev (Inter_group.comm_buffer_bytes nd) in
-      Gpu_sim.Device.fill_i32 dev comm (Inter_group.comm_buffer_bytes nd / 4) 0;
+      let comm = Gpu_sim.Device.alloc dev bytes in
+      Gpu_sim.Device.fill_i32 dev comm (bytes / 4) 0;
       let reset () = Gpu_sim.Device.fill_i32 dev counter 1 0 in
       reset ();
       {

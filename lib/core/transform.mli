@@ -5,7 +5,9 @@
 type variant =
   | Original
   | Intra of { include_lds : bool; comm : Intra_group.comm }
-  | Inter of { comm : bool }
+  | Inter of Inter_group.comm_scheme
+      (** [Per_item] is the headline flavor, [No_comm] the Figure 7
+          ablation, [Pooled n] the paper's two-tier pooled buffers *)
   | Tmr
       (** triple modular redundancy, an extension beyond the paper:
           majority-voted stores (see {!Tmr}) *)

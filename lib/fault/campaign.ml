@@ -162,10 +162,6 @@ let run_observations ?(n = 40) ?map ~(target : Gpu_sim.Device.inject_target)
   plans ~n ~target ~seed ~golden_cycles:e.golden_cycles ()
   |> map (fun plan -> e.run ~inject:(Some plan))
 
-let run ?n ?map ~(target : Gpu_sim.Device.inject_target) ~seed
-    (e : experiment) : tally =
-  run_observations ?n ?map ~target ~seed e |> tally_of_observations
-
 (** Per-structure propagation summary over the observations that carry
     provenance; empty string when none do. *)
 let provenance_summary (obs : observation list) : string =

@@ -78,27 +78,16 @@ val run_observations :
   seed:int ->
   experiment ->
   observation list
-(** Like {!run} but returns the raw observations (plan order) so the
-    caller can inspect per-run provenance before tallying. *)
+(** Run [n] (default 40) injections, spread over the middle 80% of the
+    fault-free execution, and return the raw observations (plan order)
+    so the caller can inspect per-run provenance before tallying with
+    {!tally_of_observations}. The injected runs are independent; [map]
+    (default [List.map]) may run them in parallel — e.g.
+    [Harness.Pool.map] — provided it preserves list order. *)
 
 val provenance_summary : observation list -> string
 (** Per-structure propagation histograms over the observations carrying
     provenance; [""] when none do. *)
-
-val run :
-  ?n:int ->
-  ?map:
-    ((Gpu_sim.Device.inject_plan -> observation) ->
-    Gpu_sim.Device.inject_plan list ->
-    observation list) ->
-  target:Gpu_sim.Device.inject_target ->
-  seed:int ->
-  experiment ->
-  tally
-(** Run [n] (default 40) injections, spread over the middle 80% of the
-    fault-free execution. The injected runs are independent; [map]
-    (default [List.map]) may run them in parallel — e.g.
-    [Harness.Pool.map] — provided it preserves list order. *)
 
 val covered : tally -> bool
 (** No SDC observed (and at least one injection applied). *)

@@ -104,6 +104,8 @@ let resident_pages dev = Image.resident_pages dev.image
 let align_up v a = (v + a - 1) / a * a
 
 let alloc dev bytes =
+  if bytes < 0 then
+    invalid_arg (Printf.sprintf "Device.alloc: negative size %d" bytes);
   let addr = align_up dev.alloc_ptr 256 in
   if addr + bytes > Image.size dev.image then
     failwith "Device.alloc: out of device memory";

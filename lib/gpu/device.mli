@@ -50,7 +50,8 @@ val resident_pages : t -> int
 type buffer = { addr : int; size : int }
 
 val alloc : t -> int -> buffer
-(** Bump-allocate [bytes] of device memory (256-byte aligned). *)
+(** Bump-allocate [bytes] of device memory (256-byte aligned).
+    @raise Invalid_argument when [bytes] is negative. *)
 
 val free_all : t -> unit
 (** Reset the bump allocator (invalidates existing buffers). *)

@@ -347,7 +347,7 @@ let fig4 ctx =
 
 let fig7 ctx =
   (* plan: ladder runs, then the usage-dependent inflated runs *)
-  plan ctx [ T.Original; T.Inter { comm = false }; T.inter_group ];
+  plan ctx [ T.Original; T.Inter Rmt_core.Inter_group.No_comm; T.inter_group ];
   List.iter
     (fun (b : Kernels.Bench.t) ->
       let base = get ctx b T.Original in
@@ -366,7 +366,7 @@ let fig7 ctx =
       let inflation = inter_inflation_of ctx b ~base in
       let c0, c1, c2, starred =
         components ctx b ~base ~inflation
-          ~nocomm_variant:(T.Inter { comm = false })
+          ~nocomm_variant:(T.Inter Rmt_core.Inter_group.No_comm)
           ~full_variant:T.inter_group
       in
       (* as in the paper, the work-group-doubling experiment is only
@@ -671,16 +671,19 @@ let tmr_bench : Kernels.Bench.t =
         });
   }
 
-let tmr_run ?inject variant =
-  Run.run ~max_cycles:5_000_000 ?inject tmr_bench variant
+(* One injected run of the study; the fault-free runs come from the run
+   cache. *)
+let tmr_run ctx ~inject variant =
+  Run.run ~cfg:ctx.cfg ~max_cycles:5_000_000 ~inject tmr_bench variant
 
 let tmr ctx =
+  plan ctx ~benches:[ tmr_bench ] [ T.Original; T.intra_plus_lds; T.Tmr ];
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: DMR (detect) vs TMR (correct) on a 3-point stencil";
-  let base = tmr_run T.Original in
-  let dmr = tmr_run T.intra_plus_lds in
-  let tmr_ = tmr_run T.Tmr in
+  let base = get ctx tmr_bench T.Original in
+  let dmr = get ctx tmr_bench T.intra_plus_lds in
+  let tmr_ = get ctx tmr_bench T.Tmr in
   Report.row buf "%-10s %8s %10s" "version" "cycles" "slowdown";
   Report.row buf "%-10s %8d %9.2fx" "original" base.Run.cycles 1.0;
   Report.row buf "%-10s %8d %9.2fx" "DMR" dmr.Run.cycles
@@ -695,7 +698,7 @@ let tmr ctx =
       Pool.map ctx.pool
         (fun seed ->
           progress "  injecting tmr-study seed %d" seed;
-          tmr_run
+          tmr_run ctx
             ~inject:
               {
                 Gpu_sim.Device.at_cycle = 50 + (seed * 41);
@@ -1124,7 +1127,7 @@ let occupancy ctx =
 let pool_n = 8192
 let pool_wg = 64
 
-let pool_workload () =
+let pool_kernel () =
   let open Gpu_ir in
   let b = Builder.create "pool_saxpy" in
   let x = Builder.buffer_param b "x" in
@@ -1137,65 +1140,61 @@ let pool_workload () =
   Builder.gstore_elem b y gid v;
   Builder.finish b
 
-let pool_run scheme : int * bool =
-  let k0 = pool_workload () in
-  let dev = Gpu_sim.Device.create Gpu_sim.Config.default in
-  let x = Gpu_sim.Device.alloc dev (pool_n * 4) in
-  let y = Gpu_sim.Device.alloc dev (pool_n * 4) in
-  for i = 0 to pool_n - 1 do
-    Gpu_sim.Device.write_f32 dev x i (float_of_int i);
-    Gpu_sim.Device.write_f32 dev y i 1.0
-  done;
-  let nd0 = Gpu_sim.Geom.make_ndrange pool_n pool_wg in
-  let k, nd, args =
-    match scheme with
-    | None -> (k0, nd0, [ Gpu_sim.Device.A_buf x; A_buf y ])
-    | Some sch ->
-        let k = Rmt_core.Inter_group.transform { Rmt_core.Inter_group.scheme = sch } k0 in
-        let counter = Gpu_sim.Device.alloc dev 4 in
-        let bytes = Rmt_core.Inter_group.comm_buffer_bytes ~scheme:sch nd0 in
-        let comm = Gpu_sim.Device.alloc dev bytes in
-        Gpu_sim.Device.fill_i32 dev comm (bytes / 4) 0;
-        Gpu_sim.Device.fill_i32 dev counter 1 0;
-        ( k,
-          Rmt_core.Inter_group.map_ndrange nd0,
-          [ Gpu_sim.Device.A_buf x; A_buf y; A_buf counter; A_buf comm ] )
-  in
-  let opts =
-    { Gpu_sim.Device.default_opts with Gpu_sim.Device.max_cycles = Some 30_000_000 }
-  in
-  let r = Gpu_sim.Device.launch ~opts dev k ~nd ~args in
-  let ok = ref (r.Gpu_sim.Device.outcome = Gpu_sim.Device.Finished) in
-  if !ok then
-    for i = 0 to pool_n - 1 do
-      if Gpu_sim.Device.read_f32 dev y i <> (2.0 *. float_of_int i) +. 1.0 then
-        ok := false
-    done;
-  (r.Gpu_sim.Device.cycles, !ok)
+(* SAXPY as a benchmark of its own, so every scheme of the study runs
+   through the run cache; [scale] is ignored (one fixed size). The check
+   is exact: 2i + 1 is a binary32 integer for every i below [pool_n]. *)
+let pool_bench : Kernels.Bench.t =
+  {
+    id = "pool_saxpy";
+    name = "SAXPY";
+    character = Kernels.Bench.Memory_bound;
+    make_kernel = pool_kernel;
+    prepare =
+      (fun dev ~scale:_ ->
+        let x = Kernels.Bench.upload_f32 dev (Array.init pool_n float_of_int) in
+        let y = Kernels.Bench.upload_f32 dev (Array.make pool_n 1.0) in
+        let expected = Array.init pool_n (fun i -> (2.0 *. float_of_int i) +. 1.0) in
+        {
+          steps =
+            [
+              {
+                args = [ A_buf x; A_buf y ];
+                nd = Gpu_sim.Geom.make_ndrange pool_n pool_wg;
+              };
+            ];
+          verify =
+            (fun () -> Kernels.Bench.verify_f32_buffer dev y expected ~tol:0.0 ());
+        });
+  }
+
+let pool_schemes =
+  Rmt_core.Inter_group.
+    [
+      ("per-item slots", Per_item);
+      ("pool of 4096", Pooled 4096);
+      ("pool of 1024", Pooled 1024);
+      ("pool of 256", Pooled 256);
+      ("pool of 64", Pooled 64);
+    ]
 
 let pool ctx =
-  ignore ctx;
+  plan ctx ~benches:[ pool_bench ]
+    (T.Original :: List.map (fun (_, sch) -> T.Inter sch) pool_schemes);
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: Inter-Group communication-buffer schemes (SAXPY, one \
      store/item)";
-  let base, _ = pool_run None in
+  let base = get ctx pool_bench T.Original in
   Report.row buf "%-22s %9s %9s %8s" "scheme" "cycles" "slowdown" "correct";
-  Report.row buf "%-22s %9d %8.2fx %8s" "original" base 1.0 "yes";
   List.iter
-    (fun (label, sch) ->
-      progress "  running pool scheme %s" label;
-      let c, ok = pool_run (Some sch) in
-      Report.row buf "%-22s %9d %8.2fx %8s" label c
-        (float_of_int c /. float_of_int base)
-        (if ok then "yes" else "NO"))
-    [
-      ("per-item slots", Rmt_core.Inter_group.Per_item);
-      ("pool of 4096", Rmt_core.Inter_group.Pooled 4096);
-      ("pool of 1024", Rmt_core.Inter_group.Pooled 1024);
-      ("pool of 256", Rmt_core.Inter_group.Pooled 256);
-      ("pool of 64", Rmt_core.Inter_group.Pooled 64);
-    ];
+    (fun (label, (s : Run.summary)) ->
+      Report.row buf "%-22s %9d %8.2fx %8s" label s.cycles
+        (Run.slowdown ~base s)
+        (if s.verified then "yes" else "NO"))
+    (("original", base)
+    :: List.map
+         (fun (label, sch) -> (label, get ctx pool_bench (T.Inter sch)))
+         pool_schemes);
   Report.row buf
     "(the paper's pooled two-tier scheme adds contention as the pool";
   Report.row buf

@@ -24,7 +24,8 @@ val jobs : ctx -> int
 
 val campaign_map : ctx -> ('a -> 'b) -> 'a list -> 'b list
 (** {!Pool.map} over the context's pool — submission-ordered parallel
-    map, suitable as the [map] argument of {!Fault.Campaign.run}. *)
+    map, suitable as the [map] argument of
+    {!Fault.Campaign.run_observations}. *)
 
 val pool_stats : ctx -> Pool.stats
 (** Per-worker task counts and queue waits of the context's pool. *)

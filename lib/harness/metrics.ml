@@ -68,11 +68,16 @@ let bench_json ~rev ~jobs ~(runs : (string * Run.summary) list)
       ("pool", pool_json pool);
     ]
 
-(** Revision stamp of the trajectory: the short git head, otherwise
-    ["dev"]. *)
+(** Revision stamp of the trajectory: the short git head, with
+    ["-dirty"] appended when tracked files differ from it; ["dev"]
+    outside a checkout. Tags are excluded, so the stamp is always the
+    abbreviated hash. *)
 let rev () =
   try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let ic =
+      Unix.open_process_in
+        "git describe --always --dirty --exclude='*' 2>/dev/null"
+    in
     let line = try input_line ic with End_of_file -> "" in
     match Unix.close_process_in ic with
     | Unix.WEXITED 0 when String.trim line <> "" -> String.trim line

@@ -22,6 +22,7 @@ val bench_json :
     worker-pool statistics. *)
 
 val rev : unit -> string
-(** The short git head, else ["dev"]. *)
+(** The short git head, suffixed ["-dirty"] when tracked files differ
+    from it; ["dev"] outside a checkout. *)
 
 val write_file : string -> Gpu_trace.Json.t -> unit

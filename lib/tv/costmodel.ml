@@ -113,9 +113,9 @@ let usage_base = Regpressure.analyze k0 in
     | Intra _ -> (1, 2)
         (* consumer-only commits, but per-issue counting doubles
            wave-filling stores across the doubled wave population *)
-    | Inter { comm = true } ->
+    | Inter (Per_item | Pooled _) ->
         (3, 3) (* commit + addr/value deposits, all group-uniform *)
-    | Inter { comm = false } -> (1, 3)
+    | Inter No_comm -> (1, 3)
     | Tmr -> (1, 3) (* voter-only commits, tripled lanes *)
   in
   let inst_floor =

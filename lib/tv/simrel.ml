@@ -102,8 +102,8 @@ let subject ?(local_items = default_local_items)
   let args0 = synth_args k0 in
   let args_rmt, init_rmt, exempt_global =
     match variant with
-    | Inter _ ->
-        let comm_bytes = Rmt_core.Inter_group.comm_buffer_bytes nd0 in
+    | Inter scheme ->
+        let comm_bytes = Rmt_core.Inter_group.comm_buffer_bytes ~scheme nd0 in
         (* The launcher zeroes the counter and the comm buffer (the
            hand-off flags must read 0 before the first deposit). *)
         ( Array.append args0 [| inter_counter_base; inter_comm_base |],

@@ -141,6 +141,8 @@ let test_scale_usage_error () =
       (run_saxpy ^ bufs ^ " --show 1:1024:2000", "--show");
       (run_saxpy ^ " --arg i32:5 --arg buf:1024:f32=1.0", "--arg");
       (run_saxpy ^ " --arg buf:1024:findex --arg f32:1.0", "--arg");
+      (run_saxpy ^ " --arg buf:-5:findex --arg buf:1024:f32=1.0", "--arg");
+      (run_saxpy ^ " --arg buf:0 --arg buf:1024:f32=1.0", "--arg");
     ]
 
 (* A launch that does not finish is a failure of the command: a kernel

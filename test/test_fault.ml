@@ -63,7 +63,10 @@ let test_original_never_detects () =
   let bench = Kernels.Registry.find "R" in
   let ctx = Harness.Experiments.create_ctx ~cfg:Sim.Config.default () in
   let e = Harness.Experiments.coverage_experiment ctx bench T.Original in
-  let t = C.run ~n:10 ~target:Sim.Device.T_vgpr ~seed:11 e in
+  let t =
+    C.run_observations ~n:10 ~target:Sim.Device.T_vgpr ~seed:11 e
+    |> C.tally_of_observations
+  in
   check Alcotest.int "original cannot detect" 0 t.C.detected
 
 (* Under Intra-Group RMT, VGPR faults must never cause SDC (VRF is inside
@@ -72,7 +75,10 @@ let test_intra_vgpr_covered () =
   let bench = Kernels.Registry.find "R" in
   let ctx = Harness.Experiments.create_ctx ~cfg:Sim.Config.default () in
   let e = Harness.Experiments.coverage_experiment ctx bench T.intra_plus_lds in
-  let t = C.run ~n:12 ~target:Sim.Device.T_vgpr ~seed:3 e in
+  let t =
+    C.run_observations ~n:12 ~target:Sim.Device.T_vgpr ~seed:3 e
+    |> C.tally_of_observations
+  in
   check Alcotest.int "no SDC through the VRF under intra RMT" 0 t.C.sdc
 
 (* LDS faults under Intra-Group-LDS can slip through (LDS outside SoR);
@@ -81,7 +87,10 @@ let test_lds_coverage_difference () =
   let bench = Kernels.Registry.find "R" in
   let ctx = Harness.Experiments.create_ctx ~cfg:Sim.Config.default () in
   let e_plus = Harness.Experiments.coverage_experiment ctx bench T.intra_plus_lds in
-  let t_plus = C.run ~n:12 ~target:Sim.Device.T_lds ~seed:17 e_plus in
+  let t_plus =
+    C.run_observations ~n:12 ~target:Sim.Device.T_lds ~seed:17 e_plus
+    |> C.tally_of_observations
+  in
   check Alcotest.int "+LDS: no SDC through LDS" 0 t_plus.C.sdc
 
 let suite =

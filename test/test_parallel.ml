@@ -208,12 +208,13 @@ let test_campaign_map_equivalence () =
     }
   in
   let target = Gpu_sim.Device.T_vgpr in
-  let seq = Fault.Campaign.run ~n:16 ~target ~seed:42 experiment in
-  let pool = Harness.Pool.create ~jobs:4 () in
-  let par =
-    Fault.Campaign.run ~n:16 ~map:(Harness.Pool.map pool) ~target ~seed:42
-      experiment
+  let tally ?map () =
+    Fault.Campaign.run_observations ~n:16 ?map ~target ~seed:42 experiment
+    |> Fault.Campaign.tally_of_observations
   in
+  let seq = tally () in
+  let pool = Harness.Pool.create ~jobs:4 () in
+  let par = tally ~map:(Harness.Pool.map pool) () in
   check Alcotest.string "identical tallies"
     (Fault.Campaign.tally_to_string seq)
     (Fault.Campaign.tally_to_string par);

@@ -353,6 +353,43 @@ let test_write_file_atomic () =
   Sys.remove path;
   Unix.rmdir dir
 
+(* The revision stamp names the head of the checkout in the working
+   directory and marks a tree whose tracked files differ from it. *)
+let test_rev_marks_modified_tree () =
+  let dir = Filename.temp_dir "rmtgpu_rev" "" in
+  let git args =
+    let cmd =
+      Printf.sprintf "git -C %s %s 2>/dev/null" (Filename.quote dir) args
+    in
+    let ic = Unix.open_process_in cmd in
+    let out = In_channel.input_all ic in
+    if Unix.close_process_in ic <> Unix.WEXITED 0 then
+      Alcotest.failf "%s failed" cmd;
+    String.trim out
+  in
+  let tracked = Filename.concat dir "tracked.txt" in
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      Out_channel.with_open_text tracked (fun oc -> output_string oc "one\n");
+      ignore (git "init -q");
+      ignore (git "add tracked.txt");
+      ignore
+        (git
+           "-c user.name=test -c user.email=test@example.com \
+            -c commit.gpgsign=false commit -q -m init");
+      let head = git "rev-parse --short HEAD" in
+      Sys.chdir dir;
+      check Alcotest.string "clean tree: the short head" head
+        (Harness.Metrics.rev ());
+      Out_channel.with_open_text tracked (fun oc -> output_string oc "two\n");
+      check Alcotest.string "modified tracked file" (head ^ "-dirty")
+        (Harness.Metrics.rev ()));
+  check Alcotest.string "working directory restored" cwd (Sys.getcwd ())
+
 (* ------------------------------------------------------------------ *)
 (* Perfdiff gate                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -488,6 +525,8 @@ let suite =
     tc "prov: overwrite is terminal" `Slow test_provenance_overwrite_is_terminal;
     tc "campaign: latency percentiles" `Quick test_latency_percentiles;
     tc "metrics: write_file atomic" `Quick test_write_file_atomic;
+    tc "metrics: rev marks a modified tree" `Quick
+      test_rev_marks_modified_tree;
     tc "perfdiff: identical passes" `Quick test_perfdiff_identical_passes;
     tc "perfdiff: counter regression" `Quick
       test_perfdiff_flags_counter_regression;

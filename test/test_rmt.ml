@@ -17,7 +17,7 @@ let all_variants =
     T.intra_minus_lds_fast;
     T.Intra { include_lds = true; comm = Rmt_core.Intra_group.Comm_none };
     T.inter_group;
-    T.Inter { comm = false };
+    T.Inter Rmt_core.Inter_group.No_comm;
   ]
 
 (* A synthetic kernel exercising ids, LDS, barriers, control flow and
@@ -313,7 +313,9 @@ let every_variant =
           (fun comm -> T.Intra { include_lds; comm })
           Rmt_core.Intra_group.[ Comm_lds; Comm_fast; Comm_none ])
       [ true; false ]
-  @ List.map (fun comm -> T.Inter { comm }) [ true; false ]
+  @ List.map
+      (fun scheme -> T.Inter scheme)
+      Rmt_core.Inter_group.[ Per_item; No_comm; Pooled 64; Pooled 4096 ]
   @ [ T.Tmr ]
 
 let test_variant_names_distinct () =
@@ -350,39 +352,33 @@ let base_suite =
 (* Pooled two-tier locking (the paper's actual Inter-Group scheme)     *)
 (* ------------------------------------------------------------------ *)
 
-let run_pooled pool_size =
-  let k0 = synthetic () in
-  let k =
-    Rmt_core.Inter_group.transform
-      { Rmt_core.Inter_group.scheme = Rmt_core.Inter_group.Pooled pool_size }
-      k0
-  in
+(* Launch [k0] over [n] items in groups of 64 under pooled Inter-Group
+   RMT with [pool_size] buffers: one output buffer, then the counter and
+   pool that [Transform.make_extras] allocates. *)
+let launch_pooled ?san ~max_cycles ~pool_size ~n k0 =
+  let variant = T.Inter (Rmt_core.Inter_group.Pooled pool_size) in
+  let k = T.apply variant ~local_items:64 k0 in
   Verify.check k;
-  let san = Gpu_san.Shadow.create () in
-  let dev = Sim.Device.create ~san Sim.Config.small in
-  let n = 256 in
+  let dev = Sim.Device.create ?san Sim.Config.small in
   let buf = Sim.Device.alloc dev (n * 4) in
   let nd0 = Sim.Geom.make_ndrange n 64 in
-  let nd = Rmt_core.Inter_group.map_ndrange nd0 in
-  let counter = Sim.Device.alloc dev 4 in
-  let comm =
-    Sim.Device.alloc dev
-      (Rmt_core.Inter_group.comm_buffer_bytes
-         ~scheme:(Rmt_core.Inter_group.Pooled pool_size) nd0)
+  let extras = T.make_extras variant dev ~nd:nd0 in
+  let opts =
+    { Sim.Device.default_opts with Sim.Device.max_cycles = Some max_cycles }
   in
-  Sim.Device.fill_i32 dev counter 1 0;
-  Sim.Device.fill_i32 dev comm
-    (Rmt_core.Inter_group.comm_buffer_bytes
-       ~scheme:(Rmt_core.Inter_group.Pooled pool_size) nd0
-    / 4)
-    0;
-  let opts = { Sim.Device.default_opts with Sim.Device.max_cycles = Some 10_000_000 } in
   let r =
-    Sim.Device.launch ~opts dev k ~nd
-      ~args:[ Sim.Device.A_buf buf; A_buf counter; A_buf comm ]
+    Sim.Device.launch ~opts dev k ~nd:(T.map_ndrange variant nd0)
+      ~args:(Sim.Device.A_buf buf :: extras.T.ex_args)
+  in
+  (r, Sim.Device.read_i32_array dev buf n)
+
+let run_pooled pool_size =
+  let san = Gpu_san.Shadow.create () in
+  let res =
+    launch_pooled ~san ~max_cycles:10_000_000 ~pool_size ~n:256 (synthetic ())
   in
   assert_clean (Printf.sprintf "pooled pool=%d" pool_size) san;
-  (r, Sim.Device.read_i32_array dev buf n)
+  res
 
 let test_pooled_correct () =
   List.iter
@@ -409,27 +405,8 @@ let test_pooled_tiny_pool_deadlocks () =
   let out = Builder.buffer_param b "out" in
   let gid = Builder.global_id b 0 in
   Builder.gstore_elem b out gid gid;
-  let k0 = Builder.finish b in
-  let k =
-    Rmt_core.Inter_group.transform
-      { Rmt_core.Inter_group.scheme = Rmt_core.Inter_group.Pooled 1 }
-      k0
-  in
-  let n = 4096 in
-  let dev = Sim.Device.create Sim.Config.small in
-  let buf = Sim.Device.alloc dev (n * 4) in
-  let nd0 = Sim.Geom.make_ndrange n 64 in
-  let counter = Sim.Device.alloc dev 4 in
-  let comm = Sim.Device.alloc dev 64 in
-  Sim.Device.fill_i32 dev comm 16 0;
-  Sim.Device.fill_i32 dev counter 1 0;
-  let opts =
-    { Sim.Device.default_opts with Sim.Device.max_cycles = Some 400_000 }
-  in
-  let r =
-    Sim.Device.launch ~opts dev k
-      ~nd:(Rmt_core.Inter_group.map_ndrange nd0)
-      ~args:[ Sim.Device.A_buf buf; A_buf counter; A_buf comm ]
+  let r, _ =
+    launch_pooled ~max_cycles:400_000 ~pool_size:1 ~n:4096 (Builder.finish b)
   in
   check Alcotest.bool "oversubscribed pool=1 deadlocks" true
     (r.Sim.Device.outcome = Sim.Device.Hung)

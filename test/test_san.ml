@@ -123,26 +123,21 @@ let test_pooled_inter_clean () =
   let gid = Builder.global_id b 0 in
   Builder.gstore_elem b out gid (Builder.mul b gid (Builder.imm 3));
   let k0 = Builder.finish b in
-  let scheme = Rmt_core.Inter_group.Pooled 16 in
-  let k = Rmt_core.Inter_group.transform { Rmt_core.Inter_group.scheme } k0 in
+  let variant = T.Inter (Rmt_core.Inter_group.Pooled 16) in
+  let k = T.apply variant ~local_items:64 k0 in
   Verify.check k;
   let n = 256 in
   let san = Shadow.create () in
   let dev = Sim.Device.create ~san Sim.Config.small in
   let buf = Sim.Device.alloc dev (n * 4) in
   let nd0 = Sim.Geom.make_ndrange n 64 in
-  let counter = Sim.Device.alloc dev 4 in
-  let comm_bytes = Rmt_core.Inter_group.comm_buffer_bytes ~scheme nd0 in
-  let comm = Sim.Device.alloc dev comm_bytes in
-  Sim.Device.fill_i32 dev comm (comm_bytes / 4) 0;
-  Sim.Device.fill_i32 dev counter 1 0;
+  let extras = T.make_extras variant dev ~nd:nd0 in
   let opts =
     { Sim.Device.default_opts with Sim.Device.max_cycles = Some 10_000_000 }
   in
   let r =
-    Sim.Device.launch ~opts dev k
-      ~nd:(Rmt_core.Inter_group.map_ndrange nd0)
-      ~args:[ Sim.Device.A_buf buf; A_buf counter; A_buf comm ]
+    Sim.Device.launch ~opts dev k ~nd:(T.map_ndrange variant nd0)
+      ~args:(Sim.Device.A_buf buf :: extras.T.ex_args)
   in
   check Alcotest.bool "finished" true
     (r.Sim.Device.outcome = Sim.Device.Finished);
@@ -368,7 +363,7 @@ let test_static_checker_flags_elided_comparison () =
           ~local_items:64 k0,
         T.intra_plus_lds,
         "intra no-comm" );
-      ( T.apply (T.Inter { comm = false }) ~local_items:64 k0,
+      ( T.apply (T.Inter Rmt_core.Inter_group.No_comm) ~local_items:64 k0,
         T.inter_group,
         "inter no-comm" );
       (* +LDS kernels leave local stores uncompared: the -LDS contract

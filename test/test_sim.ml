@@ -589,6 +589,18 @@ let test_image_bounds () =
   check Alcotest.int "allocating materialises nothing" 0
     (Sim.Device.resident_pages dev)
 
+(* A negative size would move the bump pointer back, so the next buffer
+   would alias the previous one. *)
+let test_alloc_negative_size () =
+  let dev = Sim.Device.create Sim.Config.small in
+  let first = Sim.Device.alloc dev 256 in
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Device.alloc: negative size -20") (fun () ->
+      ignore (Sim.Device.alloc dev (-20)));
+  let next = Sim.Device.alloc dev 4 in
+  check Alcotest.bool "the next buffer starts after the first" true
+    (next.Sim.Device.addr >= first.Sim.Device.addr + first.Sim.Device.size)
+
 let test_image_bit_flip_untouched () =
   let ms, _, _ = mk_memsys () in
   Sim.Memsys.inject_memory_bit ms ~addr:12288 ~bit:5;
@@ -697,6 +709,7 @@ let suite =
       tc "image: untouched reads zero" `Quick test_image_untouched_reads_zero;
       tc "image: zero store materialises nothing" `Quick test_image_zero_store_is_free;
       tc "image: bounds and faults" `Quick test_image_bounds;
+      tc "alloc: negative size is rejected" `Quick test_alloc_negative_size;
       tc "image: bit flip on untouched page" `Quick test_image_bit_flip_untouched;
       tc "image: registry run stays sparse" `Quick test_image_registry_run_sparse;
     ]

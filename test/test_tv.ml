@@ -63,7 +63,7 @@ let ablations =
     ( "intra-lds/no-comm",
       T.Intra { include_lds = false; comm = Rmt_core.Intra_group.Comm_none }
     );
-    ("inter/no-comm", T.Inter { comm = false });
+    ("inter/no-comm", T.Inter Rmt_core.Inter_group.No_comm);
   ]
 
 (* An accepted negative is a validator escape: a transform whose checks
