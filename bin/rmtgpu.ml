@@ -30,6 +30,7 @@
    input file problems; usage is printed to stderr). *)
 
 module T = Rmt_core.Transform
+module Campaign = Harness.Campaign
 
 (* The kernel versions of the simulating subcommands (run, dump, trace,
    profile, inject, runfile), by their command-line spelling. *)
@@ -338,35 +339,26 @@ let target_conv =
 
 let do_inject (b : Kernels.Bench.t) variant target n jobs show_prov sanitize =
   let ctx = Harness.Experiments.create_ctx ?jobs () in
-  let e = Harness.Experiments.coverage_experiment ~sanitize ctx b variant in
-  let obs =
-    Fault.Campaign.run_observations ~n
-      ~map:(Harness.Experiments.campaign_map ctx) ~target ~seed:97 e
+  let runs =
+    Harness.Experiments.campaign ~sanitize ctx ~n ~target ~seed:97 b variant
   in
-  let t = Fault.Campaign.tally_of_observations obs in
+  let t = Campaign.tally runs in
   Printf.printf "%s under %s: %s%s\n" b.id (T.name variant)
-    (Fault.Campaign.tally_to_string t)
-    (if Fault.Campaign.covered t then "  [covered]" else "");
-  if sanitize then begin
-    let dirty =
-      List.length
-        (List.filter
-           (fun o -> o.Fault.Campaign.san_clean = Some false)
-           obs)
-    in
+    (Campaign.tally_to_string t)
+    (if Campaign.covered t then "  [covered]" else "");
+  if sanitize then
     Printf.printf "  sanitizer: %d/%d injected runs with shadow findings\n"
-      dirty (List.length obs)
-  end;
-  let psum = Fault.Campaign.provenance_summary obs in
+      (Campaign.sanitizer_dirty runs) (List.length runs);
+  let psum = Campaign.provenance_summary runs in
   if psum <> "" then print_string psum;
   if show_prov then
     List.iteri
-      (fun i o ->
-        match o.Fault.Campaign.prov with
+      (fun i (s : Harness.Run.summary) ->
+        match s.provenance with
         | Some p when Gpu_prof.Provenance.applied p ->
             Printf.printf "  #%02d %s\n" i (Gpu_prof.Provenance.to_string p)
         | _ -> ())
-      obs
+      runs
 
 (* ---------------- runfile ---------------- *)
 
@@ -473,13 +465,25 @@ let do_runfile path variant global local arg_specs shows =
       exit 2
   in
   let dev = Gpu_sim.Device.create cfg in
+  (* the bump allocator fails only when device memory is exhausted *)
+  let alloc_or_usage problem f =
+    try f ()
+    with Failure _ ->
+      usage "option '--arg': %s (device memory is %d bytes)" problem
+        cfg.memory_bytes
+  in
   let buffers = Hashtbl.create 8 in
   let args =
     List.mapi
       (fun i spec ->
         match spec with
         | RA_buf (words, init) ->
-            let b = Gpu_sim.Device.alloc dev (words * 4) in
+            let b =
+              alloc_or_usage
+                (Printf.sprintf "buffer parameter %d (%d words) does not fit"
+                   i words)
+                (fun () -> Gpu_sim.Device.alloc dev (words * 4))
+            in
             for j = 0 to words - 1 do
               match init with
               | `Zero -> Gpu_sim.Device.write_i32 dev b j 0
@@ -494,7 +498,13 @@ let do_runfile path variant global local arg_specs shows =
         | RA_f32 x -> Gpu_sim.Device.A_f32 x)
       arg_specs
   in
-  let args = args @ (T.make_extras variant dev ~nd:nd0).ex_args in
+  let extras =
+    alloc_or_usage
+      (Printf.sprintf "the buffers leave no room for the extra buffers of %s"
+         (T.name variant))
+      (fun () -> T.make_extras variant dev ~nd:nd0)
+  in
+  let args = args @ extras.ex_args in
   let r = Gpu_sim.Device.launch dev k ~nd ~args in
   Printf.printf "%s under %s: %d cycles (%s)\n" k0.Gpu_ir.Types.kname
     (T.name variant) r.Gpu_sim.Device.cycles
@@ -548,14 +558,6 @@ let do_exp names quick jobs metrics =
 (* ---------------- cmdliner wiring ---------------- *)
 
 open Cmdliner
-
-(* -v enables the simulator's scheduler-event log (gpu.device source) *)
-let setup_logs verbose =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
-let verbose_flag =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Trace scheduler events")
 
 let bench_arg = Arg.(required & pos 0 (some bench_conv) None & info [] ~docv:"BENCH")
 
@@ -633,12 +635,8 @@ let scale =
     & info [ "scale" ] ~docv:"N" ~doc:"Problem-size multiplier (at least 1)")
 
 let run_cmd =
-  let run verbose b v s =
-    setup_logs verbose;
-    do_run b v s
-  in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a benchmark under an RMT variant")
-    Term.(const run $ verbose_flag $ bench_arg $ variant_arg ~pos:1 $ scale)
+    Term.(const do_run $ bench_arg $ variant_arg ~pos:1 $ scale)
 
 let trace_cmd =
   let out =
@@ -656,18 +654,13 @@ let trace_cmd =
       & info [ "width" ] ~docv:"COLS"
           ~doc:"Columns of the ASCII per-CU utilization timeline (at least 1)")
   in
-  let trace verbose b v s o w =
-    setup_logs verbose;
-    do_trace b v s o w
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Simulate with scheduler events recorded; write a Chrome-trace \
           (Perfetto) JSON and print an ASCII per-CU timeline")
     Term.(
-      const trace $ verbose_flag $ bench_arg $ variant_arg ~pos:1 $ scale $ out
-      $ width)
+      const do_trace $ bench_arg $ variant_arg ~pos:1 $ scale $ out $ width)
 
 let inject_cmd =
   let variant =

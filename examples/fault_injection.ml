@@ -12,7 +12,7 @@
    Run with: dune exec examples/fault_injection.exe *)
 
 module T = Rmt_core.Transform
-module C = Fault.Campaign
+module C = Harness.Campaign
 
 let () =
   let bench = Kernels.Registry.find "R" in
@@ -22,12 +22,12 @@ let () =
   Printf.printf "%-14s %-6s %s\n" "version" "target" "outcomes";
   List.iter
     (fun (variant, name) ->
-      let e = Harness.Experiments.coverage_experiment ctx bench variant in
       List.iter
         (fun (target, tname) ->
           let t =
-            C.run_observations ~n:16 ~target ~seed:31 e
-            |> C.tally_of_observations
+            C.tally
+              (Harness.Experiments.campaign ctx ~n:16 ~target ~seed:31 bench
+                 variant)
           in
           Printf.printf "%-14s %-6s %-48s %s\n" name tname
             (C.tally_to_string t)

@@ -36,14 +36,6 @@ module F32 = Gpu_ir.F32
 module Site = Gpu_ir.Site
 module Prov = Gpu_prof.Provenance
 
-(* Scheduler-event log ("gpu.device" source): dispatches, retirements,
-   barrier releases, fault injections and detections, at debug level.
-   Enable with [Logs.Src.set_level log_src (Some Logs.Debug)] or the
-   [rmtgpu -v] flag. *)
-let log_src = Logs.Src.create "gpu.device" ~doc:"GPU device scheduler events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type buffer = { addr : int; size : int }
 type arg = A_buf of buffer | A_i32 of int | A_f32 of float
 
@@ -115,13 +107,6 @@ let alloc dev bytes =
   | None -> ());
   { addr; size = bytes }
 
-(** Release all buffers (bump-allocator reset). *)
-let free_all dev =
-  dev.alloc_ptr <- 256;
-  match dev.san with
-  | Some s -> Gpu_san.Shadow.reset_allocs s
-  | None -> ()
-
 let check_idx buf i =
   if i < 0 || (i * 4) + 4 > buf.size then
     invalid_arg (Printf.sprintf "buffer index %d out of range" i)
@@ -143,7 +128,6 @@ let read_f32 dev buf i = F32.to_float (read_i32 dev buf i)
 let write_i32_array dev buf arr = Array.iteri (fun i v -> write_i32 dev buf i v) arr
 let write_f32_array dev buf arr = Array.iteri (fun i x -> write_f32 dev buf i x) arr
 let read_i32_array dev buf n = Array.init n (fun i -> read_i32 dev buf i)
-let read_f32_array dev buf n = Array.init n (fun i -> read_f32 dev buf i)
 let fill_i32 dev buf n v = for i = 0 to n - 1 do write_i32 dev buf i v done
 
 (* ------------------------------------------------------------------ *)
@@ -712,9 +696,6 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
             emit now
               (Gpu_trace.Sink.Group_dispatch
                  { cu = cu.cu_id; group = gi; waves = waves_per_group });
-          Log.debug (fun m ->
-              m "cycle %d: dispatch group %d (%d waves) to CU %d" now gi
-                waves_per_group cu.cu_id);
           rebuild_sched cu;
           cu.wake <- now;
           true
@@ -768,9 +749,6 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
       if tracing then
         emit now
           (Gpu_trace.Sink.Group_retire { cu = cu.cu_id; group = s.g.g_index });
-      Log.debug (fun m ->
-          m "group %d completed on CU %d (%d/%d)" s.g.g_index cu.cu_id
-            !groups_completed total_groups);
       rebuild_sched cu;
       free_waves := Array.fold_left (fun l w -> w :: l) !free_waves s.g.g_waves
     end
@@ -869,11 +847,6 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
                 prov.detect_cycle <- now;
                 prov.detect_inst_index <- issued_insts ()
               end;
-              Log.info (fun m ->
-                  m
-                    "cycle %d: output comparison trapped (CU %d, group %d, \
-                     wave %d)"
-                    now cu.cu_id s.g.g_index w.Wave.wid);
               raise Trap_detected
           | _ -> ());
           if tracing then issued cu s now Gpu_trace.Sink.Valu busy;
@@ -1220,7 +1193,6 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
                  prov.inject_cycle <- now;
                  prov.inject_inst_index <- issued_insts ()
                end;
-               Log.info (fun m -> m "cycle %d: fault injected" now);
                inject_pending := None
              end
          | _ -> ());

@@ -22,10 +22,6 @@
     spin poll to the instruction site that caused it, once, and the
     issue-side {!Counters} fields are derived as the per-site sums. *)
 
-val log_src : Logs.src
-(** Scheduler-event log source ("gpu.device"): dispatches, retirements,
-    detections, injections at debug/info level. *)
-
 (** {1 Device and buffers} *)
 
 type t
@@ -37,7 +33,7 @@ val create : ?san:Gpu_san.Shadow.t -> Config.t -> t
 
     [san] is the dynamic sanitizer shadow, fixed for the device's
     lifetime, so it sees every allocation range and host write:
-    {!alloc}/{!free_all}/{!write_i32} (and everything funnelled through
+    {!alloc}/{!write_i32} (and everything funnelled through
     them) maintain its allocation and initialization maps, and every
     launch checks each lane's memory accesses against it. The shadow only
     observes: counters, timing and outputs are identical to an
@@ -53,9 +49,6 @@ val alloc : t -> int -> buffer
 (** Bump-allocate [bytes] of device memory (256-byte aligned).
     @raise Invalid_argument when [bytes] is negative. *)
 
-val free_all : t -> unit
-(** Reset the bump allocator (invalidates existing buffers). *)
-
 val write_i32 : t -> buffer -> int -> int -> unit
 val read_i32 : t -> buffer -> int -> int
 val write_f32 : t -> buffer -> int -> float -> unit
@@ -63,7 +56,6 @@ val read_f32 : t -> buffer -> int -> float
 val write_i32_array : t -> buffer -> int array -> unit
 val write_f32_array : t -> buffer -> float array -> unit
 val read_i32_array : t -> buffer -> int -> int array
-val read_f32_array : t -> buffer -> int -> float array
 val fill_i32 : t -> buffer -> int -> int -> unit
 
 (** {1 Launching} *)

@@ -56,12 +56,13 @@ type entry = {
   e_label : string;
   e_kernel : Gpu_ir.Types.kernel;  (** the kernel the site ids index *)
   e_static : Sor_check.violation list;
-  e_shadow : Gpu_san.Shadow.t option;  (** [None] = dynamic check skipped *)
+  e_san : Gpu_san.Shadow.finding list option;
+      (** sanitizer findings; [None] = dynamic check skipped *)
   e_skip_kind : skip_kind option;
   e_skip_reason : string option;
   e_run_problem : string option;
       (** a sanitized run that did not finish verified is itself a
-          finding, independent of shadow state *)
+          finding, independent of the sanitizer findings *)
 }
 
 type report = { r_bench : string; r_entries : entry list }
@@ -90,8 +91,8 @@ let entry_findings e : Findings.finding list =
     | None -> []
   in
   let dynamic =
-    match e.e_shadow with
-    | Some s -> Gpu_san.Report.to_findings ~kernel:e.e_kernel s
+    match e.e_san with
+    | Some fs -> Gpu_san.Report.to_findings ~kernel:e.e_kernel fs
     | None -> []
   in
   static @ run @ dynamic
@@ -116,7 +117,7 @@ let check_target ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
         e_label = label;
         e_kernel = kernel;
         e_static = Sor_check.check variant kernel;
-        e_shadow = None;
+        e_san = None;
         e_skip_kind = Some Sk_static_only;
         e_skip_reason =
           Some
@@ -138,7 +139,7 @@ let check_target ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
         e_label = label;
         e_kernel = kernel;
         e_static = Sor_check.check variant kernel;
-        e_shadow = summary.Run.san;
+        e_san = summary.Run.san;
         e_skip_kind = None;
         e_skip_reason = None;
         e_run_problem = problem;
@@ -173,7 +174,7 @@ let check_kernel ?(local_items = 64) ?(targets = standard_targets) ~name
           e_label = label;
           e_kernel = k;
           e_static = Sor_check.check variant k;
-          e_shadow = None;
+          e_san = None;
           e_skip_kind = Some (if tmr then Sk_static_only else Sk_no_harness);
           e_skip_reason = Some dynamic_note;
           e_run_problem = None;
@@ -183,7 +184,7 @@ let check_kernel ?(local_items = 64) ?(targets = standard_targets) ~name
           e_label = label;
           e_kernel = k0;
           e_static = [];
-          e_shadow = None;
+          e_san = None;
           e_skip_kind = Some Sk_not_applicable;
           e_skip_reason = Some ("transform not applicable: " ^ msg);
           e_run_problem = None;

@@ -55,10 +55,6 @@ let create_ctx ?(cfg = Gpu_sim.Config.default) ?(quick = false) ?jobs () =
 
 let jobs ctx = Pool.jobs ctx.pool
 
-(* [Pool.map] over the context's pool, for callers (fault campaigns)
-   that fan independent work out without going through the run cache. *)
-let campaign_map ctx f xs = Pool.map ctx.pool f xs
-
 let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
 let run_key ~cfg ~scale ~usage_override ~window_cycles ~optimize
@@ -503,31 +499,23 @@ let fig9 ctx =
 (* ------------------------------------------------------------------ *)
 
 let coverage_benches = [ "R"; "BlkSch" ]
+let coverage_seed = 1234
 
-let coverage_experiment ?(sanitize = false) ctx (b : Kernels.Bench.t) variant
-    : Fault.Campaign.experiment =
-  let golden = get ctx b variant in
+(* A fault campaign: [n] injected runs of [bench] under [variant], placed
+   by [Campaign.plans] over the cached golden run. The injected runs skip
+   the cache (each is distinct) and fan out on the context's pool; each
+   returns its own provenance record and, when sanitized, its own
+   findings, so nothing is shared between runs on parallel domains. *)
+let campaign ?(sanitize = false) ctx ~n ~target ~seed (bench : Kernels.Bench.t)
+    variant : Run.summary list =
+  let golden = get ctx bench variant in
   (* a corrupted spin flag or loop bound can hang an injected run; bound
      it to a small multiple of the fault-free runtime instead of the
      global watchdog *)
   let max_cycles = (golden.Run.cycles * 10) + 50_000 in
-  {
-    Fault.Campaign.run =
-      (fun ~inject ->
-        (* every injected run returns its own provenance record and, when
-           sanitized, its own shadow: nothing is shared between runs that
-           may execute on parallel pool domains *)
-        let s = Run.run ~cfg:ctx.cfg ~max_cycles ?inject ~sanitize b variant in
-        {
-          Fault.Campaign.oc = s.Run.outcome;
-          output_ok = s.Run.verified;
-          applied = s.Run.inject_applied;
-          latency = s.Run.detection_latency;
-          prov = s.Run.provenance;
-          san_clean = Option.map Gpu_san.Shadow.clean s.Run.san;
-        });
-    golden_cycles = golden.Run.cycles;
-  }
+  Campaign.plans ~n ~target ~seed ~golden_cycles:golden.Run.cycles
+  |> Pool.map ctx.pool (fun inject ->
+         Run.run ~cfg:ctx.cfg ~max_cycles ~inject ~sanitize bench variant)
 
 let coverage_variants =
   [
@@ -556,19 +544,15 @@ let coverage ctx =
       let b = Kernels.Registry.find id in
       List.iter
         (fun (v, name) ->
-          let e = coverage_experiment ctx b v in
           List.iter
             (fun (target, tname) ->
               progress "  injecting %-8s %-16s %s" b.id name tname;
-              let obs =
-                Fault.Campaign.run_observations ~n ~map:(Pool.map ctx.pool)
-                  ~target ~seed:1234 e
-              in
-              let t = Fault.Campaign.tally_of_observations obs in
+              let runs = campaign ctx ~n ~target ~seed:coverage_seed b v in
+              let t = Campaign.tally runs in
               Report.row buf "%-8s %-12s %-6s %s%s" b.id name tname
-                (Fault.Campaign.tally_to_string t)
-                (if Fault.Campaign.covered t then "  [covered]" else "");
-              let psum = Fault.Campaign.provenance_summary obs in
+                (Campaign.tally_to_string t)
+                (if Campaign.covered t then "  [covered]" else "");
+              let psum = Campaign.provenance_summary runs in
               if psum <> "" then
                 String.split_on_char '\n' psum
                 |> List.iter (fun l ->
@@ -671,10 +655,17 @@ let tmr_bench : Kernels.Bench.t =
         });
   }
 
-(* One injected run of the study; the fault-free runs come from the run
-   cache. *)
-let tmr_run ctx ~inject variant =
-  Run.run ~cfg:ctx.cfg ~max_cycles:5_000_000 ~inject tmr_bench variant
+(* Fault response: the same VGPR campaign as [coverage], placed over each
+   protected version's own run. *)
+let tmr_campaigns ctx =
+  let n = if ctx.quick then 10 else 30 in
+  List.map
+    (fun (name, v) ->
+      progress "  injecting tmr-study %s" name;
+      ( name,
+        campaign ctx ~n ~target:Gpu_sim.Device.T_vgpr ~seed:coverage_seed
+          tmr_bench v ))
+    [ ("DMR", T.intra_plus_lds); ("TMR", T.Tmr) ]
 
 let tmr ctx =
   plan ctx ~benches:[ tmr_bench ] [ T.Original; T.intra_plus_lds; T.Tmr ];
@@ -690,44 +681,25 @@ let tmr ctx =
     (Run.slowdown ~base dmr);
   Report.row buf "%-10s %8d %9.2fx" "TMR" tmr_.Run.cycles
     (Run.slowdown ~base tmr_);
-  (* fault response: inject VGPR flips, compare dispositions *)
-  let n_inj = if ctx.quick then 10 else 30 in
-  let tally variant =
-    (* independent injected runs: fan out on the pool, fold in order *)
-    let runs =
-      Pool.map ctx.pool
-        (fun seed ->
-          progress "  injecting tmr-study seed %d" seed;
-          tmr_run ctx
-            ~inject:
-              {
-                Gpu_sim.Device.at_cycle = 50 + (seed * 41);
-                target = Gpu_sim.Device.T_vgpr;
-                iseed = seed;
-              }
-            variant)
-        (List.init n_inj (fun i -> i + 1))
-    in
-    let aborted = ref 0 and correct = ref 0 and sdc = ref 0 and other = ref 0 in
-    List.iter
-      (fun (r : Run.summary) ->
-        match r.outcome with
-        | Gpu_sim.Device.Detected -> incr aborted
-        | Gpu_sim.Device.Finished -> if r.verified then incr correct else incr sdc
-        | Gpu_sim.Device.Crashed _ | Gpu_sim.Device.Hung -> incr other)
-      runs;
-    (!aborted, !correct, !sdc, !other)
+  let tallies =
+    List.map
+      (fun (name, runs) -> (name, Campaign.tally runs))
+      (tmr_campaigns ctx)
   in
-  let da, dc, ds, do_ = tally T.intra_plus_lds in
-  let ta, tc_, ts, to_ = tally T.Tmr in
+  (* flips that found no live target are not dispositions *)
+  let landed = List.map (fun (_, t) -> Campaign.tally_total t) tallies in
   Report.row buf "";
-  Report.row buf "%d VGPR bit flips each:" n_inj;
-  Report.row buf
-    "%-10s aborted-for-recovery=%d completed-correct=%d SDC=%d other=%d"
-    "DMR" da dc ds do_;
-  Report.row buf
-    "%-10s aborted-for-recovery=%d completed-correct=%d SDC=%d other=%d"
-    "TMR" ta tc_ ts to_;
+  (match List.sort_uniq compare landed with
+  | [ n ] -> Report.row buf "%d VGPR bit flips each:" n
+  | _ ->
+      Report.row buf "VGPR bit flips (DMR, TMR): %s"
+        (String.concat ", " (List.map string_of_int landed)));
+  List.iter
+    (fun (name, (t : Campaign.tally)) ->
+      Report.row buf
+        "%-10s aborted-for-recovery=%d completed-correct=%d SDC=%d other=%d"
+        name t.detected t.masked t.sdc (t.crash + t.hang))
+    tallies;
   Report.row buf
     "(TMR outvotes a faulty copy and completes; DMR must abort and re-execute)";
   Buffer.contents buf

@@ -22,11 +22,6 @@ val create_ctx :
 val jobs : ctx -> int
 (** Worker count of the context's pool. *)
 
-val campaign_map : ctx -> ('a -> 'b) -> 'a list -> 'b list
-(** {!Pool.map} over the context's pool — submission-ordered parallel
-    map, suitable as the [map] argument of
-    {!Fault.Campaign.run_observations}. *)
-
 val pool_stats : ctx -> Pool.stats
 (** Per-worker task counts and queue waits of the context's pool. *)
 
@@ -109,12 +104,22 @@ val fig9 : ctx -> string
 val coverage : ctx -> string
 (** Fault-injection campaigns validating Tables 2/3 empirically. *)
 
-val coverage_experiment :
-  ?sanitize:bool -> ctx -> Kernels.Bench.t -> Rmt_core.Transform.variant ->
-  Fault.Campaign.experiment
-(** [sanitize] attaches a fresh {!Gpu_san.Shadow} to every injected run
-    (never shared — runs may execute on parallel pool domains) and
-    reports its verdict in the observation's [san_clean]. *)
+val campaign :
+  ?sanitize:bool ->
+  ctx ->
+  n:int ->
+  target:Gpu_sim.Device.inject_target ->
+  seed:int ->
+  Kernels.Bench.t ->
+  Rmt_core.Transform.variant ->
+  Run.summary list
+(** A fault campaign: the golden run comes from the cache, then [n]
+    injected {!Run.run}s (plans from {!Campaign.plans}, each bounded by a
+    watchdog of ten golden runtimes plus 50,000 cycles) run on the
+    context's pool and return in plan order, so {!Campaign.tally} and
+    {!Campaign.provenance_summary} read the same at any [-j]. [sanitize]
+    gives every injected run its own sanitizer; the summaries keep only
+    the findings. *)
 
 (** {1 Extension studies (beyond the paper)} *)
 
@@ -126,6 +131,11 @@ val opt_ablation : ctx -> string
 
 val tmr : ctx -> string
 (** DMR (detect) vs TMR (correct) on a stencil, with fault dispositions. *)
+
+val tmr_campaigns : ctx -> (string * Run.summary list) list
+(** The injected runs behind {!tmr}'s dispositions: a VGPR {!campaign}
+    of 30 flips (10 when [quick]) into the stencil under DMR
+    (Intra-Group+LDS) and under TMR, labelled ["DMR"] and ["TMR"]. *)
 
 val wavesize : ctx -> string
 (** Intra-Group cost at wavefront sizes 64/32/16. *)

@@ -8,8 +8,8 @@
     Inter-Group group-id counter is reset before each pass. [run] is the
     only function here that simulates. Every observation of a run comes
     back in its summary: the per-site profile and the executed kernel
-    always, the scheduler events, fault provenance and sanitizer shadow
-    when asked for. Naive duplication is derived from the [Original]
+    always, the scheduler events, fault provenance and sanitizer
+    findings when asked for. Naive duplication is derived from the [Original]
     summary. *)
 
 module Device = Gpu_sim.Device
@@ -35,7 +35,7 @@ type summary = {
   profile : Gpu_prof.Collector.t;
   events : Gpu_trace.Sink.record list;
   provenance : Gpu_prof.Provenance.t option;
-  san : Gpu_san.Shadow.t option;
+  san : Gpu_san.Shadow.finding list option;
 }
 
 let outcome_name = function
@@ -66,7 +66,8 @@ let transformed_kernel ?(optimize = false) (bench : Kernels.Bench.t) variant
     cycles already simulated
     @param sanitize create a sanitizer shadow with the device, so it
     observes every allocation and host write; all passes check into the
-    same shadow (the sanitizer never perturbs timing or outputs) *)
+    same shadow (the sanitizer never perturbs timing or outputs), and the
+    summary keeps its findings, not the shadow *)
 let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
     ?window_cycles ?max_cycles ?usage_override ?inject ?(trace = false)
     ?(sanitize = false) (bench : Kernels.Bench.t) (variant : Transform.variant)
@@ -166,7 +167,7 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
     profile;
     events = List.concat (List.rev !passes);
     provenance;
-    san;
+    san = Option.map Gpu_san.Shadow.findings san;
   }
 
 (** Slowdown of [v] relative to [base] (runtimes in cycles). A

@@ -32,9 +32,10 @@ type summary = {
   provenance : Gpu_prof.Provenance.t option;
       (** fault-propagation record, [Some] exactly when [run] was given
           [inject]; filled by the pass in which the fault lands *)
-  san : Gpu_san.Shadow.t option;
-      (** sanitizer shadow with every launch's findings, [Some] exactly
-          when [run ~sanitize:true] *)
+  san : Gpu_san.Shadow.finding list option;
+      (** every launch's sanitizer findings, in order of first
+          occurrence, [Some] exactly when [run ~sanitize:true]; the
+          shadow itself does not outlive [run] *)
 }
 
 val outcome_name : Gpu_sim.Device.outcome -> string
@@ -65,7 +66,7 @@ val run :
     return a provenance record. [trace] (default [false]) records the
     scheduler events into [summary.events]. [sanitize] (default [false])
     creates the device with a sanitizer shadow, so the shadow observes
-    every allocation and host write. None of the three perturbs timing,
+    every allocation and host write, and returns its findings. None of the three perturbs timing,
     counters or outputs. *)
 
 val naive_duplication : summary -> summary

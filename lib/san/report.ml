@@ -1,6 +1,7 @@
 (** Render sanitizer findings as a human-readable listing and as JSON.
 
-    The renderers translate {!Shadow} findings into the shared
+    The renderers take a finding list ({!Shadow.findings}, or a run
+    summary's [san]), translate it into the shared
     {!Gpu_findings.Findings} vocabulary (one severity ranking, one JSON
     envelope, one exit-code policy across [check], [lint] and the
     sanitizer) and can resolve site ids to instruction text when given
@@ -46,7 +47,7 @@ let json_of_access insts (a : access) : Json.t =
     id becomes the category, the flagging access anchors the site, and
     the conflicting accesses travel both as human-readable notes and as
     structured JSON detail. *)
-let to_findings ?kernel t : Findings.finding list =
+let to_findings ?kernel (fs : finding list) : Findings.finding list =
   let insts = Option.map Gpu_ir.Site.insts kernel in
   List.map
     (fun (f : finding) ->
@@ -78,15 +79,15 @@ let to_findings ?kernel t : Findings.finding list =
         (Printf.sprintf "%s on %s word 0x%x (%d occurrence%s)"
            (cls_name f.f_class) (space_name f.f_space) f.f_addr f.f_count
            (if f.f_count = 1 then "" else "s")))
-    (findings t)
+    fs
 
 (** Human-readable multi-line report. [kernel], when given, lets the
     report print the instruction behind each site id. *)
-let to_string ?kernel t =
-  let fs = to_findings ?kernel t in
+let to_string ?kernel fs =
+  let fs = to_findings ?kernel fs in
   if fs = [] then "sanitizer: clean (0 findings)\n"
   else
     Printf.sprintf "sanitizer: %d finding(s)\n%s" (List.length fs)
       (Findings.list_to_string fs)
 
-let to_json ?kernel t : Json.t = Findings.list_to_json (to_findings ?kernel t)
+let to_json ?kernel fs : Json.t = Findings.list_to_json (to_findings ?kernel fs)

@@ -143,6 +143,11 @@ let test_scale_usage_error () =
       (run_saxpy ^ " --arg buf:1024:findex --arg f32:1.0", "--arg");
       (run_saxpy ^ " --arg buf:-5:findex --arg buf:1024:f32=1.0", "--arg");
       (run_saxpy ^ " --arg buf:0 --arg buf:1024:f32=1.0", "--arg");
+      (run_saxpy ^ " --arg buf:1000000000 --arg buf:1024:f32=1.0", "--arg");
+      ( "rmtgpu runfile " ^ saxpy
+        ^ " --global 64 --local 64 --variant inter --arg buf:16777000 --arg \
+           buf:64:f32=1.0",
+        "--arg" );
     ]
 
 (* A launch that does not finish is a failure of the command: a kernel

@@ -1,10 +1,10 @@
-(* Tests for the fault library and device injection mechanics: faults land
+(* Tests for fault campaigns and device injection mechanics: faults land
    where aimed, campaign bookkeeping is consistent, and coverage matches
    the SoR model on a real benchmark. *)
 
 module Sim = Gpu_sim
 module T = Rmt_core.Transform
-module C = Fault.Campaign
+module C = Harness.Campaign
 
 let check = Alcotest.check
 let tc = Alcotest.test_case
@@ -19,16 +19,11 @@ let test_tally_bookkeeping () =
   check Alcotest.bool "sdc blocks coverage" false (C.covered t)
 
 let test_classification () =
-  let obs oc output_ok =
-    {
-      C.oc;
-      output_ok;
-      applied = true;
-      latency = None;
-      prov = None;
-      san_clean = None;
-    }
+  let s =
+    Harness.Run.run ~cfg:Sim.Config.small (Kernels.Registry.find "PS")
+      T.Original
   in
+  let obs outcome verified = { s with Harness.Run.outcome; verified } in
   check Alcotest.bool "detected" true
     (C.classify (obs Sim.Device.Detected false) = C.O_detected);
   check Alcotest.bool "masked" true
@@ -62,10 +57,10 @@ let test_vgpr_injection_applies () =
 let test_original_never_detects () =
   let bench = Kernels.Registry.find "R" in
   let ctx = Harness.Experiments.create_ctx ~cfg:Sim.Config.default () in
-  let e = Harness.Experiments.coverage_experiment ctx bench T.Original in
   let t =
-    C.run_observations ~n:10 ~target:Sim.Device.T_vgpr ~seed:11 e
-    |> C.tally_of_observations
+    C.tally
+      (Harness.Experiments.campaign ctx ~n:10 ~target:Sim.Device.T_vgpr
+         ~seed:11 bench T.Original)
   in
   check Alcotest.int "original cannot detect" 0 t.C.detected
 
@@ -74,10 +69,10 @@ let test_original_never_detects () =
 let test_intra_vgpr_covered () =
   let bench = Kernels.Registry.find "R" in
   let ctx = Harness.Experiments.create_ctx ~cfg:Sim.Config.default () in
-  let e = Harness.Experiments.coverage_experiment ctx bench T.intra_plus_lds in
   let t =
-    C.run_observations ~n:12 ~target:Sim.Device.T_vgpr ~seed:3 e
-    |> C.tally_of_observations
+    C.tally
+      (Harness.Experiments.campaign ctx ~n:12 ~target:Sim.Device.T_vgpr
+         ~seed:3 bench T.intra_plus_lds)
   in
   check Alcotest.int "no SDC through the VRF under intra RMT" 0 t.C.sdc
 
@@ -86,12 +81,34 @@ let test_intra_vgpr_covered () =
 let test_lds_coverage_difference () =
   let bench = Kernels.Registry.find "R" in
   let ctx = Harness.Experiments.create_ctx ~cfg:Sim.Config.default () in
-  let e_plus = Harness.Experiments.coverage_experiment ctx bench T.intra_plus_lds in
   let t_plus =
-    C.run_observations ~n:12 ~target:Sim.Device.T_lds ~seed:17 e_plus
-    |> C.tally_of_observations
+    C.tally
+      (Harness.Experiments.campaign ctx ~n:12 ~target:Sim.Device.T_lds
+         ~seed:17 bench T.intra_plus_lds)
   in
   check Alcotest.int "+LDS: no SDC through LDS" 0 t_plus.C.sdc
+
+(* The TMR study's flips are placed over each version's own run, so every
+   one of them lands: a flip timed after the run has ended flips nothing,
+   yet its run would still count as completed-correct. *)
+let test_tmr_study_flips_land () =
+  List.iter
+    (fun quick ->
+      let ctx = Harness.Experiments.create_ctx ~quick () in
+      List.iter
+        (fun (name, runs) ->
+          check Alcotest.int
+            (Printf.sprintf "%s runs (quick=%b)" name quick)
+            (if quick then 10 else 30)
+            (List.length runs);
+          List.iteri
+            (fun i (s : Harness.Run.summary) ->
+              if not s.inject_applied then
+                Alcotest.failf "%s flip %d (quick=%b) did not land" name i
+                  quick)
+            runs)
+        (Harness.Experiments.tmr_campaigns ctx))
+    [ true; false ]
 
 let suite =
   [
@@ -102,4 +119,5 @@ let suite =
     tc "original never detects" `Slow test_original_never_detects;
     tc "intra covers VGPR" `Slow test_intra_vgpr_covered;
     tc "+LDS covers LDS" `Slow test_lds_coverage_difference;
+    tc "TMR study: every flip lands" `Quick test_tmr_study_flips_land;
   ]

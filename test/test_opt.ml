@@ -213,7 +213,7 @@ let run_clean ?transform ?optimize what seed =
   if not (Gpu_san.Shadow.clean san) then
     Alcotest.fail
       (Printf.sprintf "%s (seed %d) not sanitizer-clean:\n%s" what seed
-         (Gpu_san.Report.to_string san));
+         (Gpu_san.Report.to_string (Gpu_san.Shadow.findings san)));
   out
 
 let test_fuzz_optimizer () =

@@ -109,8 +109,8 @@ let test_detected_run_reconciles () =
   let v = T.intra_plus_lds in
   let golden = Harness.Run.run bench v in
   let plans =
-    Fault.Campaign.plans ~n:12 ~target:Sim.Device.T_lds ~seed:7
-      ~golden_cycles:golden.Harness.Run.cycles ()
+    Harness.Campaign.plans ~n:12 ~target:Sim.Device.T_lds ~seed:7
+      ~golden_cycles:golden.Harness.Run.cycles
   in
   let detected =
     List.find_map
@@ -207,8 +207,8 @@ let run_injected bench v plan =
   | None -> Alcotest.fail "injected run returned no provenance"
 
 let injection_plans ~n ~target ~seed golden =
-  Fault.Campaign.plans ~n ~target ~seed
-    ~golden_cycles:golden.Harness.Run.cycles ()
+  Harness.Campaign.plans ~n ~target ~seed
+    ~golden_cycles:golden.Harness.Run.cycles
 
 (* The record comes with every injected run, single-pass (PS) and
    multi-pass (FWT, 13 launches sharing one record), and only then. *)
@@ -264,22 +264,9 @@ let test_provenance_end_to_end () =
   let agg = Prov.aggregate (List.map snd obs) in
   check Alcotest.bool "aggregate names the structure" true
     (contains (Prov.agg_to_string agg) "LDS");
-  (* the campaign-level summary sees the same records *)
-  let cobs =
-    List.map
-      (fun ((s : Harness.Run.summary), p) ->
-        {
-          Fault.Campaign.oc = s.Harness.Run.outcome;
-          output_ok = s.Harness.Run.verified;
-          applied = s.Harness.Run.inject_applied;
-          latency = s.Harness.Run.detection_latency;
-          prov = Some p;
-          san_clean = None;
-        })
-      obs
-  in
+  (* the campaign-level summary reads the same records *)
   check Alcotest.bool "campaign summary nonempty" true
-    (Fault.Campaign.provenance_summary cobs <> "")
+    (Harness.Campaign.provenance_summary (List.map fst obs) <> "")
 
 let test_provenance_overwrite_is_terminal () =
   (* a record marked overwritten never also carries a first use; check
@@ -300,33 +287,33 @@ let test_provenance_overwrite_is_terminal () =
 (* ------------------------------------------------------------------ *)
 
 let test_latency_percentiles () =
-  let t = Fault.Campaign.tally_create () in
+  let t = Harness.Campaign.tally_create () in
   check
     Alcotest.(option int)
     "empty median" None
-    (Fault.Campaign.median_latency t);
-  check Alcotest.(option int) "empty p99" None (Fault.Campaign.p99_latency t);
-  check Alcotest.(option int) "empty max" None (Fault.Campaign.max_latency t);
-  t.Fault.Campaign.latencies <- [ 9; 1; 7; 3; 5 ];
+    (Harness.Campaign.median_latency t);
+  check Alcotest.(option int) "empty p99" None (Harness.Campaign.p99_latency t);
+  check Alcotest.(option int) "empty max" None (Harness.Campaign.max_latency t);
+  t.Harness.Campaign.latencies <- [ 9; 1; 7; 3; 5 ];
   check
     Alcotest.(option int)
     "median" (Some 5)
-    (Fault.Campaign.median_latency t);
-  check Alcotest.(option int) "p99 of 5" (Some 9) (Fault.Campaign.p99_latency t);
-  check Alcotest.(option int) "max" (Some 9) (Fault.Campaign.max_latency t);
-  t.Fault.Campaign.latencies <- List.init 200 (fun i -> i + 1);
+    (Harness.Campaign.median_latency t);
+  check Alcotest.(option int) "p99 of 5" (Some 9) (Harness.Campaign.p99_latency t);
+  check Alcotest.(option int) "max" (Some 9) (Harness.Campaign.max_latency t);
+  t.Harness.Campaign.latencies <- List.init 200 (fun i -> i + 1);
   check
     Alcotest.(option int)
     "median of 1..200" (Some 100)
-    (Fault.Campaign.median_latency t);
+    (Harness.Campaign.median_latency t);
   check
     Alcotest.(option int)
     "p99 of 1..200" (Some 198)
-    (Fault.Campaign.p99_latency t);
-  t.Fault.Campaign.detected <- 3;
-  t.Fault.Campaign.latencies <- [ 10; 20; 30 ];
+    (Harness.Campaign.p99_latency t);
+  t.Harness.Campaign.detected <- 3;
+  t.Harness.Campaign.latencies <- [ 10; 20; 30 ];
   check Alcotest.bool "tally prints percentiles" true
-    (contains (Fault.Campaign.tally_to_string t) "p50=20 p99=30 max=30")
+    (contains (Harness.Campaign.tally_to_string t) "p50=20 p99=30 max=30")
 
 (* ------------------------------------------------------------------ *)
 (* Atomic metrics write                                                 *)

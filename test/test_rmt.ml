@@ -48,7 +48,7 @@ let assert_clean what san =
   if not (Gpu_san.Shadow.clean san) then
     Alcotest.fail
       (Printf.sprintf "%s not sanitizer-clean:\n%s" what
-         (Gpu_san.Report.to_string san))
+         (Gpu_san.Report.to_string (Gpu_san.Shadow.findings san)))
 
 let run_synthetic variant =
   let k0 = synthetic () in

@@ -29,7 +29,7 @@ let cls_label f = Shadow.cls_id f.Shadow.f_class
 
 let fail_report what san =
   Alcotest.fail
-    (Printf.sprintf "%s:\n%s" what (Report.to_string san))
+    (Printf.sprintf "%s:\n%s" what (Report.to_string (Shadow.findings san)))
 
 (* ------------------------------------------------------------------ *)
 (* Seeded defects (negative direction)                                 *)
@@ -53,7 +53,7 @@ let test_seeded_defects_flagged () =
               (Printf.sprintf
                  "defect %s (seed %d) not flagged as %s; report:\n%s"
                  (Gen_kernel.defect_name defect)
-                 seed (Shadow.cls_id cls) (Report.to_string san));
+                 seed (Shadow.cls_id cls) (Report.to_string (Shadow.findings san)));
           (* races must carry both conflicting sites *)
           List.iter
             (fun f ->
@@ -214,7 +214,7 @@ let test_check_tmr_static_only_skip () =
   | Some Harness.Check.Sk_static_only -> ()
   | _ -> Alcotest.fail "TMR entry not classified Sk_static_only");
   check Alcotest.bool "dynamic run skipped" true
-    (e.Harness.Check.e_shadow = None);
+    (e.Harness.Check.e_san = None);
   match Harness.Check.entry_to_json e with
   | Gpu_trace.Json.Obj fields -> (
       match List.assoc_opt "skip_kind" fields with
@@ -283,12 +283,28 @@ let test_sanitizer_does_not_perturb_bench () =
         sanitized.Harness.Run.counters;
       check Alcotest.bool "both verified" true
         (plain.Harness.Run.verified && sanitized.Harness.Run.verified);
-      check Alcotest.bool "no shadow unless asked" true
+      check Alcotest.bool "no findings unless asked" true
         (plain.Harness.Run.san = None);
       match sanitized.Harness.Run.san with
-      | Some san -> check Alcotest.bool "clean" true (Shadow.clean san)
-      | None -> Alcotest.fail "~sanitize:true returned no shadow")
+      | Some fs -> check Alcotest.bool "clean" true (fs = [])
+      | None -> Alcotest.fail "~sanitize:true returned no findings")
     [ T.Original; T.inter_group ]
+
+(* A summary keeps the sanitizer's findings, not its shadow (megabytes
+   of per-word state), so a campaign can hold every injected run's
+   summary: a sanitized, injected BinS Inter summary reaches well under
+   1 MB (the shadow alone is about 8 MB). *)
+let test_sanitized_summary_is_small () =
+  let b = Kernels.Registry.find "BinS" in
+  let s =
+    Harness.Run.run ~sanitize:true
+      ~inject:{ Sim.Device.at_cycle = 100; target = Sim.Device.T_vgpr; iseed = 5 }
+      b T.inter_group
+  in
+  check Alcotest.bool "sanitized" true (s.Harness.Run.san <> None);
+  let bytes = Obj.reachable_words (Obj.repr s) * (Sys.word_size / 8) in
+  if bytes >= 1_000_000 then
+    Alcotest.failf "sanitized summary reaches %d bytes" bytes
 
 (* The shadow allocates per page, group and finding, never per lane: a
    sanitized run allocates at most 1.5x the minor words of a plain one
@@ -390,7 +406,7 @@ let test_report_rendering () =
   let (_ : int array) =
     Gen_kernel.run ~defect:Gen_kernel.D_oob_store ~san 1
   in
-  let text = Report.to_string san in
+  let text = Report.to_string (Shadow.findings san) in
   check Alcotest.bool "text names the class" true
     (let sub = "out-of-bounds" in
      let rec find i =
@@ -399,7 +415,7 @@ let test_report_rendering () =
      in
      find 0);
   (* JSON survives a round-trip through the tracer's parser *)
-  let j = Json.parse (Json.to_string (Report.to_json san)) in
+  let j = Json.parse (Json.to_string (Report.to_json (Shadow.findings san))) in
   check Alcotest.bool "json clean=false" true
     (Json.member "clean" j = Some (Json.Bool false));
   match Json.member "findings" j with
@@ -425,8 +441,8 @@ let golden_san_text () =
     let (_ : int array) = Gen_kernel.run ?defect ~san seed in
     let kernel = Gen_kernel.generate ?defect seed in
     Printf.bprintf buf "== %s seed %d\n%s%s\n" label seed
-      (Report.to_string ~kernel san)
-      (Json.to_string (Report.to_json ~kernel san))
+      (Report.to_string ~kernel (Shadow.findings san))
+      (Json.to_string (Report.to_json ~kernel (Shadow.findings san)))
   in
   List.iter
     (fun defect ->
@@ -600,6 +616,8 @@ let suite =
     tc "sanitizer does not perturb" `Quick test_sanitizer_does_not_perturb;
     tc "sanitizer does not perturb benches" `Slow
       test_sanitizer_does_not_perturb_bench;
+    tc "summary keeps findings, not the shadow" `Quick
+      test_sanitized_summary_is_small;
     tc "sanitizer allocation within 1.5x of a plain run" `Quick
       test_sanitizer_allocation;
     tc "static: accepts transformed kernels" `Quick
