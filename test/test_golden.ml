@@ -104,9 +104,83 @@ let test_golden_reports () =
       path
   end
 
+(* The output of every RMT pass: one line per (kernel, version) with the
+   MD5 of the transformed kernel's listing, or the pass's refusal. The
+   kernels are the registry's, transformed for their first launch's
+   work-group as [Run.transformed_kernel] is, and the example .rgk files
+   at 64 items; TMR uses 16-item groups, as [Check] does. On a mismatch
+   the actual text is written to a temporary file, which replaces
+   golden_ir.txt when the change is deliberate. *)
+let golden_ir_file =
+  Filename.concat (Filename.dirname Sys.executable_name) "golden_ir.txt"
+
+let ir_variants =
+  [
+    ("original", T.Original);
+    ("intra+lds", T.intra_plus_lds);
+    ("intra-lds", T.intra_minus_lds);
+    ("intra+lds-fast", T.intra_plus_lds_fast);
+    ("intra-lds-fast", T.intra_minus_lds_fast);
+    ("intra+lds-nocomm", T.Intra { include_lds = true; comm = Comm_none });
+    ("intra-lds-nocomm", T.Intra { include_lds = false; comm = Comm_none });
+    ("inter", T.Inter Per_item);
+    ("inter-nocomm", T.Inter No_comm);
+    ("inter-pool64", T.Inter (Pooled 64));
+    ("tmr", T.Tmr);
+  ]
+
+let golden_ir_text () =
+  let ir_line name k0 local_items (label, v) =
+    let local_items = if v = T.Tmr then 16 else local_items in
+    match T.apply v ~local_items k0 with
+    | k ->
+        Printf.sprintf "%s %s %s\n" name label
+          (Digest.to_hex (Digest.string (Gpu_ir.Pp.kernel_to_string k)))
+    | exception T.Unsupported msg ->
+        Printf.sprintf "%s %s unsupported: %s\n" name label msg
+  in
+  let registry =
+    List.map
+      (fun (b : Kernels.Bench.t) ->
+        let prep = b.prepare (Sim.Device.create Sim.Config.default) ~scale:1 in
+        let nd = (List.hd prep.Kernels.Bench.steps).Kernels.Bench.nd in
+        (b.id, b.make_kernel (), Sim.Geom.group_items nd))
+      Kernels.Registry.all
+  in
+  let rgk_dir =
+    Filename.concat (Filename.dirname Sys.executable_name) "../examples/kernels"
+  in
+  let rgk =
+    List.map
+      (fun f ->
+        let src =
+          In_channel.with_open_text (Filename.concat rgk_dir f)
+            In_channel.input_all
+        in
+        (f, Gpu_ir.Parse.kernel_of_string_checked src, 64))
+      [ "histogram.rgk"; "saxpy.rgk" ]
+  in
+  String.concat ""
+    (List.concat_map
+       (fun (name, k0, items) -> List.map (ir_line name k0 items) ir_variants)
+       (registry @ rgk))
+
+let test_golden_ir () =
+  let expected = In_channel.with_open_bin golden_ir_file In_channel.input_all in
+  let actual = golden_ir_text () in
+  if actual <> expected then begin
+    let path = Filename.temp_file "golden_ir" ".txt" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc actual);
+    Alcotest.failf
+      "transformed kernels differ from golden_ir.txt; actual text written \
+       to %s"
+      path
+  end
+
 let suite =
   [
     Alcotest.test_case "registry runs match the golden counters" `Quick test_golden;
     Alcotest.test_case "extension reports match golden_reports.txt" `Quick
       test_golden_reports;
+    Alcotest.test_case "pass output matches golden_ir.txt" `Quick test_golden_ir;
   ]
