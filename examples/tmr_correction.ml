@@ -93,4 +93,4 @@ let () =
     [ 1; 2; 3; 4 ];
   print_endline
     "\nTMR completes with correct output where DMR must abort and re-execute;\n\
-     the price is ~3x redundant work instead of ~2x (see `bench tmr`)."
+     the price is ~3x redundant work instead of ~2x (see `rmtgpu exp tmr`)."

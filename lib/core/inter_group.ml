@@ -25,6 +25,7 @@
     the slot and alone perform the store. *)
 
 open Gpu_ir.Types
+module B = Gpu_ir.Builder
 
 (** Output-comparison communication scheme. [Per_item] gives every
     logical work-item its own (flag, addr, val) slot — deterministic and
@@ -64,63 +65,63 @@ let transform (scheme : comm_scheme) (k : kernel) : kernel =
   if List.mem_assoc wgid_lds_name k.lds_allocs then
     raise (Unsupported (wgid_lds_name ^ " LDS allocation already exists"));
   let np = param_count k in
-  let e = Emit.create ~nregs:k.nregs in
+  let b = B.extend k in
   (* ---- prelude: acquire the work-group id ---- *)
-  let counter = Emit.arg e np in
-  let comm = Emit.arg e (np + 1) in
-  let lid0 = Emit.special e (Local_id 0) in
-  let lid1 = Emit.special e (Local_id 1) in
-  let lid2 = Emit.special e (Local_id 2) in
-  let lsz0 = Emit.special e (Local_size 0) in
-  let lsz1 = Emit.special e (Local_size 1) in
-  let lsz2 = Emit.special e (Local_size 2) in
-  let row = Emit.mad e lid2 lsz1 lid1 in
-  let flat_lid = Emit.mad e row lsz0 lid0 in
-  let wgid_base = Emit.special e (Lds_base wgid_lds_name) in
-  let is_first = Emit.eq e flat_lid (Emit.imm 0) in
-  Emit.when_ e is_first (fun () ->
-      let acquired = Emit.atomic e A_add Global counter (Emit.imm 1) in
-      Emit.store e Local wgid_base acquired);
-  Emit.barrier e;
-  let wgid = Emit.load e Local wgid_base in
-  let flag = Emit.and_ e wgid (Emit.imm 1) in
-  let is_prod = Emit.eq e flag (Emit.imm 0) in
-  let is_cons = Emit.ne e flag (Emit.imm 0) in
-  let lgrp = Emit.shr e wgid 1 in
+  let counter = B.arg b np in
+  let comm = B.arg b (np + 1) in
+  let lid0 = B.special b (Local_id 0) in
+  let lid1 = B.special b (Local_id 1) in
+  let lid2 = B.special b (Local_id 2) in
+  let lsz0 = B.special b (Local_size 0) in
+  let lsz1 = B.special b (Local_size 1) in
+  let lsz2 = B.special b (Local_size 2) in
+  let row = B.mad b lid2 lsz1 lid1 in
+  let flat_lid = B.mad b row lsz0 lid0 in
+  let wgid_base = B.special b (Lds_base wgid_lds_name) in
+  let is_first = B.eq b flat_lid (B.imm 0) in
+  B.when_ b is_first (fun () ->
+      let acquired = B.atomic b A_add Global counter (B.imm 1) in
+      B.store b Local wgid_base acquired);
+  B.barrier b;
+  let wgid = B.load b Local wgid_base in
+  let flag = B.and_ b wgid (B.imm 1) in
+  let is_prod = B.eq b flag (B.imm 0) in
+  let is_cons = B.ne b flag (B.imm 0) in
+  let lgrp = B.lshr b wgid (B.imm 1) in
   (* logical group coordinates (dimension-0 group count was doubled) *)
-  let png0 = Emit.special e (Num_groups 0) in
-  let ng0 = Emit.shr e png0 1 in
-  let ng1 = Emit.special e (Num_groups 1) in
-  let ng2 = Emit.special e (Num_groups 2) in
-  let lg0 = Emit.iarith e Rem_u lgrp ng0 in
-  let t1 = Emit.iarith e Div_u lgrp ng0 in
-  let lg1 = Emit.iarith e Rem_u t1 ng1 in
-  let lg2 = Emit.iarith e Div_u t1 ng1 in
-  let lgid0 = Emit.mad e lg0 lsz0 lid0 in
-  let lgid1 = Emit.mad e lg1 lsz1 lid1 in
-  let lgid2 = Emit.mad e lg2 lsz2 lid2 in
-  let pgsz0 = Emit.special e (Global_size 0) in
-  let lgsz0 = Emit.shr e pgsz0 1 in
+  let png0 = B.special b (Num_groups 0) in
+  let ng0 = B.lshr b png0 (B.imm 1) in
+  let ng1 = B.special b (Num_groups 1) in
+  let ng2 = B.special b (Num_groups 2) in
+  let lg0 = B.rem_u b lgrp ng0 in
+  let t1 = B.div_u b lgrp ng0 in
+  let lg1 = B.rem_u b t1 ng1 in
+  let lg2 = B.div_u b t1 ng1 in
+  let lgid0 = B.mad b lg0 lsz0 lid0 in
+  let lgid1 = B.mad b lg1 lsz1 lid1 in
+  let lgid2 = B.mad b lg2 lsz2 lid2 in
+  let pgsz0 = B.special b (Global_size 0) in
+  let lgsz0 = B.lshr b pgsz0 (B.imm 1) in
   (* communication-slot addresses for this logical work-item *)
-  let group_items = Emit.mul e (Emit.mul e lsz0 lsz1) lsz2 in
-  let ngl = Emit.mul e (Emit.mul e ng0 ng1) ng2 in
-  let total = Emit.mul e ngl group_items in
-  let slot = Emit.mad e lgrp group_items flat_lid in
-  let flag_addr = Emit.mad e slot (Emit.imm 4) comm in
-  let addr_base = Emit.mad e total (Emit.imm 4) comm in
-  let addr_addr = Emit.mad e slot (Emit.imm 4) addr_base in
-  let val_base = Emit.mad e total (Emit.imm 8) comm in
-  let val_addr = Emit.mad e slot (Emit.imm 4) val_base in
-  let prelude = Emit.take e in
+  let group_items = B.mul b (B.mul b lsz0 lsz1) lsz2 in
+  let ngl = B.mul b (B.mul b ng0 ng1) ng2 in
+  let total = B.mul b ngl group_items in
+  let slot = B.mad b lgrp group_items flat_lid in
+  let flag_addr = B.mad b slot (B.imm 4) comm in
+  let addr_base = B.mad b total (B.imm 4) comm in
+  let addr_addr = B.mad b slot (B.imm 4) addr_base in
+  let val_base = B.mad b total (B.imm 8) comm in
+  let val_addr = B.mad b slot (B.imm 4) val_base in
+  let prelude = B.take b in
   (* ---- store guarding ---- *)
   (* Flag polls are emitted as [A_poll] — functionally the [atomic_add 0]
      L2-visible read, but tagged so the device charges each iteration to
      [Counters.spin_iterations] rather than to useful memory work. *)
   let spin want =
-    Emit.while_ e
+    B.while_ b
       (fun () ->
-        let t = Emit.atomic e A_poll Global flag_addr (Emit.imm 0) in
-        Emit.ne e t (Emit.imm want))
+        let t = B.atomic b A_poll Global flag_addr (B.imm 0) in
+        B.ne b t (B.imm want))
       (fun () -> ())
   in
   (* The paper's pooled buffer acquisition, as a two-phase tag protocol:
@@ -132,68 +133,64 @@ let transform (scheme : comm_scheme) (k : kernel) : kernel =
      (producers only claim empty buffers), so it polls the tag, verifies,
      and releases by writing 0. Buffer layout: [tag; addr; val]. *)
   let pooled_rendezvous n =
-    let my_tag = Emit.add e slot (Emit.imm 1) in
-    let neg_tag = Emit.iarith e Sub (Emit.imm 0) my_tag in
-    let bufidx = Emit.iarith e Rem_u my_tag (Emit.imm n) in
-    let base = Emit.mad e bufidx (Emit.imm 12) comm in
+    let my_tag = B.add b slot (B.imm 1) in
+    let neg_tag = B.sub b (B.imm 0) my_tag in
+    let bufidx = B.rem_u b my_tag (B.imm n) in
+    let base = B.mad b bufidx (B.imm 12) comm in
     let tag_a = base in
-    let addr_a = Emit.add e base (Emit.imm 4) in
-    let val_a = Emit.add e base (Emit.imm 8) in
+    let addr_a = B.add b base (B.imm 4) in
+    let val_a = B.add b base (B.imm 8) in
     (my_tag, neg_tag, tag_a, addr_a, val_a)
   in
   let guard_store_pooled n addr v : unit =
     let my_tag, neg_tag, tag_a, addr_a, val_a = pooled_rendezvous n in
-    Emit.when_ e is_prod (fun () ->
-        let dcell = Emit.fresh e in
-        Emit.emit e (I (Mov (dcell, Emit.imm 0)));
-        Emit.while_ e
-          (fun () -> Emit.eq e (Reg dcell) (Emit.imm 0))
+    B.when_ b is_prod (fun () ->
+        let done_ = B.cell b (B.imm 0) in
+        B.while_ b
+          (fun () -> B.eq b (B.get done_) (B.imm 0))
           (fun () ->
-            let old =
-              Emit.unary e (fun d -> Cas (Global, d, tag_a, Emit.imm 0, neg_tag))
-            in
-            Emit.when_ e (Emit.eq e old (Emit.imm 0)) (fun () ->
-                Emit.store e Global addr_a addr;
-                Emit.store e Global val_a v;
-                Emit.fence e Global;
-                ignore (Emit.atomic e A_xchg Global tag_a my_tag);
-                Emit.emit e (I (Mov (dcell, Emit.imm 1))))));
-    Emit.when_ e is_cons (fun () ->
-        let dcell = Emit.fresh e in
-        Emit.emit e (I (Mov (dcell, Emit.imm 0)));
-        Emit.while_ e
-          (fun () -> Emit.eq e (Reg dcell) (Emit.imm 0))
+            let old = B.cas b Global tag_a (B.imm 0) neg_tag in
+            B.when_ b (B.eq b old (B.imm 0)) (fun () ->
+                B.store b Global addr_a addr;
+                B.store b Global val_a v;
+                B.fence b Global;
+                ignore (B.atomic b A_xchg Global tag_a my_tag);
+                B.set b done_ (B.imm 1))));
+    B.when_ b is_cons (fun () ->
+        let done_ = B.cell b (B.imm 0) in
+        B.while_ b
+          (fun () -> B.eq b (B.get done_) (B.imm 0))
           (fun () ->
-            let t = Emit.atomic e A_poll Global tag_a (Emit.imm 0) in
-            Emit.when_ e (Emit.eq e t my_tag) (fun () ->
-                let a2 = Emit.atomic e A_add Global addr_a (Emit.imm 0) in
-                let v2 = Emit.atomic e A_add Global val_a (Emit.imm 0) in
-                let bad = Emit.or_ e (Emit.ne e a2 addr) (Emit.ne e v2 v) in
-                Emit.trap e bad;
-                ignore (Emit.atomic e A_xchg Global tag_a (Emit.imm 0));
-                Emit.emit e (I (Mov (dcell, Emit.imm 1)))));
-        Emit.store e Global addr v)
+            let t = B.atomic b A_poll Global tag_a (B.imm 0) in
+            B.when_ b (B.eq b t my_tag) (fun () ->
+                let a2 = B.atomic b A_add Global addr_a (B.imm 0) in
+                let v2 = B.atomic b A_add Global val_a (B.imm 0) in
+                let bad = B.or_ b (B.ne b a2 addr) (B.ne b v2 v) in
+                B.trap b bad;
+                ignore (B.atomic b A_xchg Global tag_a (B.imm 0));
+                B.set b done_ (B.imm 1)));
+        B.store b Global addr v)
   in
   let guard_store addr v : stmt list =
     (match scheme with
     | Per_item ->
-        Emit.when_ e is_prod (fun () ->
+        B.when_ b is_prod (fun () ->
             spin 0;
-            Emit.store e Global addr_addr addr;
-            Emit.store e Global val_addr v;
-            Emit.fence e Global;
-            ignore (Emit.atomic e A_xchg Global flag_addr (Emit.imm 1)));
-        Emit.when_ e is_cons (fun () ->
+            B.store b Global addr_addr addr;
+            B.store b Global val_addr v;
+            B.fence b Global;
+            ignore (B.atomic b A_xchg Global flag_addr (B.imm 1)));
+        B.when_ b is_cons (fun () ->
             spin 1;
-            let a2 = Emit.atomic e A_add Global addr_addr (Emit.imm 0) in
-            let v2 = Emit.atomic e A_add Global val_addr (Emit.imm 0) in
-            let bad = Emit.or_ e (Emit.ne e a2 addr) (Emit.ne e v2 v) in
-            Emit.trap e bad;
-            ignore (Emit.atomic e A_xchg Global flag_addr (Emit.imm 0));
-            Emit.store e Global addr v)
+            let a2 = B.atomic b A_add Global addr_addr (B.imm 0) in
+            let v2 = B.atomic b A_add Global val_addr (B.imm 0) in
+            let bad = B.or_ b (B.ne b a2 addr) (B.ne b v2 v) in
+            B.trap b bad;
+            ignore (B.atomic b A_xchg Global flag_addr (B.imm 0));
+            B.store b Global addr v)
     | Pooled n -> guard_store_pooled n addr v
-    | No_comm -> Emit.when_ e is_cons (fun () -> Emit.store e Global addr v));
-    Emit.take e
+    | No_comm -> B.when_ b is_cons (fun () -> B.store b Global addr v));
+    B.take b
   in
   let rewrite (s : stmt) : stmt list =
     match s with
@@ -220,7 +217,7 @@ let transform (scheme : comm_scheme) (k : kernel) : kernel =
     params = k.params @ extra_params;
     lds_allocs = k.lds_allocs @ [ (wgid_lds_name, 4) ];
     body;
-    nregs = e.next;
+    nregs = B.nregs b;
   }
 
 (** Host-side NDRange adaptation: twice the groups in dimension 0. *)

@@ -23,6 +23,7 @@
       Figure 4). *)
 
 open Gpu_ir.Types
+module B = Gpu_ir.Builder
 
 type comm = Comm_lds | Comm_fast | Comm_none
 
@@ -37,19 +38,6 @@ let minus_lds = { include_lds = false; comm = Comm_lds }
 let comm_lds_name = "__rmt_comm"
 
 exception Unsupported of string
-
-(* Values computed once in the prelude and referenced by every rewrite. *)
-type env = {
-  flag : value;
-  is_prod : value;
-  is_cons : value;
-  llid0 : value;
-  llsz0 : value;
-  lgid0 : value;
-  lgsz0 : value;
-  comm_addr_base : value;  (** LDS offset of the address slots *)
-  comm_val_base : value;   (** LDS offset of the value slots *)
-}
 
 let reject_unsupported (k : kernel) =
   iter_inst
@@ -98,87 +86,74 @@ let transform (opts : opts) ~local_items (k : kernel) : kernel =
       k.body;
   if List.mem_assoc comm_lds_name k.lds_allocs then
     raise (Unsupported (comm_lds_name ^ " LDS allocation already exists"));
-  let e = Emit.create ~nregs:k.nregs in
+  let b = B.extend k in
   (* ---- prelude: pairing flag and logical IDs ---- *)
-  let plid0 = Emit.special e (Local_id 0) in
-  let flag = Emit.and_ e plid0 (Emit.imm 1) in
-  let is_prod = Emit.eq e flag (Emit.imm 0) in
-  let is_cons = Emit.ne e flag (Emit.imm 0) in
-  let llid0 = Emit.shr e plid0 1 in
-  let plsz0 = Emit.special e (Local_size 0) in
-  let llsz0 = Emit.shr e plsz0 1 in
-  let grp0 = Emit.special e (Group_id 0) in
-  let lgid0 = Emit.mad e grp0 llsz0 llid0 in
-  let pgsz0 = Emit.special e (Global_size 0) in
-  let lgsz0 = Emit.shr e pgsz0 1 in
+  let plid0 = B.special b (Local_id 0) in
+  let flag = B.and_ b plid0 (B.imm 1) in
+  let is_prod = B.eq b flag (B.imm 0) in
+  let is_cons = B.ne b flag (B.imm 0) in
+  let llid0 = B.lshr b plid0 (B.imm 1) in
+  let plsz0 = B.special b (Local_size 0) in
+  let llsz0 = B.lshr b plsz0 (B.imm 1) in
+  let grp0 = B.special b (Group_id 0) in
+  let lgid0 = B.mad b grp0 llsz0 llid0 in
+  let pgsz0 = B.special b (Global_size 0) in
+  let lgsz0 = B.lshr b pgsz0 (B.imm 1) in
   (* flat logical local id, for communication slot indexing *)
-  let lid1 = Emit.special e (Local_id 1) in
-  let lid2 = Emit.special e (Local_id 2) in
-  let lsz1 = Emit.special e (Local_size 1) in
-  let row = Emit.mad e lid2 lsz1 lid1 in
-  let flat = Emit.mad e row llsz0 llid0 in
+  let lid1 = B.special b (Local_id 1) in
+  let lid2 = B.special b (Local_id 2) in
+  let lsz1 = B.special b (Local_size 1) in
+  let row = B.mad b lid2 lsz1 lid1 in
+  let flat = B.mad b row llsz0 llid0 in
+  (* LDS offsets of this item's address and value slots *)
   let comm_addr_base, comm_val_base =
     match opts.comm with
     | Comm_lds ->
-        let base = Emit.special e (Lds_base comm_lds_name) in
-        let vbase = Emit.add e base (Emit.imm (local_items * 4)) in
-        let a_slot = Emit.mad e flat (Emit.imm 4) base in
-        let v_slot = Emit.mad e flat (Emit.imm 4) vbase in
+        let base = B.special b (Lds_base comm_lds_name) in
+        let vbase = B.add b base (B.imm (local_items * 4)) in
+        let a_slot = B.mad b flat (B.imm 4) base in
+        let v_slot = B.mad b flat (B.imm 4) vbase in
         (a_slot, v_slot)
     | Comm_fast | Comm_none -> (Reg 0, Reg 0)
   in
-  let env =
-    {
-      flag;
-      is_prod;
-      is_cons;
-      llid0;
-      llsz0;
-      lgid0;
-      lgsz0;
-      comm_addr_base;
-      comm_val_base;
-    }
-  in
-  let prelude = Emit.take e in
+  let prelude = B.take b in
   (* ---- store guarding ---- *)
   let guard_store sp addr v : stmt list =
     (match opts.comm with
     | Comm_lds ->
-        Emit.when_ e env.is_prod (fun () ->
-            Emit.store e Local env.comm_addr_base addr;
-            Emit.store e Local env.comm_val_base v);
-        Emit.when_ e env.is_cons (fun () ->
-            let a2 = Emit.load e Local env.comm_addr_base in
-            let v2 = Emit.load e Local env.comm_val_base in
-            let bad = Emit.or_ e (Emit.ne e a2 addr) (Emit.ne e v2 v) in
-            Emit.trap e bad;
-            Emit.store e sp addr v)
+        B.when_ b is_prod (fun () ->
+            B.store b Local comm_addr_base addr;
+            B.store b Local comm_val_base v);
+        B.when_ b is_cons (fun () ->
+            let a2 = B.load b Local comm_addr_base in
+            let v2 = B.load b Local comm_val_base in
+            let bad = B.or_ b (B.ne b a2 addr) (B.ne b v2 v) in
+            B.trap b bad;
+            B.store b sp addr v)
     | Comm_fast ->
         (* producer's operands travel through the VRF: every odd lane reads
            its even partner's register directly (Figure 8) *)
-        let a_sw = Emit.swizzle e Dup_even addr in
-        let v_sw = Emit.swizzle e Dup_even v in
-        Emit.when_ e env.is_cons (fun () ->
-            let bad = Emit.or_ e (Emit.ne e a_sw addr) (Emit.ne e v_sw v) in
-            Emit.trap e bad;
-            Emit.store e sp addr v)
-    | Comm_none ->
-        Emit.when_ e env.is_cons (fun () -> Emit.store e sp addr v));
-    Emit.take e
+        let a_sw = B.swizzle b Dup_even addr in
+        let v_sw = B.swizzle b Dup_even v in
+        B.when_ b is_cons (fun () ->
+            let bad = B.or_ b (B.ne b a_sw addr) (B.ne b v_sw v) in
+            B.trap b bad;
+            B.store b sp addr v)
+    | Comm_none -> B.when_ b is_cons (fun () -> B.store b sp addr v));
+    B.take b
   in
   let lds_size name = List.assoc name k.lds_allocs in
   let rewrite (s : stmt) : stmt list =
     match s with
-    | I (Special (Global_id 0, d)) -> [ I (Mov (d, env.lgid0)) ]
-    | I (Special (Local_id 0, d)) -> [ I (Mov (d, env.llid0)) ]
-    | I (Special (Local_size 0, d)) -> [ I (Mov (d, env.llsz0)) ]
-    | I (Special (Global_size 0, d)) -> [ I (Mov (d, env.lgsz0)) ]
+    | I (Special (Global_id 0, d)) -> [ I (Mov (d, lgid0)) ]
+    | I (Special (Local_id 0, d)) -> [ I (Mov (d, llid0)) ]
+    | I (Special (Local_size 0, d)) -> [ I (Mov (d, llsz0)) ]
+    | I (Special (Global_size 0, d)) -> [ I (Mov (d, lgsz0)) ]
     | I (Special (Lds_base name, d)) when opts.include_lds ->
         (* consumer uses the duplicate half of the doubled allocation *)
-        let base = Emit.special e (Lds_base name) in
-        Emit.emit e (I (Mad (d, env.flag, Emit.imm (lds_size name), base)));
-        Emit.take e
+        let base = B.special b (Lds_base name) in
+        B.emit b (I (Mad (d, flag, B.imm (lds_size name), base)));
+        B.take b
     | I (Store (Global, addr, v)) -> guard_store Global addr v
     | I (Store (Local, addr, v)) when not opts.include_lds ->
         guard_store Local addr v
@@ -206,7 +181,7 @@ let transform (opts : opts) ~local_items (k : kernel) : kernel =
     params = k.params;
     lds_allocs;
     body;
-    nregs = e.next;
+    nregs = B.nregs b;
   }
 
 (** Host-side NDRange adaptation: dimension 0 doubles. *)

@@ -84,6 +84,3 @@ let random_resident_line t ~seed =
     in
     go 0
 
-(** Number of resident lines (for tests). *)
-let resident_count t =
-  Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags

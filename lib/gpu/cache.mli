@@ -21,4 +21,3 @@ val invalidate : t -> int -> unit
 val random_resident_line : t -> seed:int -> int option
 (** Pick a resident line for fault injection; [None] when empty. *)
 
-val resident_count : t -> int

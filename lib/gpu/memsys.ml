@@ -222,10 +222,3 @@ let inject_l1_poison t ~cu ~seed =
             p_active = true;
           };
       true
-
-(** Flip one bit directly in global memory (models an unprotected DRAM or
-    L2 fault; used by tests, not by the headline campaigns — the paper
-    assumes ECC DRAM). *)
-let inject_memory_bit t ~addr ~bit =
-  let v = read32 t addr in
-  write32 t addr (Gpu_ir.F32.norm (v lxor (1 lsl bit)))

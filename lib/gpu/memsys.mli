@@ -73,5 +73,3 @@ val atomic_timed : t -> cu:int -> now:int -> int array -> int -> int
 (** {1 Fault injection} *)
 
 val inject_l1_poison : t -> cu:int -> seed:int -> bool
-val inject_memory_bit : t -> addr:int -> bit:int -> unit
-(** Flip one bit of a global-memory word (resident or not). *)

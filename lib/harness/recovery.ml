@@ -3,79 +3,36 @@
     The paper builds {e detection} and notes that "the choice of recovery
     techniques (e.g. checkpoint/restart or containment domains) is
     orthogonal" (Section 1). This module supplies the simplest such
-    recovery so the system is usable end to end: checkpoint device
-    memory before a launch, and on a detected fault roll back and
+    recovery so the system is usable end to end: on a detected fault,
     re-execute. Because the faults of interest are transient, a bounded
     number of retries converges; a retry budget exhausted (a permanent
     fault, by the paper's taxonomy) is reported as such.
 
-    The checkpoint is a snapshot of the device's global memory taken
-    through the public buffer API — kernels may run in place (BitS, FWT,
-    FW mutate their inputs), so rollback must restore everything the
-    kernel can reach. *)
+    Kernels may run in place (BitS, FWT, FW mutate their inputs), so a
+    retry must not see the failed attempt's memory. Every attempt is a
+    whole {!Run.run}: a fresh device whose inputs the benchmark prepares
+    again, which is the checkpoint restored. *)
 
-module Device = Gpu_sim.Device
+let max_retries = 3
 
-type attempt = {
-  a_outcome : Device.outcome;
-  a_cycles : int;
-}
+(* Wild accesses and watchdog expiries are detected abnormal terminations
+   too (a corrupted address or loop bound), equally recoverable by
+   re-execution. *)
+let failed (s : Run.summary) = s.outcome <> Gpu_sim.Device.Finished
 
-type result = {
-  attempts : attempt list;  (** oldest first; last one is the verdict *)
-  recovered : bool;  (** a detection occurred and a retry succeeded *)
-  total_cycles : int;
-      (** simulated cost including the wasted aborted launches *)
-}
-
-(** Snapshot/restore of a set of buffers (the kernel's reachable state). *)
-type checkpoint = (Device.buffer * int array) list
-
-let checkpoint dev (buffers : Device.buffer list) : checkpoint =
-  List.map
-    (fun (b : Device.buffer) ->
-      (b, Gpu_sim.Device.read_i32_array dev b (b.Device.size / 4)))
-    buffers
-
-let restore dev (cp : checkpoint) =
-  List.iter (fun (b, data) -> Gpu_sim.Device.write_i32_array dev b data) cp
-
-(** [run_with_recovery dev ~buffers ~launch] executes [launch] (a
-    closure performing one device launch; transient-fault injection, if
-    any, is the closure's business and should happen at most once) with
-    rollback and retry on detection. [buffers] must cover every buffer
-    the kernel may read or write. [max_retries] bounds re-execution
-    (default 3); exhausting it models a permanent fault. *)
-let run_with_recovery ?(max_retries = 3) ?(retry_on_crash = true) dev
-    ~(buffers : Device.buffer list) ~(launch : unit -> Device.result) : result
-    =
-  let cp = checkpoint dev buffers in
-  let retryable (o : Device.outcome) =
-    match o with
-    | Device.Detected -> true
-    | Device.Crashed _ | Device.Hung ->
-        (* wild accesses and watchdog expiries are also detected abnormal
-           terminations — a corrupted address or loop bound — and equally
-           recoverable by re-execution *)
-        retry_on_crash
-    | Device.Finished -> false
+let run ?cfg ~inject bench variant =
+  let rec go inject attempts =
+    let s = Run.run ?cfg ?inject bench variant in
+    let attempts = s :: attempts in
+    if failed s && List.length attempts <= max_retries then go None attempts
+    else List.rev attempts
   in
-  let rec go n attempts total =
-    let r = launch () in
-    let attempts = { a_outcome = r.Device.outcome; a_cycles = r.Device.cycles } :: attempts in
-    let total = total + r.Device.cycles in
-    match r.Device.outcome with
-    | (Device.Detected | Device.Crashed _ | Device.Hung)
-      when n < max_retries && retryable r.Device.outcome ->
-        restore dev cp;
-        go (n + 1) attempts total
-    | _ ->
-        {
-          attempts = List.rev attempts;
-          recovered =
-            r.Device.outcome = Device.Finished
-            && List.length attempts > 1;
-          total_cycles = total;
-        }
-  in
-  go 0 [] 0
+  go (Some inject) []
+
+let recovered attempts =
+  match List.rev attempts with
+  | last :: _ :: _ -> not (failed last)
+  | _ -> false
+
+let total_cycles attempts =
+  List.fold_left (fun acc (s : Run.summary) -> acc + s.cycles) 0 attempts

@@ -1,32 +1,23 @@
-(** Detection-to-recovery runtime: checkpoint device memory, launch, and
-    on a detected fault roll back and re-execute. The paper treats
-    recovery as orthogonal to its detection contribution (Section 1);
-    this module supplies the simplest checkpoint/restart so the system
-    is usable end to end. *)
+(** Detection-to-recovery runtime: run, and on a detected fault
+    re-execute. The paper treats recovery as orthogonal to its detection
+    contribution (Section 1); this module supplies the simplest
+    re-execution so the system is usable end to end. *)
 
-type attempt = { a_outcome : Gpu_sim.Device.outcome; a_cycles : int }
+val run :
+  ?cfg:Gpu_sim.Config.t ->
+  inject:Gpu_sim.Device.inject_plan ->
+  Kernels.Bench.t ->
+  Rmt_core.Transform.variant ->
+  Run.summary list
+(** [run ~inject bench variant] runs [bench] with the transient fault
+    [inject] through {!Run.run}. After a detected, crashed or hung
+    attempt it runs again without the fault, at most 3 times; the last
+    failed attempt then stands for a permanent fault. Each attempt
+    prepares its inputs afresh, so a retry is also the rollback. Returns
+    every attempt's summary, oldest first; the last one is the verdict. *)
 
-type result = {
-  attempts : attempt list;  (** oldest first; the last one is the verdict *)
-  recovered : bool;  (** a detection occurred and a retry succeeded *)
-  total_cycles : int;  (** includes the wasted aborted launches *)
-}
+val recovered : Run.summary list -> bool
+(** A detection occurred and a retry finished. *)
 
-type checkpoint
-
-val checkpoint : Gpu_sim.Device.t -> Gpu_sim.Device.buffer list -> checkpoint
-val restore : Gpu_sim.Device.t -> checkpoint -> unit
-
-val run_with_recovery :
-  ?max_retries:int ->
-  ?retry_on_crash:bool ->
-  Gpu_sim.Device.t ->
-  buffers:Gpu_sim.Device.buffer list ->
-  launch:(unit -> Gpu_sim.Device.result) ->
-  result
-(** [buffers] must cover every buffer the kernel may read or write;
-    [launch] performs one device launch (any fault injection is the
-    closure's business and should happen at most once). Detections,
-    crashes and hangs are all retried ([retry_on_crash] false limits
-    retry to RMT detections); exhausting [max_retries] (default 3)
-    models a permanent fault. *)
+val total_cycles : Run.summary list -> int
+(** Simulated cost of every attempt, the aborted ones included. *)

@@ -18,6 +18,13 @@ type t = {
 
 let create name = { name; params = []; lds = []; next_reg = 0; stack = [ ref [] ] }
 
+(** A builder for a pass that rewrites [k]: fresh registers continue
+    after [k]'s, and no parameters or LDS allocations are recorded. *)
+let extend (k : kernel) =
+  { name = k.kname; params = []; lds = []; next_reg = k.nregs; stack = [ ref [] ] }
+
+let nregs b = b.next_reg
+
 (** Allocate a fresh virtual register. *)
 let fresh b =
   let r = b.next_reg in
@@ -38,6 +45,23 @@ let pop_block b =
       List.rev !buf
   | [] -> invalid_arg "Builder.pop_block: empty stack"
 
+(** Return and clear the open top-level block. *)
+let take b =
+  match b.stack with
+  | [ buf ] ->
+      let ss = List.rev !buf in
+      buf := [];
+      ss
+  | _ -> invalid_arg "Builder.take: unclosed control-flow block"
+
+let unary_emit b mk =
+  let d = fresh b in
+  emit b (I (mk d));
+  Reg d
+
+(** Read kernel argument [idx]. *)
+let arg b idx = unary_emit b (fun d -> Arg (d, idx))
+
 (* ------------------------------------------------------------------ *)
 (* Parameters and LDS                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -46,17 +70,13 @@ let pop_block b =
 let buffer_param b name =
   let idx = List.length b.params in
   b.params <- b.params @ [ Param_buffer name ];
-  let r = fresh b in
-  emit b (I (Arg (r, idx)));
-  Reg r
+  arg b idx
 
 (** Declare a 32-bit scalar parameter; returns its value. *)
 let scalar_param b name =
   let idx = List.length b.params in
   b.params <- b.params @ [ Param_scalar name ];
-  let r = fresh b in
-  emit b (I (Arg (r, idx)));
-  Reg r
+  arg b idx
 
 (** Declare a named LDS allocation of [bytes]; returns its base offset. *)
 let lds_alloc b name bytes =
@@ -78,11 +98,6 @@ let immf x = Imm_f32 x
 (* ------------------------------------------------------------------ *)
 (* Arithmetic helpers                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let unary_emit b mk =
-  let d = fresh b in
-  emit b (I (mk d));
-  Reg d
 
 let iarith b op x y = unary_emit b (fun d -> Iarith (op, d, x, y))
 let farith b op x y = unary_emit b (fun d -> Farith (op, d, x, y))

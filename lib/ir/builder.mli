@@ -18,6 +18,21 @@ val finish : t -> kernel
 (** Close the builder and produce the kernel.
     @raise Invalid_argument if control-flow blocks are still open. *)
 
+(** {1 Rewriting an existing kernel} *)
+
+val extend : kernel -> t
+(** [extend k] starts a builder for a pass that rewrites [k]: fresh
+    registers start at [k.nregs], so [k]'s registers keep their numbers.
+    It records no parameters or LDS allocations; collect statements with
+    {!take} and size the result with {!nregs} instead of {!finish}. *)
+
+val take : t -> stmt list
+(** Return the statements of the open top-level block and clear it.
+    @raise Invalid_argument if control-flow blocks are still open. *)
+
+val nregs : t -> int
+(** Registers allocated so far (the built kernel's [nregs]). *)
+
 val fresh : t -> reg
 (** Allocate a fresh virtual register. *)
 
@@ -38,6 +53,10 @@ val buffer_param : t -> string -> value
 
 val scalar_param : t -> string -> value
 (** Declare a 32-bit scalar parameter; returns its value. *)
+
+val arg : t -> int -> value
+(** [arg b i] reads kernel argument [i] without declaring it, for a pass
+    that appends parameters to the kernel it rewrites. *)
 
 val lds_alloc : t -> string -> int -> value
 (** [lds_alloc b name bytes] declares a named LDS allocation and returns

@@ -140,10 +140,6 @@ let grow a n fill =
 
 let note_alloc t ~addr ~size = t.ranges <- (addr, size) :: t.ranges
 
-let reset_allocs t =
-  t.ranges <- [];
-  t.pages <- [||]
-
 let rec in_ranges addr = function
   | [] -> false
   | (a, sz) :: rest -> (addr >= a && addr + 4 <= a + sz) || in_ranges addr rest

@@ -103,10 +103,6 @@ val clean : t -> bool
 val note_alloc : t -> addr:int -> size:int -> unit
 (** A buffer of [size] bytes at [addr] is live. *)
 
-val reset_allocs : t -> unit
-(** Bump-allocator reset: every buffer and its contents are dead, so the
-    live ranges and every initialized bit are forgotten. *)
-
 val host_write : t -> int -> unit
 (** The host wrote the 4-byte word at this address. *)
 

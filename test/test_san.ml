@@ -11,8 +11,8 @@
    - static: the SoR checker accepts every properly transformed kernel
      and rejects the comparison-elided ablations;
    - reports: byte-identical to test/golden_san.txt;
-   - lifecycle: the raw Shadow API across launches, allocation resets,
-     barriers and atomic publication. *)
+   - lifecycle: the raw Shadow API across launches, LDS, barriers and
+     atomic publication. *)
 
 open Gpu_ir
 module Sim = Gpu_sim
@@ -529,23 +529,6 @@ let test_lifecycle_launches () =
   gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Read 0x10c;
   check_classes "unordered within a launch" [ "race-rw" ] t
 
-let test_lifecycle_reset_allocs () =
-  let t = one_buffer () in
-  Shadow.host_write t 0x100;
-  Shadow.begin_launch t;
-  Shadow.set_site t 1;
-  gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Read 0x100;
-  check_classes "live and initialized" [] t;
-  Shadow.reset_allocs t;
-  Shadow.begin_launch t;
-  Shadow.set_site t 2;
-  gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Read 0x100;
-  check_classes "the range is forgotten" [ "oob" ] t;
-  Shadow.note_alloc t ~addr:0x100 ~size:64;
-  Shadow.set_site t 3;
-  gaccess t ~group:0 ~wave:0 ~item:0 Shadow.Read 0x100;
-  check_classes "so is the init bit" [ "oob"; "uninit-read" ] t
-
 let test_lifecycle_lds () =
   let t = Shadow.create () in
   Shadow.begin_launch t;
@@ -627,7 +610,6 @@ let suite =
     tc "report rendering + json round-trip" `Quick test_report_rendering;
     tc "golden reports match golden_san.txt" `Quick test_golden_reports;
     tc "lifecycle: launches" `Quick test_lifecycle_launches;
-    tc "lifecycle: reset_allocs" `Quick test_lifecycle_reset_allocs;
     tc "lifecycle: LDS per launch" `Quick test_lifecycle_lds;
     tc "lifecycle: barrier" `Quick test_lifecycle_barrier;
     tc "lifecycle: atomic publish" `Quick test_lifecycle_atomic_publish;
