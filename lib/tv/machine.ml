@@ -279,7 +279,10 @@ let run ?(step_limit = default_step_limit) ?inject (plan : plan) : result =
             Array.iter
               (fun w ->
                 if w.Wave.state = Wave.Running then begin
-                  match Wave.peek w ~now:0 ~on_branch:(fun () -> ()) with
+                  match
+                    Wave.peek w ~now:0 ~on_branch:ignore
+                      ~on_cond:(fun _ _ _ -> ())
+                  with
                   | Wave.P_inst ->
                       let d = code.(w.Wave.pending) in
                       let sid = d.site in

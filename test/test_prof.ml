@@ -282,6 +282,68 @@ let test_provenance_overwrite_is_terminal () =
           (p.Prov.first_use = None))
     (injection_plans ~n:5 ~target:Sim.Device.T_vgpr ~seed:11 golden)
 
+(* A flipped register whose only reader is a branch condition: an [if]
+   in one kernel, a loop test in the other. The flip lands after the
+   register's def, during a uniform delay loop (flips go to divergent
+   registers only), so the branch is its first reader. *)
+let branch_reader_kernel ~loop =
+  let b = Builder.create (if loop then "loop_reader" else "if_reader") in
+  let lid = Builder.local_id b 0 in
+  let target =
+    if loop then Builder.get (Builder.cell b lid) else lid
+  in
+  Builder.for_ b ~lo:(Builder.imm 0) ~hi:(Builder.imm 100)
+    ~step:(Builder.imm 1) (fun _ -> ());
+  (match target with
+  | Reg c when loop ->
+      Builder.while_ b (fun () -> target) (fun () ->
+          Builder.set b c (Builder.imm 0))
+  | _ -> Builder.if_ b target (fun () -> ()) (fun () -> ()));
+  (Builder.finish b, target)
+
+let test_branch_read_is_consumption () =
+  List.iter
+    (fun loop ->
+      let k, target = branch_reader_kernel ~loop in
+      let r = match target with Reg r -> r | _ -> assert false in
+      let expect =
+        (if loop then "loop break unless " else "if ")
+        ^ Pp.string_of_value target
+      in
+      let hits = ref 0 in
+      for iseed = 1 to 8 do
+        let provenance = Prov.create () in
+        let opts =
+          {
+            Sim.Device.default_opts with
+            inject =
+              Some { Sim.Device.at_cycle = 40; target = Sim.Device.T_vgpr; iseed };
+            provenance = Some provenance;
+          }
+        in
+        let dev = Sim.Device.create Sim.Config.default in
+        let res =
+          Sim.Device.launch ~opts dev k ~nd:(Sim.Geom.make_ndrange 64 64)
+            ~args:[]
+        in
+        check Alcotest.bool "flip landed" true res.Sim.Device.inject_applied;
+        if contains provenance.Prov.desc (Printf.sprintf "v%d lane" r) then begin
+          incr hits;
+          match provenance.Prov.first_use with
+          | Some u ->
+              check Alcotest.int "a branch has no site" (-1) u.Prov.u_site;
+              check Alcotest.string "the branch is named" expect u.Prov.u_inst;
+              check Alcotest.bool "rendered" true
+                (contains (Prov.to_string provenance) ("by " ^ expect))
+          | None ->
+              Alcotest.failf "%s: flip reported never consumed: %s" expect
+                (Prov.to_string provenance)
+        end
+      done;
+      check Alcotest.bool (expect ^ ": some flip hit the branch's register")
+        true (!hits > 0))
+    [ false; true ]
+
 (* ------------------------------------------------------------------ *)
 (* Campaign latency percentiles                                         *)
 (* ------------------------------------------------------------------ *)
@@ -510,6 +572,8 @@ let suite =
     tc "prov: a result of every injected run" `Slow test_provenance_is_a_result;
     tc "prov: LDS campaign end-to-end" `Slow test_provenance_end_to_end;
     tc "prov: overwrite is terminal" `Slow test_provenance_overwrite_is_terminal;
+    tc "prov: a branch read is consumption" `Quick
+      test_branch_read_is_consumption;
     tc "campaign: latency percentiles" `Quick test_latency_percentiles;
     tc "metrics: write_file atomic" `Quick test_write_file_atomic;
     tc "metrics: rev marks a modified tree" `Quick
