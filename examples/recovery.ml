@@ -42,7 +42,7 @@ let bench : Kernels.Bench.t =
         {
           steps = [ { args = [ Device.A_buf buf ]; nd = Gpu_sim.Geom.make_ndrange n wg } ];
           verify =
-            (fun () ->
+            (fun dev ->
               Kernels.Bench.verify_i32_buffer dev buf
                 (Array.init n (fun i -> 3 * (i + 1))));
         });

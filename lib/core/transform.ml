@@ -56,26 +56,26 @@ let map_ndrange variant (nd : Gpu_sim.Geom.ndrange) =
   | Tmr -> Tmr.map_ndrange nd
 
 (** Extra launch state for a variant: the arguments to append and a
-    [reset] to call before every kernel launch (the Inter-Group group-id
-    counter must restart from zero each launch; the hand-off flags return
-    to zero on their own). *)
+    [reset] to call on the launching device before every kernel launch
+    (the Inter-Group group-id counter must restart from zero each launch;
+    the hand-off flags return to zero on their own). *)
 type extras = {
   ex_args : Gpu_sim.Device.arg list;
-  reset : unit -> unit;
+  reset : Gpu_sim.Device.t -> unit;
 }
 
 (** Allocate (and zero) the extra buffers for launches of [variant] over
     the {e original} NDRange [nd]. *)
 let make_extras variant dev ~(nd : Gpu_sim.Geom.ndrange) : extras =
   match variant with
-  | Original | Intra _ | Tmr -> { ex_args = []; reset = (fun () -> ()) }
+  | Original | Intra _ | Tmr -> { ex_args = []; reset = ignore }
   | Inter scheme ->
       let bytes = Inter_group.comm_buffer_bytes ~scheme nd in
       let counter = Gpu_sim.Device.alloc dev Inter_group.comm_counter_bytes in
       let comm = Gpu_sim.Device.alloc dev bytes in
       Gpu_sim.Device.fill_i32 dev comm (bytes / 4) 0;
-      let reset () = Gpu_sim.Device.fill_i32 dev counter 1 0 in
-      reset ();
+      let reset dev = Gpu_sim.Device.fill_i32 dev counter 1 0 in
+      reset dev;
       {
         ex_args = [ Gpu_sim.Device.A_buf counter; Gpu_sim.Device.A_buf comm ];
         reset;

@@ -37,7 +37,9 @@ val map_ndrange : variant -> Gpu_sim.Geom.ndrange -> Gpu_sim.Geom.ndrange
 
 type extras = {
   ex_args : Gpu_sim.Device.arg list;  (** arguments to append *)
-  reset : unit -> unit;  (** call before every launch *)
+  reset : Gpu_sim.Device.t -> unit;
+      (** call on the launching device before every launch: the device
+          the extras were made on, or a {!Gpu_sim.Device.fork} of it *)
 }
 
 val make_extras : variant -> Gpu_sim.Device.t -> nd:Gpu_sim.Geom.ndrange -> extras

@@ -23,6 +23,8 @@ let create ~bytes ~line_bytes ~assoc =
     tick = 0;
   }
 
+let copy t = { t with tags = Array.copy t.tags; stamps = Array.copy t.stamps }
+
 let line_addr t addr = addr - (addr mod t.line_bytes)
 
 let set_of t line = line / t.line_bytes mod t.n_sets

@@ -5,6 +5,9 @@
 type t
 
 val create : bytes:int -> line_bytes:int -> assoc:int -> t
+val copy : t -> t
+(** Same tags and LRU state; sharing nothing mutable with the original. *)
+
 val line_addr : t -> int -> int
 
 val probe : t -> int -> bool

@@ -39,6 +39,15 @@ val create : ?san:Gpu_san.Shadow.t -> Config.t -> t
     observes: counters, timing and outputs are identical to an
     unsanitized run. *)
 
+val sanitizer : t -> Gpu_san.Shadow.t option
+(** The shadow given to {!create}, or a fork's copy of it. *)
+
+val fork : t -> t
+(** A copy of the device: its image (every resident page), allocation
+    pointer and sanitizer shadow, sharing nothing mutable with the
+    original. Buffers keep their addresses, so the original's buffer
+    values and arguments address the same data in the copy. *)
+
 val resident_pages : t -> int
 (** Global-memory pages ({!Image.page_bytes} each) materialised so far:
     those that have held a non-zero word. *)
@@ -134,6 +143,67 @@ val launch :
   nd:Geom.ndrange ->
   args:arg list ->
   result
-(** Run a kernel over an NDRange, after {!Gpu_ir.Verify.check}.
-    Deterministic: same kernel, arguments, memory contents and options
-    produce the same result. *)
+(** Run a kernel over an NDRange, after {!Gpu_ir.Verify.check}:
+    {!Launch.create}, then {!Launch.finish}. Deterministic: same kernel,
+    arguments, memory contents and options produce the same result. *)
+
+type device = t
+
+(** A launch in progress: a value that can be stopped at a cycle,
+    resumed and forked. Its state (CUs, groups and their LDS, waves,
+    memory system, counters, profile, power windows, provenance record
+    and injection RNG) lives in one record, so {!fork} can copy it. *)
+module Launch : sig
+  type t
+
+  val create :
+    ?opts:launch_opts ->
+    device ->
+    Gpu_ir.Types.kernel ->
+    nd:Geom.ndrange ->
+    args:arg list ->
+    t
+  (** Check and set up a launch at cycle 0; nothing is simulated yet.
+      @raise Invalid_argument like {!launch}. *)
+
+  val run_until : t -> int -> unit
+  (** [run_until l c] simulates every loop iteration before cycle [c]:
+      on return the launch has ended, or its next iteration is at cycle
+      [c] exactly (the launch stops there even when it would otherwise
+      skip over [c], which changes no count or timing), or a flip armed
+      with [~stop_when_dead] is dead. *)
+
+  val fork : t -> t
+  (** A deep copy on a {!Device.fork} of the launch's device, so both
+      run on independently from here and each equals the uninterrupted
+      launch. Only before a flip lands.
+      @raise Invalid_argument once a fault has landed. *)
+
+  val finish : t -> result
+  (** Run to the end (also past a dead flip) and return the result; the
+      launch's waves go to its device for reuse. Call once. *)
+
+  val inject : t -> inject_plan -> stop_when_dead:bool -> unit
+  (** Arm a flip, as [launch_opts.inject] would have at creation. With
+      [stop_when_dead], {!run_until} stops as soon as {!flip_dead}.
+      @raise Invalid_argument when a flip is already armed or applied. *)
+
+  val flip_dead : t -> bool
+  (** The armed flip landed, nothing consumed it, and nothing can any
+      more: its register's tainted lanes were overwritten or its wave
+      retired, its LDS word was overwritten or its group retired, its L1
+      poison was cleared, or the launch finished. Every later cycle then
+      equals the fault-free launch. Needs a provenance record
+      ([launch_opts.provenance]); [false] without one. *)
+
+  val device : t -> device
+
+  val ended : t -> bool
+  (** Finished, detected, crashed or hung. *)
+
+  val outcome : t -> outcome
+  (** [Finished] until the launch ends otherwise. *)
+
+  val provenance : t -> Gpu_prof.Provenance.t option
+  (** The launch's provenance record ([fork] copies it). *)
+end

@@ -30,5 +30,11 @@ let write32 t addr v =
     Bytes.set_int32_le page (addr land page_mask) (Int32.of_int v)
   end
 
+let copy t =
+  {
+    t with
+    pages = Array.map (fun p -> if p == zero_page then p else Bytes.copy p) t.pages;
+  }
+
 let resident_pages t =
   Array.fold_left (fun n p -> if p == zero_page then n else n + 1) 0 t.pages

@@ -28,5 +28,9 @@ val write32 : t -> int -> int -> unit
 (** Store the low 32 bits of a value. Storing 0 to an untouched page
     leaves it untouched. *)
 
+val copy : t -> t
+(** An image with the same contents: every resident page is copied, so
+    later stores to either image are invisible to the other. *)
+
 val resident_pages : t -> int
 (** Pages materialised so far. *)

@@ -60,6 +60,18 @@ let create (cfg : Config.t) (counters : Counters.t) ~image =
     poison = None;
   }
 
+let copy t ~counters ~image =
+  {
+    t with
+    image;
+    l1s = Array.map Cache.copy t.l1s;
+    l2 = Cache.copy t.l2;
+    write_busy_until = Array.copy t.write_busy_until;
+    mem_busy_until = Array.copy t.mem_busy_until;
+    counters;
+    poison = Option.map (fun p -> { p with p_active = p.p_active }) t.poison;
+  }
+
 let check t addr what =
   if addr < 0 || addr + 4 > Image.size t.image then
     raise (Fault (Printf.sprintf "%s out of bounds at address %d" what addr));

@@ -36,6 +36,10 @@ and poison = {
 
 val create : Config.t -> Counters.t -> image:Image.t -> t
 
+val copy : t -> counters:Counters.t -> image:Image.t -> t
+(** The same cache, bandwidth and poison state over another image and
+    counters (a forked launch's); shares nothing mutable with [t]. *)
+
 (** {1 Functional access} *)
 
 val read32 : t -> int -> int

@@ -502,10 +502,13 @@ let coverage_benches = [ "R"; "BlkSch" ]
 let coverage_seed = 1234
 
 (* A fault campaign: [n] injected runs of [bench] under [variant], placed
-   by [Campaign.plans] over the cached golden run. The injected runs skip
-   the cache (each is distinct) and fan out on the context's pool; each
-   returns its own provenance record and, when sanitized, its own
-   findings, so nothing is shared between runs on parallel domains. *)
+   by [Campaign.plans] over the cached golden run. [Run.run_plans]
+   simulates the fault-free run once more, forking one child per plan at
+   its cycle; the children skip the cache (each is distinct) and run on
+   the context's pool, and a child whose flip dies unread returns the
+   golden summary. Each returns its own provenance record and, when
+   sanitized, its own findings, so nothing is shared between runs on
+   parallel domains. *)
 let campaign ?(sanitize = false) ctx ~n ~target ~seed (bench : Kernels.Bench.t)
     variant : Run.summary list =
   let golden = get ctx bench variant in
@@ -514,8 +517,8 @@ let campaign ?(sanitize = false) ctx ~n ~target ~seed (bench : Kernels.Bench.t)
      global watchdog *)
   let max_cycles = (golden.Run.cycles * 10) + 50_000 in
   Campaign.plans ~n ~target ~seed ~golden_cycles:golden.Run.cycles
-  |> Pool.map ctx.pool (fun inject ->
-         Run.run ~cfg:ctx.cfg ~max_cycles ~inject ~sanitize bench variant)
+  |> Run.run_plans ~cfg:ctx.cfg ~max_cycles ~sanitize ~pool:ctx.pool ~golden
+       bench variant
 
 let coverage_variants =
   [
@@ -651,7 +654,7 @@ let tmr_bench : Kernels.Bench.t =
               };
             ];
           verify =
-            (fun () -> Kernels.Bench.verify_i32_buffer dev output expected);
+            (fun dev -> Kernels.Bench.verify_i32_buffer dev output expected);
         });
   }
 
@@ -1135,7 +1138,7 @@ let pool_bench : Kernels.Bench.t =
               };
             ];
           verify =
-            (fun () -> Kernels.Bench.verify_f32_buffer dev y expected ~tol:0.0 ());
+            (fun dev -> Kernels.Bench.verify_f32_buffer dev y expected ~tol:0.0 ());
         });
   }
 

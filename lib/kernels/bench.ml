@@ -14,7 +14,9 @@ type step = {
 
 type prepared = {
   steps : step list;
-  verify : unit -> bool;  (** compare device output with the CPU reference *)
+  verify : Gpu_sim.Device.t -> bool;
+      (** compare the given device's output with the CPU reference: the
+          device prepared, or a {!Gpu_sim.Device.fork} of it *)
 }
 
 (** Workload character classes, used in reports and in the EXPERIMENTS.md

@@ -9,7 +9,9 @@ type step = {
 
 type prepared = {
   steps : step list;  (** most kernels launch once; BitS/FWT/FW are passes *)
-  verify : unit -> bool;
+  verify : Gpu_sim.Device.t -> bool;
+      (** compare the given device's output with the CPU reference: the
+          device [prepare] filled, or a {!Gpu_sim.Device.fork} of it *)
 }
 
 type character =

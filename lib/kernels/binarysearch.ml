@@ -47,7 +47,7 @@ let prepare dev ~scale =
           nd;
         };
       ];
-    verify = (fun () -> Gpu_sim.Device.read_i32 dev output 0 = key_index);
+    verify = (fun dev -> Gpu_sim.Device.read_i32 dev output 0 = key_index);
   }
 
 let bench : Bench.t =

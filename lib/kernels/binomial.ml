@@ -104,7 +104,7 @@ let prepare dev ~scale =
   {
     Bench.steps =
       [ { Bench.args = [ Gpu_sim.Device.A_buf price; A_buf out ]; nd } ];
-    verify = (fun () -> Bench.verify_f32_buffer dev out expected ~tol:1e-2 ());
+    verify = (fun dev -> Bench.verify_f32_buffer dev out expected ~tol:1e-2 ());
   }
 
 let bench : Bench.t =

@@ -64,7 +64,7 @@ let prepare dev ~scale =
   in
   {
     Bench.steps;
-    verify = (fun () -> Bench.verify_i32_buffer dev buf expected);
+    verify = (fun dev -> Bench.verify_i32_buffer dev buf expected);
   }
 
 let bench : Bench.t =

@@ -117,7 +117,7 @@ let prepare dev ~scale =
     Bench.steps =
       [ { Bench.args = [ Gpu_sim.Device.A_buf price; A_buf call; A_buf put ]; nd } ];
     verify =
-      (fun () ->
+      (fun dev ->
         Bench.verify_f32_buffer dev call expect_c ~tol:1e-3 ()
         && Bench.verify_f32_buffer dev put expect_p ~tol:1e-3 ());
   }

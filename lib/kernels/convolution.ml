@@ -86,7 +86,7 @@ let prepare dev ~scale =
           nd;
         };
       ];
-    verify = (fun () -> Bench.verify_f32_buffer dev output expected ~tol:1e-4 ());
+    verify = (fun dev -> Bench.verify_f32_buffer dev output expected ~tol:1e-4 ());
   }
 
 let bench : Bench.t =

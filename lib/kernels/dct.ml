@@ -111,7 +111,7 @@ let prepare dev ~scale =
           nd;
         };
       ];
-    verify = (fun () -> Bench.verify_f32_buffer dev output expected ~tol:1e-2 ());
+    verify = (fun dev -> Bench.verify_f32_buffer dev output expected ~tol:1e-2 ());
   }
 
 let bench : Bench.t =

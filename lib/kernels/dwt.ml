@@ -89,7 +89,7 @@ let prepare dev ~scale =
   {
     Bench.steps =
       [ { Bench.args = [ Gpu_sim.Device.A_buf input; A_buf output ]; nd } ];
-    verify = (fun () -> Bench.verify_f32_buffer dev output expected ~tol:1e-3 ());
+    verify = (fun dev -> Bench.verify_f32_buffer dev output expected ~tol:1e-3 ());
   }
 
 let bench : Bench.t =

@@ -55,7 +55,7 @@ let prepare dev ~scale =
   let expected = ref_fw dist n in
   {
     Bench.steps;
-    verify = (fun () -> Bench.verify_i32_buffer dev buf expected);
+    verify = (fun dev -> Bench.verify_i32_buffer dev buf expected);
   }
 
 let bench : Bench.t =

@@ -56,7 +56,7 @@ let prepare dev ~scale =
   let expected = ref_fwt data in
   {
     Bench.steps = List.rev !steps;
-    verify = (fun () -> Bench.verify_f32_buffer dev buf expected ~tol:1e-3 ());
+    verify = (fun dev -> Bench.verify_f32_buffer dev buf expected ~tol:1e-3 ());
   }
 
 let bench : Bench.t =

@@ -73,7 +73,7 @@ let prepare dev ~scale =
           nd;
         };
       ];
-    verify = (fun () -> Bench.verify_f32_buffer dev c expected ~tol:1e-3 ());
+    verify = (fun dev -> Bench.verify_f32_buffer dev c expected ~tol:1e-3 ());
   }
 
 let bench : Bench.t =

@@ -135,7 +135,7 @@ let prepare dev ~scale =
         };
       ];
     verify =
-      (fun () ->
+      (fun dev ->
         Bench.verify_f32_buffer dev opx (Array.map (fun (a, _, _) -> a) expected)
           ~tol:1e-3 ()
         && Bench.verify_f32_buffer dev opy

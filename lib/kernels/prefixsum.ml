@@ -63,7 +63,7 @@ let prepare dev ~scale =
   {
     Bench.steps =
       [ { Bench.args = [ Gpu_sim.Device.A_buf input; A_buf output ]; nd } ];
-    verify = (fun () -> Bench.verify_f32_buffer dev output expected ~tol:1e-4 ());
+    verify = (fun dev -> Bench.verify_f32_buffer dev output expected ~tol:1e-4 ());
   }
 
 let bench : Bench.t =

@@ -65,7 +65,7 @@ let prepare dev ~scale =
           nd;
         };
       ];
-    verify = (fun () -> Bench.verify_f32_buffer dev output expected ~tol:1e-6 ());
+    verify = (fun dev -> Bench.verify_f32_buffer dev output expected ~tol:1e-6 ());
   }
 
 let bench : Bench.t =

@@ -66,7 +66,7 @@ let prepare dev ~scale =
   {
     Bench.steps =
       [ { Bench.args = [ Gpu_sim.Device.A_buf input; A_buf partial ]; nd } ];
-    verify = (fun () -> Bench.verify_f32_buffer dev partial expected ~tol:1e-4 ());
+    verify = (fun dev -> Bench.verify_f32_buffer dev partial expected ~tol:1e-4 ());
   }
 
 let bench : Bench.t =

@@ -88,7 +88,7 @@ let prepare dev ~scale =
           nd;
         };
       ];
-    verify = (fun () -> Bench.verify_f32_buffer dev output expected ~tol:1e-3 ());
+    verify = (fun dev -> Bench.verify_f32_buffer dev output expected ~tol:1e-3 ());
   }
 
 let bench : Bench.t =

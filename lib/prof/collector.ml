@@ -69,6 +69,12 @@ let fields t =
     t.l2_misses;
   ]
 
+(** A collector with the same counts, sharing nothing with [t]. *)
+let copy t =
+  let c = create ~nsites:t.nsites in
+  List.iter2 (fun a b -> Array.blit b 0 a 0 (Array.length b)) (fields c) (fields t);
+  c
+
 (** [accumulate ~into c] adds every slot of [c] into [into]; both must be
     sized for the same kernel. *)
 let accumulate ~into c =

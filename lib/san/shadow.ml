@@ -125,6 +125,28 @@ let create () =
     rev_findings = [];
   }
 
+let copy_region r =
+  if r == no_region then r
+  else { cells = Array.copy r.cells; sync = Array.map Array.copy r.sync }
+
+let copy t =
+  let fresh = List.map (fun f -> (f, { f with f_count = f.f_count })) t.rev_findings in
+  let dedup = Hashtbl.copy t.dedup in
+  Hashtbl.filter_map_inplace (fun _ f -> Some (List.assq f fresh)) dedup;
+  {
+    t with
+    pages = Array.map copy_region t.pages;
+    groups =
+      Array.map
+        (fun g -> { g with waves = Array.copy g.waves; lds = copy_region g.lds })
+        t.groups;
+    actor_group = Array.copy t.actor_group;
+    actor_wave = Array.copy t.actor_wave;
+    avcs = Array.map Array.copy t.avcs;
+    dedup;
+    rev_findings = List.map snd fresh;
+  }
+
 let findings t = List.rev t.rev_findings
 let clean t = t.rev_findings = []
 

@@ -93,6 +93,10 @@ type t
 
 val create : unit -> t
 
+val copy : t -> t
+(** A shadow with the same state and findings, sharing nothing mutable
+    with [t]: a forked device checks its accesses against it. *)
+
 val findings : t -> finding list
 (** In order of first occurrence. *)
 

@@ -63,7 +63,7 @@ let test_extras_reset () =
   match extras.T.ex_args with
   | [ Gpu_sim.Device.A_buf counter; Gpu_sim.Device.A_buf _comm ] ->
       Gpu_sim.Device.write_i32 dev counter 0 99;
-      extras.T.reset ();
+      extras.T.reset dev;
       check Alcotest.int "counter rezeroed" 0 (Gpu_sim.Device.read_i32 dev counter 0)
   | _ -> Alcotest.fail "expected counter and comm buffers"
 
@@ -108,7 +108,7 @@ let test_recovery_end_to_end () =
             steps =
               [ { args = [ Gpu_sim.Device.A_buf buf ]; nd = Gpu_sim.Geom.make_ndrange n 64 } ];
             verify =
-              (fun () ->
+              (fun dev ->
                 Kernels.Bench.verify_i32_buffer dev buf
                   (Array.init n (fun i -> 2 * (i + 1))));
           });

@@ -100,7 +100,7 @@ let test_reduction_totals () =
   ignore
     (Gpu_sim.Device.launch dev k ~nd:step.Kernels.Bench.nd
        ~args:step.Kernels.Bench.args);
-  check Alcotest.bool "reference verifies" true (prep.Kernels.Bench.verify ())
+  check Alcotest.bool "reference verifies" true (prep.Kernels.Bench.verify dev)
 
 (* BitonicSort output must be a sorted permutation of its input. *)
 let test_bitonic_is_sorting_network () =
@@ -114,7 +114,7 @@ let test_bitonic_is_sorting_network () =
         (Gpu_sim.Device.launch dev k ~nd:step.Kernels.Bench.nd
            ~args:step.Kernels.Bench.args))
     prep.Kernels.Bench.steps;
-  check Alcotest.bool "sorted permutation" true (prep.Kernels.Bench.verify ())
+  check Alcotest.bool "sorted permutation" true (prep.Kernels.Bench.verify dev)
 
 (* The Walsh transform applied twice is N times the identity; check the
    device output against that analytic property rather than the mirror
@@ -161,7 +161,7 @@ let test_fw_triangle () =
         (Gpu_sim.Device.launch dev k ~nd:step.Kernels.Bench.nd
            ~args:step.Kernels.Bench.args))
     prep.Kernels.Bench.steps;
-  check Alcotest.bool "shortest paths verified" true (prep.Kernels.Bench.verify ())
+  check Alcotest.bool "shortest paths verified" true (prep.Kernels.Bench.verify dev)
 
 let property_suite =
   [

@@ -300,7 +300,7 @@ let launch_bench ~cfg ~scan_every_cycle id variant =
   let cycles =
     List.fold_left
       (fun cycles (step : Kernels.Bench.step) ->
-        extras.T.reset ();
+        extras.T.reset dev;
         let opts = { Sim.Device.default_opts with scan_every_cycle } in
         let r =
           Sim.Device.launch ~opts dev k
