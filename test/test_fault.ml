@@ -52,6 +52,32 @@ let test_vgpr_injection_applies () =
   in
   check Alcotest.bool "applied" true s.Harness.Run.inject_applied
 
+(* A launch refuses to fork once its flip has landed, whether or not it
+   keeps a provenance record: the copy would carry the flip. *)
+let test_no_fork_after_flip () =
+  let bench = Kernels.Registry.find "BlkSch" in
+  let dev = Sim.Device.create Sim.Config.small in
+  let step = List.hd (bench.prepare dev ~scale:1).Kernels.Bench.steps in
+  let nd = step.Kernels.Bench.nd in
+  let k = Harness.Run.transformed_kernel bench T.Original ~nd in
+  List.iter
+    (fun provenance ->
+      let l =
+        Sim.Device.Launch.create
+          ~opts:
+            {
+              Sim.Device.default_opts with
+              inject = Some { Sim.Device.at_cycle = 100; target = Sim.Device.T_vgpr; iseed = 5 };
+              provenance;
+            }
+          (Sim.Device.fork dev) k ~nd ~args:step.Kernels.Bench.args
+      in
+      Sim.Device.Launch.run_until l 200;
+      Alcotest.check_raises "fork after the flip"
+        (Invalid_argument "Launch.fork: a fault has landed") (fun () ->
+          ignore (Sim.Device.Launch.fork l)))
+    [ None; Some (Gpu_prof.Provenance.create ()) ]
+
 (* Without RMT, injections can produce silent data corruption; the runs
    must never report Detected (there is no checker to fire). *)
 let test_original_never_detects () =
@@ -116,6 +142,7 @@ let suite =
     tc "classification" `Quick test_classification;
     tc "lds injection needs lds" `Quick test_lds_injection_needs_lds;
     tc "vgpr injection applies" `Quick test_vgpr_injection_applies;
+    tc "no fork after the flip" `Quick test_no_fork_after_flip;
     tc "original never detects" `Slow test_original_never_detects;
     tc "intra covers VGPR" `Slow test_intra_vgpr_covered;
     tc "+LDS covers LDS" `Slow test_lds_coverage_difference;
