@@ -62,33 +62,17 @@ let create ?jobs () =
 
 let jobs pool = pool.jobs
 
-(* Run every queued task: the calling domain and up to [jobs - 1] helpers
-   pull tasks through one atomic index. Each worker returns its own tally
-   (tasks run, summed and longest queue wait), merged after the join. *)
-let drain pool =
-  Mutex.lock pool.lock;
-  let tasks = Array.of_seq (Queue.to_seq pool.queue) in
-  Queue.clear pool.queue;
-  Mutex.unlock pool.lock;
-  let n = Array.length tasks in
-  let next = Atomic.make 0 in
-  let work () =
-    let rec loop count total longest =
-      let i = Atomic.fetch_and_add next 1 in
-      if i >= n then (count, total, longest)
-      else
-        let submitted, task = tasks.(i) in
-        let wait = Unix.gettimeofday () -. submitted in
-        task ();
-        loop (count + 1) (total +. wait) (Float.max longest wait)
-    in
-    loop 0 0.0 0.0
-  in
-  let helpers =
-    List.init (max 0 (min (pool.jobs - 1) (n - 1))) (fun _ -> Domain.spawn work)
-  in
-  let mine = work () (* bound first: the caller works before it joins *) in
-  let tallies = mine :: List.map Domain.join helpers in
+(* Run one queued task and add it to a worker's tally: tasks run, summed
+   and longest queue wait. *)
+let run_task (submitted, task) (count, total, longest) =
+  let wait = Unix.gettimeofday () -. submitted in
+  task ();
+  (count + 1, total +. wait, Float.max longest wait)
+
+let no_tasks = (0, 0.0, 0.0)
+
+(* Merge the workers' tallies after their join; worker 0 first. *)
+let record pool tallies =
   Mutex.lock pool.lock;
   List.iteri
     (fun wid (count, total, longest) ->
@@ -97,6 +81,28 @@ let drain pool =
       pool.max_wait <- Float.max pool.max_wait longest)
     tallies;
   Mutex.unlock pool.lock
+
+(* Run every queued task: the calling domain and up to [jobs - 1] helpers
+   pull tasks through one atomic index. *)
+let drain pool =
+  Mutex.lock pool.lock;
+  let tasks = Array.of_seq (Queue.to_seq pool.queue) in
+  Queue.clear pool.queue;
+  Mutex.unlock pool.lock;
+  let n = Array.length tasks in
+  let next = Atomic.make 0 in
+  let work () =
+    let rec loop tally =
+      let i = Atomic.fetch_and_add next 1 in
+      if i >= n then tally else loop (run_task tasks.(i) tally)
+    in
+    loop no_tasks
+  in
+  let helpers =
+    List.init (max 0 (min (pool.jobs - 1) (n - 1))) (fun _ -> Domain.spawn work)
+  in
+  let mine = work () (* bound first: the caller works before it joins *) in
+  record pool (mine :: List.map Domain.join helpers)
 
 let submit pool f =
   let fut = { pool; state = Pending } in
@@ -126,6 +132,63 @@ let await fut =
   | Done v -> v
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | Pending -> invalid_arg "Pool.await: the task is in another domain's drain"
+
+(* A producer on the calling domain and consumers on helper domains,
+   sharing one bounded queue. Helpers are spawned as tasks arrive, at
+   most [jobs - 1], and wait on [nonempty] between tasks; the caller
+   joins them once [produce] has returned and the queue is empty. *)
+let overlap pool produce =
+  if pool.jobs <= 1 then produce (submit pool)
+  else begin
+    let lock = Mutex.create () and nonempty = Condition.create () in
+    let queue = Queue.create () and closed = ref false in
+    let helpers = ref [] and mine = ref no_tasks in
+    (* the next task; [None] once the queue is empty and, when [wait],
+       the producer is done *)
+    let rec take ~wait =
+      match Queue.take_opt queue with
+      | None when wait && not !closed ->
+          Condition.wait nonempty lock;
+          take ~wait
+      | next -> next
+    in
+    let work ~wait tally =
+      let rec loop tally =
+        Mutex.lock lock;
+        let next = take ~wait in
+        Mutex.unlock lock;
+        match next with None -> tally | Some t -> loop (run_task t tally)
+      in
+      loop tally
+    in
+    let start f =
+      let fut = { pool; state = Pending } in
+      let task () =
+        fut.state <-
+          (try Done (f ()) with e -> Failed (e, Printexc.get_raw_backtrace ()))
+      in
+      Mutex.lock lock;
+      let oldest =
+        if Queue.length queue >= pool.jobs - 1 then Queue.take_opt queue else None
+      in
+      Queue.push (Unix.gettimeofday (), task) queue;
+      if List.length !helpers < pool.jobs - 1 then
+        helpers := Domain.spawn (fun () -> work ~wait:true no_tasks) :: !helpers;
+      Condition.signal nonempty;
+      Mutex.unlock lock;
+      Option.iter (fun t -> mine := run_task t !mine) oldest;
+      fut
+    in
+    let finish () =
+      Mutex.lock lock;
+      closed := true;
+      Condition.broadcast nonempty;
+      Mutex.unlock lock;
+      let mine = work ~wait:false !mine in
+      record pool (mine :: List.rev_map Domain.join !helpers)
+    in
+    Fun.protect ~finally:finish (fun () -> produce start)
+  end
 
 let map pool f xs =
   let futures = List.map (fun x -> submit pool (fun () -> f x)) xs in

@@ -40,6 +40,16 @@ val await : 'a future -> 'a
     raised. Submit and await from one domain: awaiting a task that
     another domain's drain is running raises [Invalid_argument]. *)
 
+val overlap : t -> (((unit -> 'a) -> 'a future) -> 'b) -> 'b
+(** [overlap pool produce] calls [produce start] on the calling domain,
+    where [start f] queues the task [f] for helper domains that run it
+    while [produce] goes on: at most [jobs - 1] of them, spawned for this
+    call as tasks arrive. When [jobs - 1] tasks are already waiting,
+    [start] first runs the oldest itself. Once [produce] returns (or
+    raises), the caller runs what is still queued and joins the helpers,
+    so every future is resolved when [overlap] returns; await them only
+    then. With [jobs = 1], [start] is {!submit}: the task runs inline. *)
+
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] runs [f] over [xs] on the pool and returns results
     in submission (= list) order. If several tasks raise, the exception

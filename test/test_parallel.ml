@@ -85,6 +85,41 @@ let test_pool_no_domain_outlives_drain () =
     "the awaiting domain ran the lone task" [| 1; 0; 0; 0 |]
     (Harness.Pool.stats pool).Harness.Pool.tasks_per_worker
 
+(* A task started under [overlap] runs while the producer goes on: the
+   producer waits for its first task before starting the rest. Results
+   come back in order, a task's exception at its await, and every task
+   has run when [overlap] returns. With jobs=1 tasks run inline. *)
+let test_pool_overlap () =
+  let pool = Harness.Pool.create ~jobs:2 () in
+  let ran = Atomic.make false in
+  let futures =
+    Harness.Pool.overlap pool (fun start ->
+        let first = start (fun () -> Atomic.set ran true; 0) in
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while (not (Atomic.get ran)) && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        check Alcotest.bool "first task ran beside the producer" true (Atomic.get ran);
+        first
+        :: List.init 20 (fun i ->
+               start (fun () -> if i = 7 then raise (Boom i) else i + 1)))
+  in
+  List.iteri
+    (fun i f ->
+      if i = 8 then
+        Alcotest.check_raises "exception at await" (Boom 7) (fun () ->
+            ignore (Harness.Pool.await f))
+      else check Alcotest.int "ordered result" i (Harness.Pool.await f))
+    futures;
+  check Alcotest.int "every task counted" 21
+    (Array.fold_left ( + ) 0 (Harness.Pool.stats pool).Harness.Pool.tasks_per_worker);
+  let inline = Harness.Pool.create ~jobs:1 () in
+  let trace = ref [] in
+  Harness.Pool.overlap inline (fun start ->
+      ignore (start (fun () -> trace := 1 :: !trace));
+      trace := 2 :: !trace);
+  check Alcotest.(list int) "jobs=1 runs inline" [ 2; 1 ] !trace
+
 let pool_suite =
   [
     tc "pool: submission-ordered map" `Quick test_pool_ordering;
@@ -93,6 +128,7 @@ let pool_suite =
     tc "pool: queue longer than pool" `Quick test_pool_more_tasks_than_workers;
     tc "pool: no domain outlives a drain" `Quick
       test_pool_no_domain_outlives_drain;
+    tc "pool: overlap runs beside the producer" `Quick test_pool_overlap;
   ]
 
 (* ------------------------------------------------------------------ *)
