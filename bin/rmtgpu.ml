@@ -534,26 +534,30 @@ let do_exp names quick jobs metrics =
         ( true,
           Printf.sprintf "unknown experiment %s (one of: %s)" n
             (String.concat ", " (List.map fst table)) )
-  | None ->
-      let ctx = E.create_ctx ~quick ?jobs () in
-      List.iter
-        (fun n ->
-          print_string (List.assoc n table ctx);
-          flush stdout)
-        names;
-      Option.iter
-        (fun path ->
-          Harness.Metrics.write_file path
-            (Harness.Metrics.bench_json ~rev:(Harness.Metrics.rev ())
-               ~jobs:(E.jobs ctx) ~runs:(E.cached_summaries ctx)
-               ~pool:(E.pool_stats ctx));
-          Printf.eprintf "metrics -> %s\n%!" path)
-        metrics;
-      (* Pool observability goes to stderr: report text on stdout must stay
-         byte-identical at any -j. *)
-      if E.jobs ctx > 1 then
-        Printf.eprintf "pool: %s\n%!" (E.pool_stats_line ctx);
-      `Ok ()
+  | None -> (
+      (* an unwritable export directory fails before any experiment runs *)
+      match if List.mem "export" names then E.make_export_dir () with
+      | exception Failure msg -> `Error (false, msg)
+      | () ->
+          let ctx = E.create_ctx ~quick ?jobs () in
+          List.iter
+            (fun n ->
+              print_string (List.assoc n table ctx);
+              flush stdout)
+            names;
+          Option.iter
+            (fun path ->
+              Harness.Metrics.write_file path
+                (Harness.Metrics.bench_json ~rev:(Harness.Metrics.rev ())
+                   ~jobs:(E.jobs ctx) ~runs:(E.cached_summaries ctx)
+                   ~pool:(E.pool_stats ctx));
+              Printf.eprintf "metrics -> %s\n%!" path)
+            metrics;
+          (* Pool observability goes to stderr: report text on stdout must
+             stay byte-identical at any -j. *)
+          if E.jobs ctx > 1 then
+            Printf.eprintf "pool: %s\n%!" (E.pool_stats_line ctx);
+          `Ok ())
 
 (* ---------------- cmdliner wiring ---------------- *)
 

@@ -40,8 +40,9 @@ let run_once ~label kernel variant ?inject () =
     [ Device.A_buf x; Device.A_buf y; Device.A_f32 2.0; Device.A_i32 n ]
     @ (T.make_extras variant dev ~nd:nd0).ex_args
   in
-  let opts = { Device.default_opts with Device.inject } in
-  let r = Device.launch ~opts dev kernel ~nd ~args in
+  let l = Device.Launch.create dev kernel ~nd ~args in
+  Option.iter (fun p -> Device.Launch.inject l p ~stop_when_dead:false) inject;
+  let r = Device.Launch.finish l in
   let correct = ref true in
   for i = 0 to n - 1 do
     if Device.read_f32 dev y i <> (2.0 *. float_of_int i) +. 1.0 then

@@ -42,11 +42,12 @@ let run ~label kernel ~nd ?inject () =
   let output = Device.alloc dev (n * 4) in
   let data = Array.init n (fun i -> (i * 131) land 0xFFF) in
   Device.write_i32_array dev input data;
-  let opts = { Device.default_opts with Device.inject } in
-  let r =
-    Device.launch ~opts dev kernel ~nd
+  let l =
+    Device.Launch.create dev kernel ~nd
       ~args:[ Device.A_buf input; A_buf output; A_i32 n ]
   in
+  Option.iter (fun p -> Device.Launch.inject l p ~stop_when_dead:false) inject;
+  let r = Device.Launch.finish l in
   let expected i =
     let at j = data.(max 0 (min j (n - 1))) in
     at (i - 1) + (2 * at i) + at (i + 1)

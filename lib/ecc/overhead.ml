@@ -4,8 +4,8 @@
     for register files and the LDS, and cache-line-granularity protection
     for the L1.
 
-    The check-bit counts come from the real codec in {!Sec_ded}, not from
-    hard-coded constants: 7 bits per 32-bit word, 11 bits per 512-bit
+    The check-bit counts come from the Hamming bound in {!Sec_ded}, not
+    from hard-coded constants: 7 bits per 32-bit word, 11 bits per 512-bit
     line. Note the paper's L1 row (343.75 B) corresponds to interpreting
     16 kB as 16,000 bytes; we use binary kB throughout (352 B) and record
     the delta in EXPERIMENTS.md. *)

@@ -1,6 +1,6 @@
 (** ECC overhead model reproducing paper Table 1: SEC-DED cost for the
-    storage structures of one GCN compute unit, computed from the real
-    codec in {!Sec_ded}. *)
+    storage structures of one GCN compute unit, computed from the Hamming
+    bound in {!Sec_ded}. *)
 
 type granularity = Word32 | Line of int  (** line size in bytes *)
 

@@ -1,21 +1,10 @@
-(** SEC-DED (single-error-correct, double-error-detect) Hamming codec.
+(** SEC-DED (single-error-correct, double-error-detect) storage cost.
 
-    Implements the extended Hamming code used to size the ECC overheads of
-    Table 1: a (38,32) code for register-granularity protection (6 check
-    bits + 1 overall parity per 32-bit word) and a (72,64) code for
-    cache-line-granularity protection (8 check bits per 64-bit word).
-
-    The codec is generic over data width: [k] data bits need [r] check
-    bits with [2^r >= k + r + 1], plus one overall parity bit for
-    double-error detection. Encoding places data bits in the non-power-of-
-    two positions of the classic Hamming layout; syndrome decoding
-    corrects single flips and flags double flips.
-
-    This is a real, tested codec (see [test/test_ecc.ml]) rather than a
-    formula: it also backs the fault-injection tests that show what
-    hardware ECC would and would not have caught. *)
-
-type word = bool array
+    Sizes the ECC overheads of Table 1 from the Hamming bound: [k] data
+    bits need [r] check bits with [2^r >= k + r + 1], plus one overall
+    parity bit for double-error detection. That gives a (39,32) code for
+    register-granularity protection (6 check bits + 1 parity per 32-bit
+    word) and 11 extra bits per 512-bit cache line. *)
 
 (** Number of Hamming check bits needed for [k] data bits. *)
 let check_bits k =
@@ -30,108 +19,3 @@ let total_bits k = k + check_bits k + 1
 let overhead_bits ~word_bits ~data_bits =
   let words = (data_bits + word_bits - 1) / word_bits in
   words * (total_bits word_bits - word_bits)
-
-type decoded =
-  | Ok_clean of word            (** no error *)
-  | Corrected of word * int     (** single error at given code position *)
-  | Double_error                (** uncorrectable *)
-
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-(** [encode data] produces the code word: positions 1..m hold Hamming
-    layout (power-of-two positions are check bits), position 0 holds the
-    overall parity. *)
-let encode (data : word) : word =
-  let k = Array.length data in
-  let r = check_bits k in
-  let m = k + r in
-  let code = Array.make (m + 1) false in
-  (* place data bits in non-power-of-two positions 1..m *)
-  let di = ref 0 in
-  for pos = 1 to m do
-    if not (is_pow2 pos) then begin
-      code.(pos) <- data.(!di);
-      incr di
-    end
-  done;
-  (* compute check bits *)
-  for i = 0 to r - 1 do
-    let c = 1 lsl i in
-    let parity = ref false in
-    for pos = 1 to m do
-      if pos land c <> 0 && not (is_pow2 pos) then
-        parity := !parity <> code.(pos)
-    done;
-    code.(c) <- !parity
-  done;
-  (* overall parity over positions 1..m *)
-  let all = ref false in
-  for pos = 1 to m do
-    all := !all <> code.(pos)
-  done;
-  code.(0) <- !all;
-  code
-
-(** Extract the data bits from a (possibly corrected) code word. *)
-let extract ~k (code : word) : word =
-  let out = Array.make k false in
-  let di = ref 0 in
-  for pos = 1 to Array.length code - 1 do
-    if not (is_pow2 pos) then begin
-      if !di < k then out.(!di) <- code.(pos);
-      incr di
-    end
-  done;
-  out
-
-(** [decode ~k code] checks, corrects a single error, or reports a double
-    error. *)
-let decode ~k (code : word) : decoded =
-  let r = check_bits k in
-  let m = k + r in
-  let syndrome = ref 0 in
-  for i = 0 to r - 1 do
-    let c = 1 lsl i in
-    let parity = ref false in
-    for pos = 1 to m do
-      if pos land c <> 0 then parity := !parity <> code.(pos)
-    done;
-    if !parity then syndrome := !syndrome lor c
-  done;
-  let overall = ref false in
-  for pos = 0 to m do
-    overall := !overall <> code.(pos)
-  done;
-  if !syndrome = 0 && not !overall then Ok_clean (extract ~k code)
-  else if !overall then begin
-    (* odd number of flips: correct as a single error *)
-    let fixed = Array.copy code in
-    if !syndrome = 0 then
-      (* the overall parity bit itself flipped *)
-      fixed.(0) <- not fixed.(0)
-    else if !syndrome <= m then fixed.(!syndrome) <- not fixed.(!syndrome);
-    Corrected (extract ~k fixed, !syndrome)
-  end
-  else
-    (* nonzero syndrome with even overall parity: double error *)
-    Double_error
-
-(* -------------------- int32 convenience layer -------------------- *)
-
-let word_of_int32 ?(k = 32) (v : int) : word =
-  Array.init k (fun i -> (v lsr i) land 1 = 1)
-
-let int32_of_word (w : word) : int =
-  let v = ref 0 in
-  Array.iteri (fun i b -> if b then v := !v lor (1 lsl i)) w;
-  Gpu_ir.F32.norm !v
-
-(** Encode a 32-bit value; returns the code word. *)
-let encode32 v = encode (word_of_int32 v)
-
-(** Decode a 32-bit code word back to its value. *)
-let decode32 code =
-  match decode ~k:32 code with
-  | Ok_clean w -> Ok (int32_of_word w, `Clean)
-  | Corrected (w, pos) -> Ok (int32_of_word w, `Corrected pos)
-  | Double_error -> Error `Double

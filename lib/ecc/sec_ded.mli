@@ -1,8 +1,5 @@
-(** SEC-DED (single-error-correct, double-error-detect) extended Hamming
-    codec, generic over data width. Backs the Table 1 overhead estimates
-    with a real, tested implementation. *)
-
-type word = bool array
+(** SEC-DED (single-error-correct, double-error-detect) storage cost,
+    from the Hamming bound. Sizes the Table 1 overhead estimates. *)
 
 val check_bits : int -> int
 (** Hamming check bits needed for [k] data bits. *)
@@ -14,21 +11,3 @@ val total_bits : int -> int
 val overhead_bits : word_bits:int -> data_bits:int -> int
 (** Storage overhead in bits for a structure of [data_bits] protected at
     a granularity of [word_bits] per code word. *)
-
-type decoded =
-  | Ok_clean of word
-  | Corrected of word * int  (** corrected data, flipped code position *)
-  | Double_error
-
-val encode : word -> word
-val decode : k:int -> word -> decoded
-val extract : k:int -> word -> word
-
-(** {1 32-bit convenience layer} *)
-
-val word_of_int32 : ?k:int -> int -> word
-val int32_of_word : word -> int
-val encode32 : int -> word
-
-val decode32 :
-  word -> (int * [ `Clean | `Corrected of int ], [ `Double ]) result

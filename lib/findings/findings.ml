@@ -59,9 +59,6 @@ let sort fs =
     informational findings do not gate. *)
 let clean fs = not (List.exists (fun f -> f.f_severity = Error) fs)
 
-(** The exit-code policy every gate shares: 0 clean, 1 findings. *)
-let exit_code ~clean:c = if c then 0 else 1
-
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -25,8 +25,6 @@ let create ~bytes ~line_bytes ~assoc =
 
 let copy t = { t with tags = Array.copy t.tags; stamps = Array.copy t.stamps }
 
-let line_addr t addr = addr - (addr mod t.line_bytes)
-
 let set_of t line = line / t.line_bytes mod t.n_sets
 
 (** [probe t line] is true when [line] is resident; does not update LRU. *)

@@ -228,7 +228,6 @@ type launch_opts = {
           inflate the resource usage" component-analysis experiment) *)
   max_cycles : int option;
   window_cycles : int option;
-  inject : inject_plan option;
   trace : bool;
       (** record scheduler events into [result.events]; [false] (the
           default) keeps the issue loop free of event allocation *)
@@ -247,7 +246,6 @@ let default_opts =
     usage_override = None;
     max_cycles = None;
     window_cycles = None;
-    inject = None;
     trace = false;
     provenance = None;
     scan_every_cycle = false;
@@ -1394,11 +1392,11 @@ module Launch = struct
         groups_completed = 0;
         dispatch_rr = 0;
         free_waves;
-        inject_pending = opts.inject;
+        inject_pending = None;
         inject_applied = false;
         injected_at = None;
         detected_at = None;
-        rng = (match opts.inject with Some p -> p.iseed | None -> 1);
+        rng = 1;
         taint = Taint_none;
         prov_site = -1;
         prov_now = 0;

@@ -118,7 +118,6 @@ type launch_opts = {
           inflation component-analysis experiment) *)
   max_cycles : int option;  (** watchdog override *)
   window_cycles : int option;  (** power-sampling window override *)
-  inject : inject_plan option;
   trace : bool;
       (** record scheduler events into [result.events] ([false], the
           default, adds no work to the issue loop; events never perturb
@@ -184,7 +183,11 @@ module Launch : sig
       launch's waves go to its device for reuse. Call once. *)
 
   val inject : t -> inject_plan -> stop_when_dead:bool -> unit
-  (** Arm a flip, as [launch_opts.inject] would have at creation. With
+  (** Arm a flip: it lands at the first cycle at or after
+      [plan.at_cycle] where [plan.target] holds a candidate, and
+      [plan.iseed] seeds the choice of lane, register and bit. Nothing
+      reads the seed before the flip lands, so arming right after
+      {!create} is the whole of an injected launch's set-up. With
       [stop_when_dead], {!run_until} stops as soon as {!flip_dead}.
       @raise Invalid_argument when a flip is already armed or applied. *)
 

@@ -273,28 +273,33 @@ let bench_nd ctx (b : Kernels.Bench.t) =
   (List.hd (b.prepare dev ~scale:1).Kernels.Bench.steps).Kernels.Bench.nd
 
 (* Resource inflations for the "2x work-groups" component: compile-time
-   analyses of the transformed kernels, needing only the base run. *)
-let intra_inflation_of ctx (b : Kernels.Bench.t) ~(base : Run.summary)
-    ~include_lds =
+   analyses of the original and the transformed kernels. The original's
+   usage is what its run measures, since [Launch.create] analyses the
+   kernel it is given, so no run needs to land first. *)
+let orig_usage (b : Kernels.Bench.t) = Gpu_ir.Regpressure.analyze (b.make_kernel ())
+
+let intra_inflation_of ctx (b : Kernels.Bench.t) ~include_lds =
   let nd = bench_nd ctx b in
   let orig_items = Gpu_sim.Geom.group_items nd in
   let _, full_v = intra_variants include_lds in
   let rmt_usage = Gpu_ir.Regpressure.analyze (Run.transformed_kernel b full_v ~nd) in
-  Rmt_core.Ablation.intra_inflation ctx.cfg ~orig:base.Run.usage
+  Rmt_core.Ablation.intra_inflation ctx.cfg ~orig:(orig_usage b)
     ~orig_group_items:orig_items ~rmt_usage ~rmt_group_items:(orig_items * 2)
 
-let inter_inflation_of ctx (b : Kernels.Bench.t) ~(base : Run.summary) =
+let inter_inflation_of ctx (b : Kernels.Bench.t) =
   let nd = bench_nd ctx b in
   let rmt_usage =
     Gpu_ir.Regpressure.analyze (Run.transformed_kernel b T.inter_group ~nd)
   in
-  Rmt_core.Ablation.inter_inflation ctx.cfg ~orig:base.Run.usage
+  Rmt_core.Ablation.inter_inflation ctx.cfg ~orig:(orig_usage b)
     ~group_items:(Gpu_sim.Geom.group_items nd) ~rmt_usage
 
+let prefetch_inflated ctx b = function
+  | Some u -> prefetch ctx ~tag:"inflate" ~usage_override:u b T.Original
+  | None -> ()
+
 let fig4 ctx =
-  (* plan: the component-ladder runs for every bench first; the inflated
-     runs need the base run's measured usage, so they go in a second
-     pass as the bases land *)
+  (* plan: the component ladder and the inflated run of every bench *)
   List.iter
     (fun (b : Kernels.Bench.t) ->
       prefetch ctx b T.Original;
@@ -302,17 +307,8 @@ let fig4 ctx =
         (fun include_lds ->
           let nocomm_v, full_v = intra_variants include_lds in
           prefetch ctx b nocomm_v;
-          prefetch ctx b full_v)
-        [ true; false ])
-    all_benches;
-  List.iter
-    (fun (b : Kernels.Bench.t) ->
-      let base = get ctx b T.Original in
-      List.iter
-        (fun include_lds ->
-          match intra_inflation_of ctx b ~base ~include_lds with
-          | Some u -> prefetch ctx ~tag:"inflate" ~usage_override:u b T.Original
-          | None -> ())
+          prefetch ctx b full_v;
+          prefetch_inflated ctx b (intra_inflation_of ctx b ~include_lds))
         [ true; false ])
     all_benches;
   let buf = Buffer.create 2048 in
@@ -326,7 +322,7 @@ let fig4 ctx =
       List.iter
         (fun include_lds ->
           let nocomm_v, full_v = intra_variants include_lds in
-          let inflation = intra_inflation_of ctx b ~base ~include_lds in
+          let inflation = intra_inflation_of ctx b ~include_lds in
           let c0, c1, c2, _ =
             components ctx b ~base ~inflation ~nocomm_variant:nocomm_v
               ~full_variant:full_v
@@ -342,14 +338,12 @@ let fig4 ctx =
   Buffer.contents buf
 
 let fig7 ctx =
-  (* plan: ladder runs, then the usage-dependent inflated runs *)
-  plan ctx [ T.Original; T.Inter Rmt_core.Inter_group.No_comm; T.inter_group ];
+  (* plan: the component ladder and the inflated run of every bench *)
   List.iter
     (fun (b : Kernels.Bench.t) ->
-      let base = get ctx b T.Original in
-      match inter_inflation_of ctx b ~base with
-      | Some u -> prefetch ctx ~tag:"inflate" ~usage_override:u b T.Original
-      | None -> ())
+      List.iter (prefetch ctx b)
+        [ T.Original; T.Inter Rmt_core.Inter_group.No_comm; T.inter_group ];
+      prefetch_inflated ctx b (inter_inflation_of ctx b))
     all_benches;
   let buf = Buffer.create 2048 in
   Report.heading buf
@@ -359,7 +353,7 @@ let fig7 ctx =
   List.iter
     (fun (b : Kernels.Bench.t) ->
       let base = get ctx b T.Original in
-      let inflation = inter_inflation_of ctx b ~base in
+      let inflation = inter_inflation_of ctx b in
       let c0, c1, c2, starred =
         components ctx b ~base ~inflation
           ~nocomm_variant:(T.Inter Rmt_core.Inter_group.No_comm)
@@ -988,17 +982,26 @@ let write_csv dir name header rows =
   close_out oc;
   path
 
+let make_export_dir ?(dir = "results") () =
+  match Unix.mkdir dir 0o755 with
+  | () -> ()
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) when Sys.is_directory dir -> ()
+  | exception Unix.Unix_error (e, _, _) ->
+      failwith
+        (Printf.sprintf "cannot write CSV files into %s: %s" dir
+           (if e = Unix.EEXIST then "not a directory" else Unix.error_message e))
+
 (** Export the headline figure series as CSV files into [dir] for
     external plotting ([benches] restricts the kernel set). Returns a
     report of what was written. *)
 let export ?(dir = "results") ?(benches = all_benches) ctx =
+  make_export_dir ~dir ();
   let all_benches = benches in
   plan ctx ~benches
     [
       T.Original; T.intra_plus_lds; T.intra_minus_lds; T.intra_plus_lds_fast;
       T.intra_minus_lds_fast; T.inter_group;
     ];
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let buf = Buffer.create 512 in
   Report.heading buf ("CSV export to " ^ dir ^ "/");
   let slow v b = Run.slowdown ~base:(get ctx b T.Original) (get ctx b v) in

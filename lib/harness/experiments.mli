@@ -171,9 +171,15 @@ val coststatic : ctx -> string
 (** {!Gpu_tv.Costmodel} predictions for every registry kernel,
     reconciled against the simulator's measured launches. *)
 
+val make_export_dir : ?dir:string -> unit -> unit
+(** Create [dir] (default [results]) unless it is already a directory.
+    @raise Failure with a one-line message naming [dir] when it exists as
+    something else or cannot be created. *)
+
 val export : ?dir:string -> ?benches:Kernels.Bench.t list -> ctx -> string
-(** Write the headline figure series as CSV files; returns a report of
-    the paths written. *)
+(** Write the headline figure series as CSV files into [dir] (default
+    [results]), made by {!make_export_dir} before anything is simulated;
+    returns a report of the paths written. *)
 
 val registry : (string * (ctx -> string)) list
 (** Every experiment above by its [rmtgpu exp] name, in report order:

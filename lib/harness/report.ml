@@ -8,11 +8,6 @@ let bar ?(width = 32) ?(full = 3.0) v =
   let n = int_of_float (v' /. full *. float_of_int width) in
   String.make n '#'
 
-(** A signed bar for overhead components (negative = speedup). *)
-let signed_bar ?(width = 20) ?(full = 2.0) v =
-  if v >= 0.0 then bar ~width ~full v
-  else "-" ^ bar ~width ~full (Float.abs v)
-
 let heading buf title =
   Buffer.add_string buf ("\n== " ^ title ^ " ==\n")
 

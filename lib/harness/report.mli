@@ -5,9 +5,6 @@
 val bar : ?width:int -> ?full:float -> float -> string
 (** A bar of [#]s, saturating at [full] (default 3.0). *)
 
-val signed_bar : ?width:int -> ?full:float -> float -> string
-(** Signed bar for overhead components (negative = speedup). *)
-
 val heading : Buffer.t -> string -> unit
 val row : Buffer.t -> ('a, unit, string, unit) format4 -> 'a
 val pct : float -> string

@@ -92,7 +92,6 @@ let lds_alloc b name bytes =
 (* ------------------------------------------------------------------ *)
 
 let imm n = Imm (Int32.of_int n)
-let imm32 n = Imm n
 let immf x = Imm_f32 x
 
 (* ------------------------------------------------------------------ *)
@@ -173,13 +172,6 @@ let group_id b dim = special b (Group_id dim)
 let global_size b dim = special b (Global_size dim)
 let local_size b dim = special b (Local_size dim)
 let num_groups b dim = special b (Num_groups dim)
-
-(** Flattened local id for up-to-2D work-groups:
-    [lid1 * lsize0 + lid0]. *)
-let flat_local_id2 b =
-  let l0 = local_id b 0 and l1 = local_id b 1 in
-  let s0 = local_size b 0 in
-  mad b l1 s0 l0
 
 (* ------------------------------------------------------------------ *)
 (* Memory                                                              *)

@@ -66,7 +66,6 @@ val lds_alloc : t -> string -> int -> value
 (** {1 Immediates} *)
 
 val imm : int -> value
-val imm32 : int32 -> value
 val immf : float -> value
 
 (** {1 Arithmetic} *)
@@ -143,9 +142,6 @@ val group_id : t -> int -> value
 val global_size : t -> int -> value
 val local_size : t -> int -> value
 val num_groups : t -> int -> value
-
-val flat_local_id2 : t -> value
-(** Flattened local id for up-to-2D work-groups. *)
 
 (** {1 Memory} *)
 

@@ -21,9 +21,3 @@ val to_float : int -> float
 
 val round : float -> float
 (** Round a double to the nearest binary32 value. *)
-
-val lift1 : (float -> float) -> int -> int
-(** Apply a unary double function with binary32 rounding, on patterns. *)
-
-val lift2 : (float -> float -> float) -> int -> int -> int
-(** Apply a binary double function with binary32 rounding, on patterns. *)

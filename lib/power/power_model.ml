@@ -91,11 +91,3 @@ let report ?(c = default) ~(cfg : Gpu_sim.Config.t)
   let peak_w = Array.fold_left max neg_infinity samples in
   { average_w; peak_w; samples }
 
-(** Energy (J) of a whole run: average power times duration. *)
-let run_energy ?(c = default) ~(cfg : Gpu_sim.Config.t)
-    (r : Gpu_sim.Device.result) =
-  let rep =
-    report ~c ~cfg ~windows:r.Gpu_sim.Device.windows
-      ~fallback:r.Gpu_sim.Device.counters ()
-  in
-  rep.average_w *. (float_of_int r.Gpu_sim.Device.cycles /. (cfg.clock_ghz *. 1e9))

@@ -179,6 +179,27 @@ let test_runfile_crash_exits_1 () =
       check Alcotest.bool "the run crashed" true (contains out "(crashed:");
       check Alcotest.bool "runfile exits 1" true (status = Unix.WEXITED 1)
 
+(* exp export checks its output directory before it simulates: where
+   [results] is a file, the command fails with one line naming it. *)
+let test_export_into_file_fails_first () =
+  let dir = Filename.temp_dir "rmtgpu_cli" "" in
+  let results = Filename.concat dir "results" in
+  Out_channel.with_open_text results ignore;
+  let result =
+    run_shell
+      (Printf.sprintf "cd %s && rmtgpu exp table1 export" (Filename.quote dir))
+  in
+  Sys.remove results;
+  Sys.rmdir dir;
+  match result with
+  | None -> Alcotest.fail "exp export did not finish"
+  | Some (status, out, err) ->
+      check Alcotest.bool "exits with a usage error" true
+        (status = Unix.WEXITED 2);
+      check Alcotest.string "one line naming the path"
+        "rmtgpu: cannot write CSV files into results: not a directory\n" err;
+      check Alcotest.string "no experiment runs" "" out
+
 (* The "# run with:" command of an .rgk header: the comment lines after
    the marker, joined across trailing backslashes. *)
 let documented_commands path =
@@ -235,4 +256,6 @@ let suite =
     tc "documented example commands run" `Quick test_documented_commands;
     tc "runfile exits 1 when the launch crashes" `Quick
       test_runfile_crash_exits_1;
+    tc "exp export into a file fails before simulating" `Quick
+      test_export_into_file_fails_first;
   ]

@@ -64,14 +64,12 @@ let test_no_fork_after_flip () =
     (fun provenance ->
       let l =
         Sim.Device.Launch.create
-          ~opts:
-            {
-              Sim.Device.default_opts with
-              inject = Some { Sim.Device.at_cycle = 100; target = Sim.Device.T_vgpr; iseed = 5 };
-              provenance;
-            }
+          ~opts:{ Sim.Device.default_opts with provenance }
           (Sim.Device.fork dev) k ~nd ~args:step.Kernels.Bench.args
       in
+      Sim.Device.Launch.inject l
+        { Sim.Device.at_cycle = 100; target = Sim.Device.T_vgpr; iseed = 5 }
+        ~stop_when_dead:false;
       Sim.Device.Launch.run_until l 200;
       Alcotest.check_raises "fork after the flip"
         (Invalid_argument "Launch.fork: a fault has landed") (fun () ->

@@ -90,31 +90,74 @@ let base_suite =
 (* Mathematical sanity of the device results (beyond reference match)  *)
 (* ------------------------------------------------------------------ *)
 
+(* Prepare a registry benchmark on a fresh device and return the device,
+   its first step's arguments, and a function that launches the Original
+   kernel's whole step sequence. *)
+let prepared id =
+  let dev = Gpu_sim.Device.create Gpu_sim.Config.default in
+  let b = Kernels.Registry.find id in
+  let prep = b.prepare dev ~scale:1 in
+  let k = b.make_kernel () in
+  let args = (List.hd prep.Kernels.Bench.steps).Kernels.Bench.args in
+  let launch_all () =
+    List.iter
+      (fun (step : Kernels.Bench.step) ->
+        ignore
+          (Gpu_sim.Device.launch dev k ~nd:step.Kernels.Bench.nd
+             ~args:step.Kernels.Bench.args))
+      prep.Kernels.Bench.steps
+  in
+  (dev, args, launch_all)
+
+let words (buf : Gpu_sim.Device.buffer) = buf.size / 4
+
 (* The partial sums of Reduction must add up to the total input sum. *)
 let test_reduction_totals () =
-  let dev = Gpu_sim.Device.create Gpu_sim.Config.default in
-  let b = Kernels.Registry.find "R" in
-  let prep = b.prepare dev ~scale:1 in
-  let step = List.hd prep.Kernels.Bench.steps in
-  let k = b.make_kernel () in
-  ignore
-    (Gpu_sim.Device.launch dev k ~nd:step.Kernels.Bench.nd
-       ~args:step.Kernels.Bench.args);
-  check Alcotest.bool "reference verifies" true (prep.Kernels.Bench.verify dev)
+  let dev, args, launch_all = prepared "R" in
+  let input, partial =
+    match args with
+    | [ A_buf i; A_buf p ] -> (i, p)
+    | _ -> Alcotest.fail "R takes two buffers"
+  in
+  let sum buf =
+    let s = ref 0.0 in
+    for i = 0 to words buf - 1 do
+      s := !s +. Gpu_sim.Device.read_f32 dev buf i
+    done;
+    !s
+  in
+  let total = sum input in
+  launch_all ();
+  let partials = sum partial in
+  check Alcotest.bool
+    (Printf.sprintf "partials %.3f add up to the input sum %.3f" partials total)
+    true
+    (Float.abs (partials -. total) <= 1e-5 *. total)
 
 (* BitonicSort output must be a sorted permutation of its input. *)
 let test_bitonic_is_sorting_network () =
-  let dev = Gpu_sim.Device.create Gpu_sim.Config.default in
-  let b = Kernels.Registry.find "BitS" in
-  let prep = b.prepare dev ~scale:1 in
-  let k = b.make_kernel () in
-  List.iter
-    (fun (step : Kernels.Bench.step) ->
-      ignore
-        (Gpu_sim.Device.launch dev k ~nd:step.Kernels.Bench.nd
-           ~args:step.Kernels.Bench.args))
-    prep.Kernels.Bench.steps;
-  check Alcotest.bool "sorted permutation" true (prep.Kernels.Bench.verify dev)
+  let dev, args, launch_all = prepared "BitS" in
+  let buf =
+    match args with
+    | A_buf b :: _ -> b
+    | _ -> Alcotest.fail "BitS sorts its first argument"
+  in
+  let read () = Gpu_sim.Device.read_i32_array dev buf (words buf) in
+  let input = read () in
+  launch_all ();
+  let output = read () in
+  let ascending = ref true in
+  for i = 1 to Array.length output - 1 do
+    if output.(i - 1) > output.(i) then ascending := false
+  done;
+  check Alcotest.bool "output ascending" true !ascending;
+  let sorted a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a
+  in
+  check Alcotest.bool "output is a permutation of the input" true
+    (sorted input = sorted output)
 
 (* The Walsh transform applied twice is N times the identity; check the
    device output against that analytic property rather than the mirror
@@ -151,17 +194,28 @@ let test_fwt_involution () =
 (* FloydWarshall distances can never increase and respect the triangle
    inequality through any single intermediate. *)
 let test_fw_triangle () =
-  let dev = Gpu_sim.Device.create Gpu_sim.Config.default in
-  let b = Kernels.Registry.find "FW" in
-  let prep = b.prepare dev ~scale:1 in
-  let k = b.make_kernel () in
-  List.iter
-    (fun (step : Kernels.Bench.step) ->
-      ignore
-        (Gpu_sim.Device.launch dev k ~nd:step.Kernels.Bench.nd
-           ~args:step.Kernels.Bench.args))
-    prep.Kernels.Bench.steps;
-  check Alcotest.bool "shortest paths verified" true (prep.Kernels.Bench.verify dev)
+  let dev, args, launch_all = prepared "FW" in
+  let buf, n =
+    match args with
+    | [ A_buf b; A_i32 n; _ ] -> (b, n)
+    | _ -> Alcotest.fail "FW takes the matrix, n and k"
+  in
+  let read () = Gpu_sim.Device.read_i32_array dev buf (n * n) in
+  let input = read () in
+  launch_all ();
+  let d = read () in
+  let never_grew = ref true and triangle = ref true in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if d.((i * n) + j) > input.((i * n) + j) then never_grew := false;
+      for k = 0 to n - 1 do
+        if d.((i * n) + j) > d.((i * n) + k) + d.((k * n) + j) then
+          triangle := false
+      done
+    done
+  done;
+  check Alcotest.bool "no distance exceeds the input" true !never_grew;
+  check Alcotest.bool "d[i][j] <= d[i][k] + d[k][j]" true !triangle
 
 let property_suite =
   [

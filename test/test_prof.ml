@@ -314,18 +314,17 @@ let test_branch_read_is_consumption () =
       for iseed = 1 to 8 do
         let provenance = Prov.create () in
         let opts =
-          {
-            Sim.Device.default_opts with
-            inject =
-              Some { Sim.Device.at_cycle = 40; target = Sim.Device.T_vgpr; iseed };
-            provenance = Some provenance;
-          }
+          { Sim.Device.default_opts with provenance = Some provenance }
         in
         let dev = Sim.Device.create Sim.Config.default in
-        let res =
-          Sim.Device.launch ~opts dev k ~nd:(Sim.Geom.make_ndrange 64 64)
-            ~args:[]
+        let l =
+          Sim.Device.Launch.create ~opts dev k
+            ~nd:(Sim.Geom.make_ndrange 64 64) ~args:[]
         in
+        Sim.Device.Launch.inject l
+          { Sim.Device.at_cycle = 40; target = Sim.Device.T_vgpr; iseed }
+          ~stop_when_dead:false;
+        let res = Sim.Device.Launch.finish l in
         check Alcotest.bool "flip landed" true res.Sim.Device.inject_applied;
         if contains provenance.Prov.desc (Printf.sprintf "v%d lane" r) then begin
           incr hits;

@@ -208,23 +208,19 @@ let test_detection_fires () =
   while (not !detected) && !seed < 60 do
     let dev = Sim.Device.create Sim.Config.small in
     let buf = Sim.Device.alloc dev (256 * 4) in
-    let opts =
-      {
-        Sim.Device.default_opts with
-        Sim.Device.inject =
-          Some
-            {
-              Sim.Device.at_cycle = 40 + (!seed * 13);
-              target = Sim.Device.T_vgpr;
-              iseed = !seed;
-            };
-      }
-    in
-    let r =
-      Sim.Device.launch ~opts dev k
+    let l =
+      Sim.Device.Launch.create dev k
         ~nd:(T.map_ndrange T.intra_plus_lds (Sim.Geom.make_ndrange 256 64))
         ~args:[ Sim.Device.A_buf buf ]
     in
+    Sim.Device.Launch.inject l
+      {
+        Sim.Device.at_cycle = 40 + (!seed * 13);
+        target = Sim.Device.T_vgpr;
+        iseed = !seed;
+      }
+      ~stop_when_dead:false;
+    let r = Sim.Device.Launch.finish l in
     if r.Sim.Device.outcome = Sim.Device.Detected then detected := true;
     incr seed
   done;

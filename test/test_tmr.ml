@@ -42,11 +42,14 @@ let run_tmr ?inject () =
   let data = Array.init n (fun i -> (i * 13) land 0xFFFF) in
   Sim.Device.write_i32_array dev input data;
   let nd = Rmt_core.Tmr.map_ndrange (Sim.Geom.make_ndrange n wg) in
-  let opts = { Sim.Device.default_opts with Sim.Device.inject } in
-  let r =
-    Sim.Device.launch ~opts dev k ~nd
+  let l =
+    Sim.Device.Launch.create dev k ~nd
       ~args:[ Sim.Device.A_buf input; A_buf output ]
   in
+  Option.iter
+    (fun p -> Sim.Device.Launch.inject l p ~stop_when_dead:false)
+    inject;
+  let r = Sim.Device.Launch.finish l in
   (r, Sim.Device.read_i32_array dev output n = expected n data)
 
 let test_tmr_correct () =
