@@ -38,10 +38,17 @@ let runs =
           [ "PS"; "BinS" ])
       [ ("rr", rr); ("w32", w32) ]
 
-let line (label, cfg, id, vname) =
-  let s =
-    Harness.Run.run ~cfg (Kernels.Registry.find id) (List.assoc vname variants)
-  in
+(* simulated once for the counter and stall pins below *)
+let summaries =
+  lazy
+    (List.map
+       (fun ((_, cfg, id, vname) as r) ->
+         ( r,
+           Harness.Run.run ~cfg (Kernels.Registry.find id)
+             (List.assoc vname variants) ))
+       runs)
+
+let line ((label, _, id, vname), s) =
   String.concat " "
     (Printf.sprintf "%s %s %s cycles=%d outcome=%s verified=%b" id vname label
        s.Harness.Run.cycles
@@ -56,7 +63,7 @@ let test_golden () =
     In_channel.with_open_text golden_file In_channel.input_lines
     |> List.filter (fun l -> String.trim l <> "")
   in
-  let actual = List.map line runs in
+  let actual = List.map line (Lazy.force summaries) in
   let diffs =
     if List.length expected <> List.length actual then actual
     else
@@ -68,6 +75,50 @@ let test_golden () =
     Alcotest.failf "%d of %d runs differ from golden_counters.txt; actual:\n%s"
       (List.length diffs) (List.length runs)
       (String.concat "\n" diffs)
+
+(* The scheduler-scan observation fields of the same runs: per run, the
+   sums of the four stall_* arrays of the per-site profile and the MD5 of
+   the arrays themselves. They count how often a scan saw a wave unable
+   to issue, so they pin the scan itself, which the counters above do not
+   see. Same temp-file rule as golden_reports.txt below. *)
+let golden_stalls_file =
+  Filename.concat (Filename.dirname Sys.executable_name) "golden_stalls.txt"
+
+let stall_line ((label, _, id, vname), (s : Harness.Run.summary)) =
+  let p = s.Harness.Run.profile in
+  let arrays =
+    Gpu_prof.Collector.
+      [
+        ("scoreboard", p.stall_scoreboard);
+        ("unit_busy", p.stall_unit_busy);
+        ("write_backlog", p.stall_write_backlog);
+        ("barrier", p.stall_barrier);
+      ]
+  in
+  Printf.sprintf "%s %s %s %s md5=%s\n" id vname label
+    (String.concat " "
+       (List.map
+          (fun (k, a) -> Printf.sprintf "%s=%d" k (Gpu_prof.Collector.sum a))
+          arrays))
+    (Digest.to_hex
+       (Digest.string
+          (Marshal.to_string (List.map snd arrays) [ Marshal.No_sharing ])))
+
+let test_golden_stalls () =
+  let expected =
+    In_channel.with_open_bin golden_stalls_file In_channel.input_all
+  in
+  let actual =
+    String.concat "" (List.map stall_line (Lazy.force summaries))
+  in
+  if actual <> expected then begin
+    let path = Filename.temp_file "golden_stalls" ".txt" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc actual);
+    Alcotest.failf
+      "stall observations differ from golden_stalls.txt; actual text \
+       written to %s"
+      path
+  end
 
 (* The report text of four extension studies, each under a "== label"
    header: the TMR study (quick campaigns, one worker), the static
@@ -389,6 +440,8 @@ let test_forked_campaigns_equal_runs () =
 let suite =
   [
     Alcotest.test_case "registry runs match the golden counters" `Quick test_golden;
+    Alcotest.test_case "registry runs match the golden stalls" `Quick
+      test_golden_stalls;
     Alcotest.test_case "extension reports match golden_reports.txt" `Quick
       test_golden_reports;
     Alcotest.test_case "pass output matches golden_ir.txt" `Quick test_golden_ir;
