@@ -122,6 +122,7 @@ let store32 t ~cu addr v =
 (* ------------------------------------------------------------------ *)
 
 let fmax (a : float) b = if a > b then a else b
+let imax (a : int) b = if a > b then a else b
 
 (* One DRAM line transfer: serialized on device-wide bandwidth. Returns
    the cycle at which the line is available. *)
@@ -150,7 +151,7 @@ let load_timed t ~cu ~now lines n =
     in
     if hit1 then begin
       t.counters.l1_hits <- t.counters.l1_hits + 1;
-      completion := max !completion (now + c.l1_latency)
+      completion := imax !completion (now + c.l1_latency)
     end
     else begin
       t.counters.l1_misses <- t.counters.l1_misses + 1;
@@ -159,13 +160,13 @@ let load_timed t ~cu ~now lines n =
       let hit2 = Cache.access t.l2 line in
       if hit2 then begin
         t.counters.l2_hits <- t.counters.l2_hits + 1;
-        completion := max !completion (now + c.l2_latency)
+        completion := imax !completion (now + c.l2_latency)
       end
       else begin
         t.counters.l2_misses <- t.counters.l2_misses + 1;
         t.counters.dram_read_bytes <-
           t.counters.dram_read_bytes + c.line_bytes;
-        completion := max !completion (dram_transfer t ~now)
+        completion := imax !completion (dram_transfer t ~now)
       end
     end
   done;

@@ -39,6 +39,8 @@ type ctx = {
   cfg_fp : string;
   cache : (run_key, Run.summary Pool.future) Hashtbl.t;
   cache_lock : Mutex.t;
+  nds : (string, Gpu_sim.Geom.ndrange) Hashtbl.t;
+      (** each benchmark's first NDRange, by id; under [cache_lock] *)
   pool : Pool.t;
   quick : bool;  (** fewer fault injections, for CI *)
 }
@@ -49,6 +51,7 @@ let create_ctx ?(cfg = Gpu_sim.Config.default) ?(quick = false) ?jobs () =
     cfg_fp = cfg_fingerprint cfg;
     cache = Hashtbl.create 64;
     cache_lock = Mutex.create ();
+    nds = Hashtbl.create 16;
     pool = Pool.create ?jobs ();
     quick;
   }
@@ -267,10 +270,21 @@ let intra_variants include_lds =
   ( T.Intra { include_lds; comm = Rmt_core.Intra_group.Comm_none },
     T.Intra { include_lds; comm = Rmt_core.Intra_group.Comm_lds } )
 
-(* The original work-group geometry of a benchmark's first launch. *)
+(* The original work-group geometry of a benchmark's first launch. Reading
+   it runs the benchmark's whole [prepare] (inputs and CPU reference), so
+   it is computed at most once per context. *)
 let bench_nd ctx (b : Kernels.Bench.t) =
-  let dev = Gpu_sim.Device.create ctx.cfg in
-  (List.hd (b.prepare dev ~scale:1).Kernels.Bench.steps).Kernels.Bench.nd
+  Mutex.protect ctx.cache_lock (fun () ->
+      match Hashtbl.find_opt ctx.nds b.id with
+      | Some nd -> nd
+      | None ->
+          let dev = Gpu_sim.Device.create ctx.cfg in
+          let nd =
+            (List.hd (b.prepare dev ~scale:1).Kernels.Bench.steps)
+              .Kernels.Bench.nd
+          in
+          Hashtbl.add ctx.nds b.id nd;
+          nd)
 
 (* Resource inflations for the "2x work-groups" component: compile-time
    analyses of the original and the transformed kernels. The original's

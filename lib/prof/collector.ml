@@ -14,7 +14,9 @@
       and the cache hit/miss counts, which are the per-load deltas of the
       counters {!Gpu_sim.Memsys} charges);
     - {b observation} fields ([stall_*]) count scheduler-scan sightings
-      of a wave that could not issue, like the traced stall events; they depend on how often the skip-ahead scheduler rescans
+      of a wave that could not issue, including the visits to a wave
+      parked on the scoreboard or a busy unit, like the traced stall
+      events; they depend on how often the skip-ahead scheduler rescans
       and are diagnostic, not cycle-exact.
 
     {!accumulate} sums the collectors of a multi-pass benchmark, which is

@@ -81,7 +81,7 @@ let event_json (r : Sink.record) : Json.t =
   | Sink.Barrier_release { cu; group } ->
       instant ~name:"barrier-release" ~pid:cu ~tid:tid_sched ~ts
         ~args:[ ("group", Json.Int group) ]
-  | Sink.Stall { cu; group; wave; cause } ->
+  | Sink.Stall { cu; group; wave; cause; _ } ->
       instant ~name:(Sink.stall_name cause) ~pid:cu ~tid:tid_stall ~ts
         ~args:[ ("group", Json.Int group); ("wave", Json.Int wave) ]
 

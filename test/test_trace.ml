@@ -126,6 +126,46 @@ let test_multi_pass_events_spliced () =
   check Alcotest.int "one dispatch per group of every pass"
     s.Harness.Run.counters.Sim.Counters.groups_launched dispatches
 
+(* The trace and the profile observe the same scheduler sightings: per
+   site, a traced run's Scoreboard and Unit_busy stall events equal its
+   profile's stall_scoreboard and stall_unit_busy, so a wave parked on
+   the scoreboard or a busy unit still emits an event for every sighting
+   it is charged; and tracing leaves the whole profile unchanged. *)
+let test_stall_events_match_profile () =
+  List.iter
+    (fun (id, v, vname) ->
+      let bench = Kernels.Registry.find id in
+      let plain = Harness.Run.run bench v in
+      let s = Harness.Run.run ~trace:true bench v in
+      let p = s.Harness.Run.profile in
+      let per_site cause =
+        let a = Array.make (Array.length p.Gpu_prof.Collector.stall_scoreboard) 0 in
+        List.iter
+          (fun r ->
+            match r.Sink.ev with
+            | Sink.Stall { site; cause = c; _ } when c = cause ->
+                a.(site) <- a.(site) + 1
+            | _ -> ())
+          s.Harness.Run.events;
+        Array.to_list a
+      in
+      let what = id ^ " " ^ vname in
+      check Alcotest.bool (what ^ ": scoreboard stalls seen") true
+        (Gpu_prof.Collector.sum p.Gpu_prof.Collector.stall_scoreboard > 0);
+      check Alcotest.(list int) (what ^ ": scoreboard events per site")
+        (Array.to_list p.Gpu_prof.Collector.stall_scoreboard)
+        (per_site Sink.Scoreboard);
+      check Alcotest.(list int) (what ^ ": unit-busy events per site")
+        (Array.to_list p.Gpu_prof.Collector.stall_unit_busy)
+        (per_site Sink.Unit_busy);
+      check Alcotest.bool (what ^ ": traced profile = untraced") true
+        (p = plain.Harness.Run.profile))
+    [
+      ("BinS", T.inter_group, "inter");
+      ("FWT", T.intra_plus_lds, "intra+lds");
+      ("PS", T.inter_group, "inter");
+    ]
+
 let trace_string_of_run bench variant =
   let s = Harness.Run.run ~trace:true bench variant in
   check Alcotest.bool "verified" true s.Harness.Run.verified;
@@ -365,6 +405,8 @@ let suite =
     tc "sink: multi-pass events non-decreasing" `Quick
       test_multi_pass_events_spliced;
     tc "sink: deterministic at -j1 vs -j4" `Quick test_trace_deterministic_across_jobs;
+    tc "sink: stall events match the profile per site" `Quick
+      test_stall_events_match_profile;
     tc "chrome: JSON parses" `Quick test_chrome_json_parses;
     tc "json: roundtrip" `Quick test_json_roundtrip;
     tc "timeline: renders" `Quick test_timeline_renders;
