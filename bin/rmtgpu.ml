@@ -368,28 +368,25 @@ let do_inject (b : Kernels.Bench.t) variant target n jobs show_prov sanitize =
      --arg i32:V / --arg f32:X                         a scalar
    --show IDX:LO:HI[:f32] prints a buffer slice afterwards. *)
 
-type runfile_arg =
-  | RA_buf of int * [ `Zero | `Index | `Findex | `I32 of int | `F32 of float ]
-  | RA_i32 of int
-  | RA_f32 of float
+module B = Kernels.Bench
 
 let parse_runfile_arg sp =
   let parts = String.split_on_char ':' sp in
   match parts with
-  | [ "i32"; v ] -> Ok (RA_i32 (int_of_string v))
-  | [ "f32"; x ] -> Ok (RA_f32 (float_of_string x))
+  | [ "i32"; v ] -> Ok (B.I32 (int_of_string v))
+  | [ "f32"; x ] -> Ok (B.F32 (float_of_string x))
   | "buf" :: words :: _ when int_of_string words < 1 ->
       Error (`Msg ("buf:" ^ words ^ ": WORDS must be at least 1"))
   | "buf" :: words :: rest -> (
       let words = int_of_string words in
       match rest with
-      | [] | [ "zero" ] -> Ok (RA_buf (words, `Zero))
-      | [ "index" ] -> Ok (RA_buf (words, `Index))
-      | [ "findex" ] -> Ok (RA_buf (words, `Findex))
+      | [] | [ "zero" ] -> Ok (B.Buf (words, Zero))
+      | [ "index" ] -> Ok (B.Buf (words, Index))
+      | [ "findex" ] -> Ok (B.Buf (words, Findex))
       | [ init ] -> (
           match String.split_on_char '=' init with
-          | [ "i32"; v ] -> Ok (RA_buf (words, `I32 (int_of_string v)))
-          | [ "f32"; x ] -> Ok (RA_buf (words, `F32 (float_of_string x)))
+          | [ "i32"; v ] -> Ok (B.Buf (words, Fill_i32 (int_of_string v)))
+          | [ "f32"; x ] -> Ok (B.Buf (words, Fill_f32 (float_of_string x)))
           | _ -> Error (`Msg ("bad buffer initializer " ^ init)))
       | _ -> Error (`Msg ("bad --arg " ^ sp)))
   | _ -> Error (`Msg ("bad --arg " ^ sp))
@@ -412,7 +409,9 @@ let show_conv =
       fun fmt _ -> Format.pp_print_string fmt "<show>" )
 
 (* Bad input is a usage error naming the option, checked before
-   anything is simulated; a launch that does not finish exits 1. *)
+   anything is simulated; a launch that does not finish exits 1 after
+   printing only its outcome line. The kernel runs as a one-launch
+   benchmark through [Run.run], whose verdict reads the --show slices. *)
 let do_runfile path variant global local arg_specs shows =
   let usage fmt =
     Printf.ksprintf
@@ -423,13 +422,6 @@ let do_runfile path variant global local arg_specs shows =
   in
   if global mod local <> 0 then
     usage "option '--global': %d is not a multiple of --local %d" global local;
-  let cfg = Gpu_sim.Config.default in
-  let nd0 = Gpu_sim.Geom.make_ndrange global local in
-  let nd = T.map_ndrange variant nd0 in
-  let items = Gpu_sim.Geom.group_items nd in
-  if items > cfg.max_workgroup_size then
-    usage "option '--local': %d work-items per group under %s exceed the \
-           device maximum of %d" items (T.name variant) cfg.max_workgroup_size;
   let k0 = load_rgk path in
   let nparams = Gpu_ir.Types.param_count k0 in
   if List.length arg_specs <> nparams then
@@ -440,7 +432,7 @@ let do_runfile path variant global local arg_specs shows =
       if lo < 0 || lo > hi then
         usage "option '--show': range %d..%d needs 0 <= LO <= HI" lo hi;
       match List.nth_opt arg_specs idx with
-      | Some (RA_buf (words, _)) ->
+      | Some (B.Buf (words, _)) ->
           if lo >= words then
             usage "option '--show': LO %d is not below the %d words of \
                    parameter %d" lo words idx
@@ -449,8 +441,8 @@ let do_runfile path variant global local arg_specs shows =
   List.iteri
     (fun i (param, spec) ->
       match (param, spec) with
-      | Gpu_ir.Types.Param_buffer _, RA_buf _
-      | Gpu_ir.Types.Param_scalar _, (RA_i32 _ | RA_f32 _) -> ()
+      | Gpu_ir.Types.Param_buffer _, B.Buf _
+      | Gpu_ir.Types.Param_scalar _, (B.I32 _ | B.F32 _) -> ()
       | Gpu_ir.Types.Param_buffer name, _ ->
           usage "option '--arg': parameter %d (%s) is a buffer (buf:WORDS)" i
             name
@@ -458,69 +450,51 @@ let do_runfile path variant global local arg_specs shows =
           usage "option '--arg': parameter %d (%s) is a scalar (i32:V or f32:X)"
             i name)
     (List.combine k0.Gpu_ir.Types.params arg_specs);
-  let k =
-    try T.apply variant ~local_items:local k0
-    with T.Unsupported msg ->
+  let slices = Buffer.create 256 in
+  let verify dev args =
+    List.iter
+      (fun (idx, lo, hi, as_f32) ->
+        match List.nth args idx with
+        | Gpu_sim.Device.A_buf b ->
+            let hi = min hi (b.size / 4) in
+            Printf.bprintf slices "param %d [%d..%d):" idx lo hi;
+            for i = lo to hi - 1 do
+              if as_f32 then
+                Printf.bprintf slices " %g" (Gpu_sim.Device.read_f32 dev b i)
+              else Printf.bprintf slices " %d" (Gpu_sim.Device.read_i32 dev b i)
+            done;
+            Buffer.add_char slices '\n'
+        | A_i32 _ | A_f32 _ -> ())
+      shows;
+    true
+  in
+  let bench =
+    B.of_kernel ~id:k0.kname ~name:path ~global ~local ~args:arg_specs ~verify
+      (fun () -> k0)
+  in
+  let cfg = Gpu_sim.Config.default in
+  match Harness.Run.run ~cfg bench variant with
+  | exception (Invalid_argument msg as e) -> (
+      (* the launch rejects a group the device cannot hold, before it
+         simulates anything *)
+      match Scanf.sscanf_opt msg "work-group size %d" Fun.id with
+      | Some items ->
+          usage "option '--local': %d work-items per group under %s exceed \
+                 the device maximum of %d" items (T.name variant)
+            cfg.max_workgroup_size
+      | None -> raise e)
+  | exception T.Unsupported msg ->
       Printf.eprintf "cannot apply %s: %s\n" (T.name variant) msg;
       exit 2
-  in
-  let dev = Gpu_sim.Device.create cfg in
-  (* the bump allocator fails only when device memory is exhausted *)
-  let alloc_or_usage problem f =
-    try f ()
-    with Failure _ ->
-      usage "option '--arg': %s (device memory is %d bytes)" problem
-        cfg.memory_bytes
-  in
-  let buffers = Hashtbl.create 8 in
-  let args =
-    List.mapi
-      (fun i spec ->
-        match spec with
-        | RA_buf (words, init) ->
-            let b =
-              alloc_or_usage
-                (Printf.sprintf "buffer parameter %d (%d words) does not fit"
-                   i words)
-                (fun () -> Gpu_sim.Device.alloc dev (words * 4))
-            in
-            for j = 0 to words - 1 do
-              match init with
-              | `Zero -> Gpu_sim.Device.write_i32 dev b j 0
-              | `Index -> Gpu_sim.Device.write_i32 dev b j j
-              | `Findex -> Gpu_sim.Device.write_f32 dev b j (float_of_int j)
-              | `I32 v -> Gpu_sim.Device.write_i32 dev b j v
-              | `F32 x -> Gpu_sim.Device.write_f32 dev b j x
-            done;
-            Hashtbl.replace buffers i (b, words);
-            Gpu_sim.Device.A_buf b
-        | RA_i32 v -> Gpu_sim.Device.A_i32 v
-        | RA_f32 x -> Gpu_sim.Device.A_f32 x)
-      arg_specs
-  in
-  let extras =
-    alloc_or_usage
-      (Printf.sprintf "the buffers leave no room for the extra buffers of %s"
-         (T.name variant))
-      (fun () -> T.make_extras variant dev ~nd:nd0)
-  in
-  let args = args @ extras.ex_args in
-  let r = Gpu_sim.Device.launch dev k ~nd ~args in
-  Printf.printf "%s under %s: %d cycles (%s)\n" k0.Gpu_ir.Types.kname
-    (T.name variant) r.Gpu_sim.Device.cycles
-    (Harness.Run.outcome_name r.Gpu_sim.Device.outcome);
-  List.iter
-    (fun (idx, lo, hi, as_f32) ->
-      let b, words = Hashtbl.find buffers idx in
-      let hi = min hi words in
-      Printf.printf "param %d [%d..%d):" idx lo hi;
-      for i = lo to hi - 1 do
-        if as_f32 then Printf.printf " %g" (Gpu_sim.Device.read_f32 dev b i)
-        else Printf.printf " %d" (Gpu_sim.Device.read_i32 dev b i)
-      done;
-      print_newline ())
-    shows;
-  if r.Gpu_sim.Device.outcome <> Gpu_sim.Device.Finished then exit 1
+  | exception Gpu_sim.Device.Out_of_device_memory _ ->
+      usage "option '--arg': the buffers do not fit in the %d bytes of device \
+             memory under %s" cfg.memory_bytes (T.name variant)
+  | s ->
+      Printf.printf "%s under %s: %d cycles (%s)\n" k0.kname (T.name variant)
+        s.cycles
+        (Harness.Run.outcome_name s.outcome);
+      print_string (Buffer.contents slices);
+      if s.outcome <> Gpu_sim.Device.Finished then exit 1
 
 (* ---------------- exp ---------------- *)
 

@@ -66,44 +66,55 @@ kernel graycode
 let n = 1024
 let wg = 64
 
+(* The host side as a benchmark: the inputs, one launch, and the check
+   (gray codes, and each group's two counters summing to its size). *)
+let bench k : Kernels.Bench.t =
+  {
+    id = "graycode";
+    name = "Gray code";
+    character = Memory_bound;
+    make_kernel = (fun () -> k);
+    prepare =
+      (fun dev ~scale:_ ->
+        let data = Array.init n (fun i -> (i * 2654435761) land 0xFFFFFF) in
+        let input = Kernels.Bench.upload_i32 dev data in
+        let output = Device.alloc dev (n * 4) in
+        let hist = Device.alloc dev (n / wg * 2 * 4) in
+        {
+          steps =
+            [
+              {
+                args = [ A_buf input; A_buf output; A_buf hist ];
+                nd = Gpu_sim.Geom.make_ndrange n wg;
+              };
+            ];
+          verify =
+            (fun dev ->
+              Kernels.Bench.verify_i32_buffer dev output
+                (Array.map (fun v -> v lxor (v lsr 1)) data)
+              && List.for_all
+                   (fun g ->
+                     Device.read_i32 dev hist (2 * g)
+                     + Device.read_i32 dev hist ((2 * g) + 1)
+                     = wg)
+                   (List.init (n / wg) Fun.id));
+        });
+  }
+
 let () =
   let k = Gpu_ir.Parse.kernel_of_string_checked source in
   Printf.printf "parsed kernel %s: %s\n\n" k.Gpu_ir.Types.kname
     (Gpu_ir.Stats.to_string (Gpu_ir.Stats.collect k));
-  let run kernel variant =
-    let dev = Device.create Gpu_sim.Config.default in
-    let input = Device.alloc dev (n * 4) in
-    let output = Device.alloc dev (n * 4) in
-    let hist = Device.alloc dev (n / wg * 2 * 4) in
-    let data = Array.init n (fun i -> (i * 2654435761) land 0xFFFFFF) in
-    Device.write_i32_array dev input data;
-    let nd0 = Gpu_sim.Geom.make_ndrange n wg in
-    let nd = T.map_ndrange variant nd0 in
-    let args =
-      [ Device.A_buf input; A_buf output; A_buf hist ]
-      @ (T.make_extras variant dev ~nd:nd0).ex_args
-    in
-    let r = Device.launch dev kernel ~nd ~args in
-    let ok = ref true in
-    Array.iteri
-      (fun i v ->
-        if Device.read_i32 dev output i <> v lxor (v lsr 1) then ok := false)
-      data;
-    (* histogram counters must sum to the group size *)
-    for g = 0 to (n / wg) - 1 do
-      let zeros = Device.read_i32 dev hist (2 * g) in
-      let ones = Device.read_i32 dev hist ((2 * g) + 1) in
-      if zeros + ones <> wg then ok := false
-    done;
-    Printf.printf "%-18s %6d cycles, output %s\n" (T.name variant)
-      r.Device.cycles
-      (if !ok then "correct" else "CORRUPTED")
+  let run variant =
+    let s = Harness.Run.run (bench k) variant in
+    Printf.printf "%-18s %6d cycles, output %s\n" (T.name variant) s.cycles
+      (if s.verified then "correct" else "CORRUPTED")
   in
-  run k T.Original;
-  run (T.apply T.intra_plus_lds ~local_items:wg k) T.intra_plus_lds;
+  run T.Original;
+  run T.intra_plus_lds;
   (* -LDS is rejected for this kernel: its local atomic is a
      read-modify-write store that a shared LDS cannot protect *)
-  (match T.apply T.intra_minus_lds ~local_items:wg k with
+  match Harness.Run.run (bench k) T.intra_minus_lds with
   | exception Rmt_core.Intra_group.Unsupported msg ->
       Printf.printf "%-18s rejected: %s\n" (T.name T.intra_minus_lds) msg
-  | _ -> prerr_endline "BUG: -LDS should reject local atomics")
+  | _ -> prerr_endline "BUG: -LDS should reject local atomics"

@@ -36,61 +36,58 @@ let stencil () =
   Builder.gstore_elem b output gid v;
   Builder.finish b
 
-let run ~label kernel ~nd ?inject () =
-  let dev = Device.create Gpu_sim.Config.default in
-  let input = Device.alloc dev (n * 4) in
-  let output = Device.alloc dev (n * 4) in
-  let data = Array.init n (fun i -> (i * 131) land 0xFFF) in
-  Device.write_i32_array dev input data;
-  let l =
-    Device.Launch.create dev kernel ~nd
-      ~args:[ Device.A_buf input; A_buf output; A_i32 n ]
-  in
-  Option.iter (fun p -> Device.Launch.inject l p ~stop_when_dead:false) inject;
-  let r = Device.Launch.finish l in
-  let expected i =
-    let at j = data.(max 0 (min j (n - 1))) in
-    at (i - 1) + (2 * at i) + at (i + 1)
-  in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if Device.read_i32 dev output i <> expected i then ok := false
-  done;
-  Printf.printf "%-28s %6d cycles  %-10s output %s\n" label r.Device.cycles
-    (match r.Device.outcome with
+let bench : Kernels.Bench.t =
+  {
+    id = "stencil3";
+    name = "3-point stencil";
+    character = Memory_bound;
+    make_kernel = stencil;
+    prepare =
+      (fun dev ~scale:_ ->
+        let data = Array.init n (fun i -> (i * 131) land 0xFFF) in
+        let input = Kernels.Bench.upload_i32 dev data in
+        let output = Device.alloc dev (n * 4) in
+        let at j = data.(max 0 (min j (n - 1))) in
+        {
+          steps =
+            [
+              {
+                args = [ A_buf input; A_buf output; A_i32 n ];
+                nd = Gpu_sim.Geom.make_ndrange n wg;
+              };
+            ];
+          verify =
+            (fun dev ->
+              Kernels.Bench.verify_i32_buffer dev output
+                (Array.init n (fun i -> at (i - 1) + (2 * at i) + at (i + 1))));
+        });
+  }
+
+let run ~label variant ?inject () =
+  let s = Harness.Run.run ?inject bench variant in
+  Printf.printf "%-28s %6d cycles  %-10s output %s\n" label s.cycles
+    (match s.outcome with
     | Device.Finished -> "finished"
     | Device.Detected -> "DETECTED"
     | Device.Crashed m -> "crash:" ^ m
     | Device.Hung -> "hung")
-    (if !ok then "correct"
-     else if r.Device.outcome = Device.Detected then "partial (abort for recovery)"
+    (if s.verified then "correct"
+     else if s.outcome = Device.Detected then "partial (abort for recovery)"
      else "CORRUPTED")
 
 let () =
-  let k = stencil () in
-  let nd0 = Gpu_sim.Geom.make_ndrange n wg in
-  let dmr = T.apply T.intra_plus_lds ~local_items:wg k in
-  let tmr = T.apply T.Tmr ~local_items:wg k in
   print_endline "fault-free:";
-  run ~label:"  original" k ~nd:nd0 ();
-  run ~label:"  DMR (Intra-Group+LDS)" dmr ~nd:(T.map_ndrange T.intra_plus_lds nd0) ();
-  run ~label:"  TMR (majority vote)" tmr ~nd:(T.map_ndrange T.Tmr nd0) ();
+  run ~label:"  original" T.Original ();
+  run ~label:"  DMR (Intra-Group+LDS)" T.intra_plus_lds ();
+  run ~label:"  TMR (majority vote)" T.Tmr ();
   print_endline "\nwith a VGPR bit flip (same seeds for both):";
   List.iter
     (fun seed ->
       let inject =
         { Device.at_cycle = 80 + (seed * 23); target = Device.T_vgpr; iseed = seed }
       in
-      run
-        ~label:(Printf.sprintf "  DMR, flip #%d" seed)
-        dmr
-        ~nd:(T.map_ndrange T.intra_plus_lds nd0)
-        ~inject ();
-      run
-        ~label:(Printf.sprintf "  TMR, flip #%d" seed)
-        tmr
-        ~nd:(T.map_ndrange T.Tmr nd0)
-        ~inject ())
+      run ~label:(Printf.sprintf "  DMR, flip #%d" seed) T.intra_plus_lds ~inject ();
+      run ~label:(Printf.sprintf "  TMR, flip #%d" seed) T.Tmr ~inject ())
     [ 1; 2; 3; 4 ];
   print_endline
     "\nTMR completes with correct output where DMR must abort and re-execute;\n\

@@ -113,12 +113,13 @@ let resident_pages dev = Image.resident_pages dev.image
 
 let align_up v a = (v + a - 1) / a * a
 
+exception Out_of_device_memory of int
+
 let alloc dev bytes =
   if bytes < 0 then
     invalid_arg (Printf.sprintf "Device.alloc: negative size %d" bytes);
   let addr = align_up dev.alloc_ptr 256 in
-  if addr + bytes > Image.size dev.image then
-    failwith "Device.alloc: out of device memory";
+  if addr + bytes > Image.size dev.image then raise (Out_of_device_memory bytes);
   dev.alloc_ptr <- addr + bytes;
   (match dev.san with
   | Some s -> Gpu_san.Shadow.note_alloc s ~addr ~size:bytes
@@ -241,8 +242,6 @@ type launch_opts = {
   usage_override : Regpressure.usage option;
       (** replace the estimated resource usage (the paper's "artificially
           inflate the resource usage" component-analysis experiment) *)
-  max_cycles : int option;
-  window_cycles : int option;
   trace : bool;
       (** record scheduler events into [result.events]; [false] (the
           default) keeps the issue loop free of event allocation *)
@@ -259,8 +258,6 @@ type launch_opts = {
 let default_opts =
   {
     usage_override = None;
-    max_cycles = None;
-    window_cycles = None;
     trace = false;
     provenance = None;
     scan_every_cycle = false;
@@ -305,8 +302,6 @@ module Launch = struct
     group_items : int;
     waves_per_group : int;
     total_groups : int;
-    max_cycles : int;
-    window_cycles : int;
     arg_values : int array;
     tracing : bool;
         (** events are only emitted behind this guard, so an untraced run
@@ -1108,73 +1103,58 @@ module Launch = struct
     |> List.concat_map (fun cu ->
            Array.to_list cu.sched |> List.filter (fun s -> s.live))
 
-  let try_inject l target =
-    let nregs = l.kernel.nregs and div = l.div and prov = l.prov in
-    match target with
-    | T_vgpr -> (
-        match resident_slots l with
+  (* A register flip: pick a resident slot, then a register of the
+     file ([scalar]: the uniform registers; otherwise the divergent ones,
+     or every register when none is divergent), then for a vector
+     register one lane, then the bit. A scalar register is one copy
+     shared by the wavefront, so its flip is visible to every lane. *)
+  let flip_reg l ~scalar =
+    match resident_slots l with
+    | [] -> false
+    | slots -> (
+        let s = List.nth slots (rand l (List.length slots)) in
+        let all = List.init l.kernel.nregs Fun.id in
+        let pool =
+          match List.filter (fun r -> l.div.(r) <> scalar) all with
+          | [] when not scalar -> all
+          | regs -> regs
+        in
+        match pool with
         | [] -> false
-        | slots ->
-            let s = List.nth slots (rand l (List.length slots)) in
-            let divergent_regs =
-              List.filter (fun r -> div.(r)) (List.init nregs Fun.id)
-            in
-            let pool =
-              if divergent_regs = [] then List.init nregs Fun.id
-              else divergent_regs
-            in
+        | _ ->
             let r = List.nth pool (rand l (List.length pool)) in
-            let lane = rand l s.w.Wave.nlanes in
+            let lane = if scalar then -1 else rand l s.w.Wave.nlanes in
             let bit = rand l 32 in
-            let v = Wave.get_reg s.w r lane in
-            Wave.set_reg s.w r lane (F32.norm (v lxor (1 lsl bit)));
+            for ln = 0 to s.w.Wave.nlanes - 1 do
+              if scalar || ln = lane then
+                Wave.set_reg s.w r ln
+                  (F32.norm (Wave.get_reg s.w r ln lxor (1 lsl bit)))
+            done;
             if l.prov_on then begin
+              let prov = l.prov in
               l.taint <-
                 Taint_reg
                   {
                     t_wave = s.w;
                     t_reg = r;
-                    t_lanes = Int64.shift_left 1L lane;
+                    t_lanes =
+                      (if scalar then s.w.Wave.full_mask
+                       else Int64.shift_left 1L lane);
                   };
-              prov.target <- Some Prov.S_vgpr;
+              prov.target <- Some (if scalar then Prov.S_sgpr else Prov.S_vgpr);
               prov.bit <- bit;
               prov.desc <-
-                Printf.sprintf "v%d lane %d (group %d, wave %d)" r lane
-                  s.g.g_index s.w.Wave.wid
+                (if scalar then Printf.sprintf "s%d all lanes" r
+                 else Printf.sprintf "v%d lane %d" r lane)
+                ^ Printf.sprintf " (group %d, wave %d)" s.g.g_index s.w.Wave.wid
             end;
             true)
-    | T_sgpr -> (
-        match resident_slots l with
-        | [] -> false
-        | slots ->
-            let s = List.nth slots (rand l (List.length slots)) in
-            let uniform_regs =
-              List.filter (fun r -> not div.(r)) (List.init nregs Fun.id)
-            in
-            if uniform_regs = [] then false
-            else begin
-              let r =
-                List.nth uniform_regs (rand l (List.length uniform_regs))
-              in
-              let bit = rand l 32 in
-              (* scalar registers are one copy shared by the wavefront:
-                 the flip is visible to every lane *)
-              for lane = 0 to s.w.Wave.nlanes - 1 do
-                let v = Wave.get_reg s.w r lane in
-                Wave.set_reg s.w r lane (F32.norm (v lxor (1 lsl bit)))
-              done;
-              if l.prov_on then begin
-                l.taint <-
-                  Taint_reg
-                    { t_wave = s.w; t_reg = r; t_lanes = s.w.Wave.full_mask };
-                prov.target <- Some Prov.S_sgpr;
-                prov.bit <- bit;
-                prov.desc <-
-                  Printf.sprintf "s%d all lanes (group %d, wave %d)" r
-                    s.g.g_index s.w.Wave.wid
-              end;
-              true
-            end)
+
+  let try_inject l target =
+    let prov = l.prov in
+    match target with
+    | T_vgpr -> flip_reg l ~scalar:false
+    | T_sgpr -> flip_reg l ~scalar:true
     | T_lds -> (
         let groups =
           Array.to_list l.cus
@@ -1226,7 +1206,7 @@ module Launch = struct
      so nothing is scanned. *)
   let step l ~stop =
     let now = l.cycle in
-    if now >= l.max_cycles then begin
+    if now >= l.cfg.max_cycles then begin
       l.outcome <- Hung;
       l.ended <- true
     end
@@ -1255,7 +1235,7 @@ module Launch = struct
         snap.Counters.cycles <- now;
         l.windows <- Counters.delta snap l.last_window :: l.windows;
         l.last_window <- snap;
-        l.next_window <- l.next_window + l.window_cycles
+        l.next_window <- l.next_window + l.cfg.window_cycles
       end;
       if l.groups_completed >= l.total_groups then l.ended <- true
       else begin
@@ -1346,9 +1326,6 @@ module Launch = struct
         (Site.insts kernel)
     in
     (match dev.san with Some s -> Gpu_san.Shadow.begin_launch s | None -> ());
-    let window_cycles =
-      Option.value opts.window_cycles ~default:cfg.window_cycles
-    in
     let free_waves =
       List.filter
         (fun (w : Wave.t) -> Array.length w.ready_at = max kernel.nregs 1)
@@ -1372,8 +1349,6 @@ module Launch = struct
         group_items;
         waves_per_group = Config.waves_per_group cfg group_items;
         total_groups = Geom.total_groups nd;
-        max_cycles = Option.value opts.max_cycles ~default:cfg.max_cycles;
-        window_cycles;
         arg_values =
           Array.of_list
             (List.map
@@ -1438,7 +1413,7 @@ module Launch = struct
         stop_when_dead = false;
         windows = [];
         last_window = Counters.create ();
-        next_window = window_cycles;
+        next_window = cfg.window_cycles;
         cycle = 0;
         outcome = Finished;
         ended = false;

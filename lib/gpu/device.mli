@@ -54,9 +54,14 @@ val resident_pages : t -> int
 
 type buffer = { addr : int; size : int }
 
+exception Out_of_device_memory of int
+(** The bytes an {!alloc} asked for that do not fit in what is left of
+    the device's [cfg.memory_bytes]. *)
+
 val alloc : t -> int -> buffer
 (** Bump-allocate [bytes] of device memory (256-byte aligned).
-    @raise Invalid_argument when [bytes] is negative. *)
+    @raise Invalid_argument when [bytes] is negative.
+    @raise Out_of_device_memory when they do not fit. *)
 
 val write_i32 : t -> buffer -> int -> int -> unit
 val read_i32 : t -> buffer -> int -> int
@@ -75,7 +80,7 @@ type outcome =
   | Finished
   | Detected  (** an RMT output comparison fired a trap *)
   | Crashed of string  (** wild memory access *)
-  | Hung  (** watchdog expired *)
+  | Hung  (** the device's [cfg.max_cycles] watchdog expired *)
 
 (** {1 Fault injection} *)
 
@@ -91,7 +96,8 @@ type result = {
   cycles : int;
   outcome : outcome;
   counters : Counters.t;
-  windows : Counters.t array;  (** per-power-window event deltas *)
+  windows : Counters.t array;
+      (** per-power-window event deltas, one per [cfg.window_cycles] *)
   occupancy : Occupancy.t;
   usage : Gpu_ir.Regpressure.usage;
   groups_completed : int;
@@ -116,8 +122,6 @@ type launch_opts = {
   usage_override : Gpu_ir.Regpressure.usage option;
       (** replace the estimated resource usage (the paper's resource-
           inflation component-analysis experiment) *)
-  max_cycles : int option;  (** watchdog override *)
-  window_cycles : int option;  (** power-sampling window override *)
   trace : bool;
       (** record scheduler events into [result.events] ([false], the
           default, adds no work to the issue loop; events never perturb
@@ -143,8 +147,10 @@ val launch :
   args:arg list ->
   result
 (** Run a kernel over an NDRange, after {!Gpu_ir.Verify.check}:
-    {!Launch.create}, then {!Launch.finish}. Deterministic: same kernel,
-    arguments, memory contents and options produce the same result. *)
+    {!Launch.create}, then {!Launch.finish}. The watchdog and the
+    power-sampling window are the device's [cfg.max_cycles] and
+    [cfg.window_cycles]. Deterministic: same kernel, arguments, memory
+    contents and options produce the same result. *)
 
 type device = t
 

@@ -2,9 +2,9 @@
     table and figure, each returning the regenerated content as text.
 
     Results are cached per complete run fingerprint — (benchmark,
-    variant, scale, usage override, power window, device config,
-    optimizer) — within a context, so that figures and studies sharing
-    runs (2/3/4, 6/7, the wave=64 and Greedy columns) do not re-simulate.
+    variant, scale, usage override, device config, optimizer) — within
+    a context, so that figures and studies sharing runs (2/3/4, 6/7, the
+    wave=64 and Greedy columns) do not re-simulate.
     Runs execute on the context's {!Pool} of worker domains: each figure
     first {e plans} its whole grid (submitting every run it will need),
     then renders its report by awaiting the cached futures in a fixed
@@ -19,14 +19,13 @@ module Counters = Gpu_sim.Counters
    parameter [get] can pass to [Run.run]. Display tags are deliberately
    excluded: two runs that differ only in tag are the same run, and two
    runs that differ in any simulated parameter can never collide, no
-   matter what tags callers pass (a fig5 windowed run never shadows a
-   fig2 run of the same bench/variant). *)
+   matter what tags callers pass (a fig5 run, whose config has a shorter
+   power window, never shadows a fig2 run of the same bench/variant). *)
 type run_key = {
   k_bench : string;
   k_variant : string;  (* T.name is injective over variants *)
   k_scale : int;
   k_usage : (int * int * int) option;  (* vgprs, sgprs, lds override *)
-  k_window : int option;
   k_cfg : string;  (* digest of the run's device configuration *)
   k_optimize : bool;
 }
@@ -60,7 +59,7 @@ let jobs ctx = Pool.jobs ctx.pool
 
 let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
-let run_key ~cfg ~scale ~usage_override ~window_cycles ~optimize
+let run_key ~cfg ~scale ~usage_override ~optimize
     (bench : Kernels.Bench.t) variant =
   {
     k_bench = bench.id;
@@ -70,7 +69,6 @@ let run_key ~cfg ~scale ~usage_override ~window_cycles ~optimize
       Option.map
         (fun (u : Gpu_ir.Regpressure.usage) -> (u.vgprs, u.sgprs, u.lds))
         usage_override;
-    k_window = window_cycles;
     k_cfg = cfg_fingerprint cfg;
     k_optimize = optimize;
   }
@@ -80,11 +78,9 @@ let run_key ~cfg ~scale ~usage_override ~window_cycles ~optimize
    cache nor its lock (workers never submit work), so this cannot
    deadlock even when [jobs = 1] runs the task inline. *)
 let find_or_submit ctx ?(tag = "") ?(cfg = ctx.cfg) ?(scale = 1)
-    ?usage_override ?window_cycles ?(optimize = false)
-    (bench : Kernels.Bench.t) variant : Run.summary Pool.future =
-  let key =
-    run_key ~cfg ~scale ~usage_override ~window_cycles ~optimize bench variant
-  in
+    ?usage_override ?(optimize = false) (bench : Kernels.Bench.t) variant :
+    Run.summary Pool.future =
+  let key = run_key ~cfg ~scale ~usage_override ~optimize bench variant in
   Mutex.lock ctx.cache_lock;
   match Hashtbl.find_opt ctx.cache key with
   | Some fut ->
@@ -95,10 +91,7 @@ let find_or_submit ctx ?(tag = "") ?(cfg = ctx.cfg) ?(scale = 1)
       progress "  running %-8s %s%s" bench.id (T.name variant) tag;
       let fut =
         Pool.submit ctx.pool (fun () ->
-            let s =
-              Run.run ~cfg ~scale ~optimize ?usage_override ?window_cycles
-                bench variant
-            in
+            let s = Run.run ~cfg ~scale ~optimize ?usage_override bench variant in
             (if not s.verified then
                progress "  WARNING: %s %s%s failed verification (%s)" bench.id
                  (T.name variant) tag
@@ -109,17 +102,17 @@ let find_or_submit ctx ?(tag = "") ?(cfg = ctx.cfg) ?(scale = 1)
       Mutex.unlock ctx.cache_lock;
       fut
 
-let get ctx ?tag ?cfg ?scale ?usage_override ?window_cycles ?optimize
+let get ctx ?tag ?cfg ?scale ?usage_override ?optimize
     (bench : Kernels.Bench.t) variant : Run.summary =
   Pool.await
-    (find_or_submit ctx ?tag ?cfg ?scale ?usage_override ?window_cycles
-       ?optimize bench variant)
+    (find_or_submit ctx ?tag ?cfg ?scale ?usage_override ?optimize bench
+       variant)
 
-let prefetch ctx ?tag ?cfg ?scale ?usage_override ?window_cycles ?optimize
+let prefetch ctx ?tag ?cfg ?scale ?usage_override ?optimize
     (bench : Kernels.Bench.t) variant : unit =
   ignore
-    (find_or_submit ctx ?tag ?cfg ?scale ?usage_override ?window_cycles
-       ?optimize bench variant)
+    (find_or_submit ctx ?tag ?cfg ?scale ?usage_override ?optimize bench
+       variant)
 
 (* ---- observability hooks for the metrics-export layer ---- *)
 
@@ -133,9 +126,6 @@ let key_label ctx (k : run_key) =
   String.concat "/"
     ([ k.k_bench; k.k_variant ]
     @ (if k.k_scale <> 1 then [ Printf.sprintf "x%d" k.k_scale ] else [])
-    @ (match k.k_window with
-      | Some w -> [ Printf.sprintf "w%d" w ]
-      | None -> [])
     @ (match k.k_usage with Some _ -> [ "inflated" ] | None -> [])
     @ (if k.k_cfg <> ctx.cfg_fp then [ "cfg-" ^ String.sub k.k_cfg 0 8 ]
        else [])
@@ -396,11 +386,12 @@ let fig5_window = 2_000
 let fig5_kernels = [ ("BO", 1); ("BlkSch", 8); ("FW", 1) ]
 
 let fig5 ctx =
+  let cfg = { ctx.cfg with window_cycles = fig5_window } in
   List.iter
     (fun (id, scale) ->
       let b = Kernels.Registry.find id in
       List.iter
-        (fun v -> prefetch ctx ~tag:"pw" ~scale ~window_cycles:fig5_window b v)
+        (fun v -> prefetch ctx ~tag:"pw" ~cfg ~scale b v)
         [ T.Original; T.intra_plus_lds; T.intra_minus_lds ])
     fig5_kernels;
   let buf = Buffer.create 1024 in
@@ -412,7 +403,7 @@ let fig5 ctx =
       let b = Kernels.Registry.find id in
       List.iter
         (fun (v, name) ->
-          let s = get ctx ~tag:"pw" ~scale ~window_cycles:fig5_window b v in
+          let s = get ctx ~tag:"pw" ~cfg ~scale b v in
           let rep =
             Gpu_power.Power_model.report ~cfg:ctx.cfg ~windows:s.Run.windows
               ~fallback:s.Run.counters ()
@@ -523,10 +514,9 @@ let campaign ?(sanitize = false) ctx ~n ~target ~seed (bench : Kernels.Bench.t)
   (* a corrupted spin flag or loop bound can hang an injected run; bound
      it to a small multiple of the fault-free runtime instead of the
      global watchdog *)
-  let max_cycles = (golden.Run.cycles * 10) + 50_000 in
+  let cfg = { ctx.cfg with max_cycles = (golden.Run.cycles * 10) + 50_000 } in
   Campaign.plans ~n ~target ~seed ~golden_cycles:golden.Run.cycles
-  |> Run.run_plans ~cfg:ctx.cfg ~max_cycles ~sanitize ~pool:ctx.pool ~golden
-       bench variant
+  |> Run.run_plans ~cfg ~sanitize ~pool:ctx.pool ~golden bench variant
 
 let coverage_variants =
   [
@@ -1135,29 +1125,17 @@ let pool_kernel () =
 (* SAXPY as a benchmark of its own, so every scheme of the study runs
    through the run cache; [scale] is ignored (one fixed size). The check
    is exact: 2i + 1 is a binary32 integer for every i below [pool_n]. *)
-let pool_bench : Kernels.Bench.t =
-  {
-    id = "pool_saxpy";
-    name = "SAXPY";
-    character = Kernels.Bench.Memory_bound;
-    make_kernel = pool_kernel;
-    prepare =
-      (fun dev ~scale:_ ->
-        let x = Kernels.Bench.upload_f32 dev (Array.init pool_n float_of_int) in
-        let y = Kernels.Bench.upload_f32 dev (Array.make pool_n 1.0) in
-        let expected = Array.init pool_n (fun i -> (2.0 *. float_of_int i) +. 1.0) in
-        {
-          steps =
-            [
-              {
-                args = [ A_buf x; A_buf y ];
-                nd = Gpu_sim.Geom.make_ndrange pool_n pool_wg;
-              };
-            ];
-          verify =
-            (fun dev -> Kernels.Bench.verify_f32_buffer dev y expected ~tol:0.0 ());
-        });
-  }
+let pool_bench =
+  Kernels.Bench.of_kernel ~id:"pool_saxpy" ~name:"SAXPY" ~global:pool_n
+    ~local:pool_wg
+    ~args:[ Buf (pool_n, Findex); Buf (pool_n, Fill_f32 1.0) ]
+    ~verify:(fun dev -> function
+      | [ _; A_buf y ] ->
+          Kernels.Bench.verify_f32_buffer dev y
+            (Array.init pool_n (fun i -> (2.0 *. float_of_int i) +. 1.0))
+            ~tol:0.0 ()
+      | _ -> false)
+    pool_kernel
 
 let pool_schemes =
   Rmt_core.Inter_group.

@@ -3,8 +3,7 @@
     regenerated content as text.
 
     Runs are cached per complete fingerprint (benchmark, variant, scale,
-    usage override, power window, device config, optimizer) and
-    executed on the
+    usage override, device config, optimizer) and executed on the
     context's {!Pool} of worker domains: each figure plans its whole run
     grid up front, then renders by awaiting the cached results in a
     fixed order. Report text is therefore byte-identical at any worker
@@ -30,7 +29,7 @@ val pool_stats_line : ctx -> string
 
 val cached_summaries : ctx -> (string * Run.summary) list
 (** Completed runs currently in the cache, labelled
-    ["bench/variant[/xS][/wW][/inflated][/cfg-HHHHHHHH][/opt]"] and sorted
+    ["bench/variant[/xS][/inflated][/cfg-HHHHHHHH][/opt]"] and sorted
     by label. The config segment (the first 8 hex digits of the config
     digest) appears only for runs on a config other than the context's,
     and [opt] only for optimized runs. Pending and failed runs are
@@ -42,7 +41,6 @@ val get :
   ?cfg:Gpu_sim.Config.t ->
   ?scale:int ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
-  ?window_cycles:int ->
   ?optimize:bool ->
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
@@ -50,8 +48,9 @@ val get :
 (** Cached {!Run.run}: submits the run to the pool on a cache miss and
     awaits it. [cfg] defaults to the context's config, [optimize] to
     [false]. The cache key fingerprints every run-affecting parameter,
-    the config by its digest ([tag] is display-only and deliberately
-    excluded). *)
+    the config by its digest, so a run on a config with another
+    watchdog or power window ([max_cycles], [window_cycles]) is its own
+    entry ([tag] is display-only and deliberately excluded). *)
 
 val prefetch :
   ctx ->
@@ -59,7 +58,6 @@ val prefetch :
   ?cfg:Gpu_sim.Config.t ->
   ?scale:int ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
-  ?window_cycles:int ->
   ?optimize:bool ->
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
@@ -114,8 +112,9 @@ val campaign :
   Rmt_core.Transform.variant ->
   Run.summary list
 (** A fault campaign: the golden run comes from the cache, then [n]
-    injected {!Run.run}s (plans from {!Campaign.plans}, each bounded by a
-    watchdog of ten golden runtimes plus 50,000 cycles) run on the
+    injected {!Run.run}s (plans from {!Campaign.plans}, on the context's
+    config with its [max_cycles] watchdog set to ten golden runtimes
+    plus 50,000 cycles) run on the
     context's pool and return in plan order, so {!Campaign.tally} and
     {!Campaign.provenance_summary} read the same at any [-j]. [sanitize]
     gives every injected run its own sanitizer; the summaries keep only

@@ -83,9 +83,8 @@ type state = {
 }
 
 let start ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
-    ?window_cycles ?max_cycles ?usage_override ?inject ?(trace = false)
-    ?(sanitize = false) ~provenance ~stop_when_dead (bench : Kernels.Bench.t)
-    variant =
+    ?usage_override ?inject ?(trace = false) ?(sanitize = false) ~provenance
+    ~stop_when_dead (bench : Kernels.Bench.t) variant =
   let san = if sanitize then Some (Gpu_san.Shadow.create ()) else None in
   let dev = Device.create ?san cfg in
   let prep = bench.prepare dev ~scale in
@@ -107,8 +106,6 @@ let start ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
       {
         Device.default_opts with
         Device.usage_override;
-        window_cycles;
-        max_cycles;
         trace;
         provenance =
           (if provenance then Some (Gpu_prof.Provenance.create ()) else None);
@@ -217,6 +214,8 @@ let summarize st =
 
 (** Run [bench] under [variant].
 
+    @param cfg the device configuration; its [max_cycles] and
+    [window_cycles] are every launch's watchdog and power window
     @param scale problem-size multiplier (1 = paper-scaled default)
     @param usage_override resource inflation for the component analysis
     @param inject a fault plan, interpreted against cumulative cycles;
@@ -229,13 +228,11 @@ let summarize st =
     observes every allocation and host write; all passes check into the
     same shadow (the sanitizer never perturbs timing or outputs), and the
     summary keeps its findings, not the shadow *)
-let run ?cfg ?scale ?optimize ?window_cycles ?max_cycles ?usage_override
-    ?inject ?trace ?sanitize (bench : Kernels.Bench.t)
-    (variant : Transform.variant) : summary =
+let run ?cfg ?scale ?optimize ?usage_override ?inject ?trace ?sanitize
+    (bench : Kernels.Bench.t) (variant : Transform.variant) : summary =
   let st =
-    start ?cfg ?scale ?optimize ?window_cycles ?max_cycles ?usage_override
-      ?inject ?trace ?sanitize ~provenance:(inject <> None)
-      ~stop_when_dead:false bench variant
+    start ?cfg ?scale ?optimize ?usage_override ?inject ?trace ?sanitize
+      ~provenance:(inject <> None) ~stop_when_dead:false bench variant
   in
   ignore (complete st (start_pass st));
   summarize st
@@ -258,19 +255,19 @@ let run ?cfg ?scale ?optimize ?window_cycles ?max_cycles ?usage_override
     [inject_applied], no detection latency and its provenance record:
     every later cycle equals the fault-free run. The early exit is off
     under [sanitize] (the findings after the exit would be missing) and
-    when [golden] did not finish within [max_cycles]. *)
-let run_plans ?(cfg = Gpu_sim.Config.default) ?max_cycles
-    ?(sanitize = false) ~pool ~(golden : summary) (bench : Kernels.Bench.t)
-    variant (plans : Device.inject_plan list) : summary list =
-  let watchdog = Option.value max_cycles ~default:cfg.Gpu_sim.Config.max_cycles in
+    when [golden] did not finish within [cfg.max_cycles]. *)
+let run_plans ?(cfg = Gpu_sim.Config.default) ?(sanitize = false) ~pool
+    ~(golden : summary) (bench : Kernels.Bench.t) variant
+    (plans : Device.inject_plan list) : summary list =
   let stop_when_dead =
-    (not sanitize) && golden.outcome = Device.Finished && golden.cycles < watchdog
+    (not sanitize)
+    && golden.outcome = Device.Finished
+    && golden.cycles < cfg.Gpu_sim.Config.max_cycles
   in
   (* the fault-free pass carries a provenance record, so every fork
      gets its own copy *)
   let st =
-    start ~cfg ?max_cycles ~sanitize ~provenance:true ~stop_when_dead
-      bench variant
+    start ~cfg ~sanitize ~provenance:true ~stop_when_dead bench variant
   in
   let futures = Array.make (List.length plans) None in
   let fork_child start l i (plan : Device.inject_plan) =

@@ -53,8 +53,6 @@ val run :
   ?cfg:Gpu_sim.Config.t ->
   ?scale:int ->
   ?optimize:bool ->
-  ?window_cycles:int ->
-  ?max_cycles:int ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
   ?inject:Gpu_sim.Device.inject_plan ->
   ?trace:bool ->
@@ -62,16 +60,24 @@ val run :
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
   summary
-(** [inject] is interpreted against cumulative cycles and makes the run
-    return a provenance record. [trace] (default [false]) records the
-    scheduler events into [summary.events]. [sanitize] (default [false])
-    creates the device with a sanitizer shadow, so the shadow observes
-    every allocation and host write, and returns its findings. None of the three perturbs timing,
-    counters or outputs. *)
+(** The one host protocol of every run: create a device on [cfg]
+    (default {!Gpu_sim.Config.default}), [prepare] the benchmark, apply
+    the variant's transform, and launch each step on the variant's
+    NDRange with its extra buffers appended (re-zeroed before each
+    pass). Each launch's watchdog and power-sampling window are
+    [cfg.max_cycles] and [cfg.window_cycles]. [inject] is interpreted
+    against cumulative cycles and makes the run return a provenance
+    record. [trace] (default [false]) records the scheduler events into
+    [summary.events]. [sanitize] (default [false]) creates the device
+    with a sanitizer shadow, so the shadow observes every allocation and
+    host write, and returns its findings. None of the three perturbs
+    timing, counters or outputs.
+    @raise Gpu_sim.Device.Out_of_device_memory when the benchmark's
+    buffers and the variant's extra buffers do not fit in
+    [cfg.memory_bytes]. *)
 
 val run_plans :
   ?cfg:Gpu_sim.Config.t ->
-  ?max_cycles:int ->
   ?sanitize:bool ->
   pool:Pool.t ->
   golden:summary ->
@@ -80,8 +86,8 @@ val run_plans :
   Gpu_sim.Device.inject_plan list ->
   summary list
 (** [run_plans ~pool ~golden bench variant plans] is
-    [List.map (fun inject -> run ?cfg ?max_cycles ~inject ?sanitize
-    bench variant) plans], field for field, from one forking
+    [List.map (fun inject -> run ?cfg ~inject ?sanitize bench variant)
+    plans], field for field, from one forking
     pass: the fault-free run is simulated once, up to the last plan, and
     forked at each plan's cycle; the children run on [pool] beside the
     pass ({!Pool.overlap}) and come back in plan order. [golden] is the fault-free [run ?cfg bench variant]. A
@@ -89,7 +95,7 @@ val run_plans :
     {!Gpu_sim.Device.Launch.flip_dead}) stops there and returns [golden]
     with its own [inject_applied], no detection latency and its
     provenance record. That early exit is off under [sanitize] and when
-    [golden] did not finish within [max_cycles]. *)
+    [golden] did not finish within [cfg.max_cycles]. *)
 
 val naive_duplication : summary -> summary
 (** The paper's Section 3.4 baseline (launch everything twice; the host

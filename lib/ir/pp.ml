@@ -55,70 +55,79 @@ let string_of_swizzle = function
   | Xor_mask m -> Printf.sprintf "xor_mask(%d)" m
   | Bcast l -> Printf.sprintf "bcast(%d)" l
 
-let string_of_value = function
-  | Reg r -> Printf.sprintf "r%d" r
+let reg_name r = Printf.sprintf "r%d" r
+
+let string_of_value ?(reg = reg_name) = function
+  | Reg r -> reg r
   | Imm n -> Int32.to_string n
   | Imm_f32 x -> Printf.sprintf "%.6gf" x
 
-let string_of_inst (i : inst) =
-  let v = string_of_value in
+let string_of_inst ?(reg = reg_name) (i : inst) =
+  let v = string_of_value ~reg in
   match i with
   | Iarith (op, d, a, b) ->
-      Printf.sprintf "r%d = %s %s, %s" d (string_of_ibin op) (v a) (v b)
+      Printf.sprintf "%s = %s %s, %s" (reg d) (string_of_ibin op) (v a) (v b)
   | Farith (op, d, a, b) ->
-      Printf.sprintf "r%d = %s %s, %s" d (string_of_fbin op) (v a) (v b)
+      Printf.sprintf "%s = %s %s, %s" (reg d) (string_of_fbin op) (v a) (v b)
   | Funary (op, d, a) ->
-      Printf.sprintf "r%d = %s %s" d (string_of_funary op) (v a)
+      Printf.sprintf "%s = %s %s" (reg d) (string_of_funary op) (v a)
   | Icmp (op, d, a, b) ->
-      Printf.sprintf "r%d = icmp.%s %s, %s" d (string_of_icmp op) (v a) (v b)
+      Printf.sprintf "%s = icmp.%s %s, %s" (reg d) (string_of_icmp op) (v a) (v b)
   | Fcmp (op, d, a, b) ->
-      Printf.sprintf "r%d = fcmp.%s %s, %s" d (string_of_fcmp op) (v a) (v b)
+      Printf.sprintf "%s = fcmp.%s %s, %s" (reg d) (string_of_fcmp op) (v a) (v b)
   | Select (d, c, a, b) ->
-      Printf.sprintf "r%d = select %s ? %s : %s" d (v c) (v a) (v b)
-  | Mov (d, a) -> Printf.sprintf "r%d = mov %s" d (v a)
-  | Cvt (op, d, a) -> Printf.sprintf "r%d = %s %s" d (string_of_cvt op) (v a)
+      Printf.sprintf "%s = select %s ? %s : %s" (reg d) (v c) (v a) (v b)
+  | Mov (d, a) -> Printf.sprintf "%s = mov %s" (reg d) (v a)
+  | Cvt (op, d, a) -> Printf.sprintf "%s = %s %s" (reg d) (string_of_cvt op) (v a)
   | Mad (d, a, b, c) ->
-      Printf.sprintf "r%d = mad %s, %s, %s" d (v a) (v b) (v c)
+      Printf.sprintf "%s = mad %s, %s, %s" (reg d) (v a) (v b) (v c)
   | Fma (d, a, b, c) ->
-      Printf.sprintf "r%d = fma %s, %s, %s" d (v a) (v b) (v c)
-  | Special (s, d) -> Printf.sprintf "r%d = %s" d (string_of_special s)
-  | Arg (d, i) -> Printf.sprintf "r%d = arg(%d)" d i
+      Printf.sprintf "%s = fma %s, %s, %s" (reg d) (v a) (v b) (v c)
+  | Special (s, d) -> Printf.sprintf "%s = %s" (reg d) (string_of_special s)
+  | Arg (d, i) -> Printf.sprintf "%s = arg(%d)" (reg d) i
   | Load (sp, d, a) ->
-      Printf.sprintf "r%d = load.%s [%s]" d (string_of_space sp) (v a)
+      Printf.sprintf "%s = load.%s [%s]" (reg d) (string_of_space sp) (v a)
   | Store (sp, a, x) ->
       Printf.sprintf "store.%s [%s], %s" (string_of_space sp) (v a) (v x)
   | Atomic (op, sp, d, a, x) ->
-      Printf.sprintf "r%d = atomic_%s.%s [%s], %s" d (string_of_atomic_op op)
+      Printf.sprintf "%s = atomic_%s.%s [%s], %s" (reg d) (string_of_atomic_op op)
         (string_of_space sp) (v a) (v x)
   | Cas (sp, d, a, e, n) ->
-      Printf.sprintf "r%d = cas.%s [%s], %s, %s" d (string_of_space sp) (v a)
+      Printf.sprintf "%s = cas.%s [%s], %s, %s" (reg d) (string_of_space sp) (v a)
         (v e) (v n)
   | Barrier -> "barrier"
   | Fence sp -> Printf.sprintf "fence.%s" (string_of_space sp)
   | Swizzle (k, d, a) ->
-      Printf.sprintf "r%d = swizzle.%s %s" d (string_of_swizzle k) (v a)
+      Printf.sprintf "%s = swizzle.%s %s" (reg d) (string_of_swizzle k) (v a)
   | Trap x -> Printf.sprintf "trap %s" (v x)
 
-let rec pp_stmt fmt_buf indent (s : stmt) =
+let rec pp_stmt ~reg buf indent (s : stmt) =
   let pad = String.make indent ' ' in
   match s with
-  | I i -> Buffer.add_string fmt_buf (pad ^ string_of_inst i ^ "\n")
+  | I i -> Buffer.add_string buf (pad ^ string_of_inst ~reg i ^ "\n")
   | If (c, t, e) ->
-      Buffer.add_string fmt_buf
-        (Printf.sprintf "%sif %s {\n" pad (string_of_value c));
-      List.iter (pp_stmt fmt_buf (indent + 2)) t;
+      Buffer.add_string buf
+        (Printf.sprintf "%sif %s {\n" pad (string_of_value ~reg c));
+      List.iter (pp_stmt ~reg buf (indent + 2)) t;
       if e <> [] then begin
-        Buffer.add_string fmt_buf (pad ^ "} else {\n");
-        List.iter (pp_stmt fmt_buf (indent + 2)) e
+        Buffer.add_string buf (pad ^ "} else {\n");
+        List.iter (pp_stmt ~reg buf (indent + 2)) e
       end;
-      Buffer.add_string fmt_buf (pad ^ "}\n")
+      Buffer.add_string buf (pad ^ "}\n")
   | While (h, c, b) ->
-      Buffer.add_string fmt_buf (pad ^ "loop {\n");
-      List.iter (pp_stmt fmt_buf (indent + 2)) h;
-      Buffer.add_string fmt_buf
-        (Printf.sprintf "%s  break unless %s\n" pad (string_of_value c));
-      List.iter (pp_stmt fmt_buf (indent + 2)) b;
-      Buffer.add_string fmt_buf (pad ^ "}\n")
+      Buffer.add_string buf (pad ^ "loop {\n");
+      List.iter (pp_stmt ~reg buf (indent + 2)) h;
+      Buffer.add_string buf
+        (Printf.sprintf "%s  break unless %s\n" pad (string_of_value ~reg c));
+      List.iter (pp_stmt ~reg buf (indent + 2)) b;
+      Buffer.add_string buf (pad ^ "}\n")
+
+(** The statements of a kernel body, one per line, indented as in a
+    kernel listing. *)
+let body_to_string ?(reg = reg_name) body =
+  let buf = Buffer.create 1024 in
+  List.iter (pp_stmt ~reg buf 2) body;
+  Buffer.contents buf
 
 let string_of_param = function
   | Param_buffer n -> "global buffer " ^ n
@@ -137,6 +146,6 @@ let kernel_to_string (k : kernel) =
       Buffer.add_string buf (Printf.sprintf "  lds %s: %d bytes\n" n sz))
     k.lds_allocs;
   Buffer.add_string buf "{\n";
-  List.iter (pp_stmt buf 2) k.body;
+  Buffer.add_string buf (body_to_string k.body);
   Buffer.add_string buf "}\n";
   Buffer.contents buf

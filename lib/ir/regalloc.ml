@@ -19,7 +19,7 @@
 
 open Types
 
-type interval = {
+type interval = Regpressure.interval = {
   i_reg : reg;
   i_start : int;
   i_end : int;
@@ -32,66 +32,6 @@ type assignment = {
   sgprs_used : int;      (** high-water mark of the scalar file *)
   intervals : interval list;  (** sorted by start *)
 }
-
-(* Live intervals, mirroring Regpressure's walk (positions in preorder,
-   uses extended across enclosing loops). *)
-let intervals_of (k : kernel) : interval list =
-  let n = max k.nregs 1 in
-  let def_pos = Array.make n max_int in
-  let last_use = Array.make n (-1) in
-  let loops = ref [] in
-  let pos = ref 0 in
-  let next () =
-    incr pos;
-    !pos
-  in
-  let touch_use p = function
-    | Reg r -> last_use.(r) <- max last_use.(r) p
-    | Imm _ | Imm_f32 _ -> ()
-  in
-  let rec walk body =
-    List.iter
-      (fun s ->
-        match s with
-        | I i ->
-            let p = next () in
-            List.iter (touch_use p) (inst_uses i);
-            (match inst_def i with
-            | Some d ->
-                def_pos.(d) <- min def_pos.(d) p;
-                last_use.(d) <- max last_use.(d) p
-            | None -> ())
-        | If (c, t, e) ->
-            let p = next () in
-            touch_use p c;
-            walk t;
-            walk e
-        | While (h, c, b) ->
-            let start = next () in
-            walk h;
-            touch_use !pos c;
-            walk b;
-            let stop = next () in
-            loops := (start, stop) :: !loops)
-      body
-  in
-  walk k.body;
-  List.iter
-    (fun (s, e) ->
-      Array.iteri
-        (fun r u -> if def_pos.(r) < s && u >= s && u <= e then last_use.(r) <- e)
-        last_use)
-    !loops;
-  let div = Uniformity.analyze k in
-  let acc = ref [] in
-  Array.iteri
-    (fun r d ->
-      if d < max_int && last_use.(r) >= 0 then
-        acc :=
-          { i_reg = r; i_start = d; i_end = last_use.(r); i_divergent = div.(r) }
-          :: !acc)
-    def_pos;
-  List.sort (fun a b -> compare a.i_start b.i_start) !acc
 
 (* Classic linear scan over one register file: assign the lowest free
    physical index; expire intervals that ended before the current start. *)
@@ -128,7 +68,7 @@ let scan_file intervals =
 (** Allocate physical registers for [k]: divergent virtuals go to the
     vector file, uniform ones to the scalar file. *)
 let allocate (k : kernel) : assignment =
-  let ivs = intervals_of k in
+  let ivs = Regpressure.intervals k in
   let vec = List.filter (fun iv -> iv.i_divergent) ivs in
   let sca = List.filter (fun iv -> not iv.i_divergent) ivs in
   let vphys, vhw = scan_file vec in
@@ -148,64 +88,6 @@ let annotate (k : kernel) : string =
     else
       Printf.sprintf "r%d:%s%d" r (if div.(r) then "v" else "s") a.phys.(r)
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s: %d VGPRs, %d SGPRs after linear scan\n" k.kname
-       a.vgprs_used a.sgprs_used);
-  let rec pp indent body =
-    let pad = String.make indent ' ' in
-    List.iter
-      (fun s ->
-        match s with
-        | I i ->
-            let txt = Pp.string_of_inst i in
-            (* substitute operand names: cheap textual pass over rN *)
-            let out = Buffer.create 64 in
-            let n = String.length txt in
-            let idx = ref 0 in
-            while !idx < n do
-              let c = txt.[!idx] in
-              if
-                c = 'r'
-                && !idx + 1 < n
-                && txt.[!idx + 1] >= '0'
-                && txt.[!idx + 1] <= '9'
-                && (!idx = 0
-                   || not
-                        ((txt.[!idx - 1] >= 'a' && txt.[!idx - 1] <= 'z')
-                        || (txt.[!idx - 1] >= '0' && txt.[!idx - 1] <= '9')))
-              then begin
-                let j = ref (!idx + 1) in
-                while !j < n && txt.[!j] >= '0' && txt.[!j] <= '9' do
-                  incr j
-                done;
-                let r = int_of_string (String.sub txt (!idx + 1) (!j - !idx - 1)) in
-                Buffer.add_string out (name r);
-                idx := !j
-              end
-              else begin
-                Buffer.add_char out c;
-                incr idx
-              end
-            done;
-            Buffer.add_string buf (pad ^ Buffer.contents out ^ "\n")
-        | If (c, t, e) ->
-            Buffer.add_string buf
-              (Printf.sprintf "%sif %s {\n" pad (Pp.string_of_value c));
-            pp (indent + 2) t;
-            if e <> [] then begin
-              Buffer.add_string buf (pad ^ "} else {\n");
-              pp (indent + 2) e
-            end;
-            Buffer.add_string buf (pad ^ "}\n")
-        | While (h, c, b) ->
-            Buffer.add_string buf (pad ^ "loop {\n");
-            pp (indent + 2) h;
-            Buffer.add_string buf
-              (Printf.sprintf "%s  break unless %s\n" pad (Pp.string_of_value c));
-            pp (indent + 2) b;
-            Buffer.add_string buf (pad ^ "}\n"))
-      body
-  in
-  pp 2 k.body;
-  Buffer.contents buf
+  Printf.sprintf "%s: %d VGPRs, %d SGPRs after linear scan\n%s" k.kname
+    a.vgprs_used a.sgprs_used
+    (Pp.body_to_string ~reg:name k.body)

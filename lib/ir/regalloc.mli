@@ -7,7 +7,7 @@
 
 open Types
 
-type interval = {
+type interval = Regpressure.interval = {
   i_reg : reg;
   i_start : int;
   i_end : int;
@@ -21,9 +21,9 @@ type assignment = {
   intervals : interval list;  (** sorted by start *)
 }
 
-val intervals_of : kernel -> interval list
 val allocate : kernel -> assignment
 
 val annotate : kernel -> string
 (** Listing with physical names ([r12:v3] = virtual 12 in VGPR 3,
-    [:sN] = scalar file). *)
+    [:sN] = scalar file) for every register, in instructions and in
+    [if]/[break unless] conditions alike. *)

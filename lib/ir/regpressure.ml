@@ -40,11 +40,21 @@ type usage = {
 
 let pp_usage u = Printf.sprintf "vgpr=%d sgpr=%d lds=%dB" u.vgprs u.sgprs u.lds
 
-type interval = { mutable def_pos : int; mutable last_use : int }
+type interval = {
+  i_reg : reg;
+  i_start : int;
+  i_end : int;
+  i_divergent : bool;
+}
 
-let analyze (k : kernel) : usage =
+(** Live intervals of the defined registers, sorted by start: positions
+    are preorder statement indices, and a value defined before a loop
+    and used inside it stays live for the whole loop (the back edge may
+    read it in a later iteration). *)
+let intervals (k : kernel) : interval list =
   let n = max k.nregs 1 in
-  let intervals = Array.init n (fun _ -> { def_pos = max_int; last_use = -1 }) in
+  let def_pos = Array.make n max_int in
+  let last_use = Array.make n (-1) in
   let loops = ref [] in
   let pos = ref 0 in
   let next_pos () =
@@ -52,12 +62,8 @@ let analyze (k : kernel) : usage =
     !pos
   in
   let touch_use p = function
-    | Reg r -> intervals.(r).last_use <- max intervals.(r).last_use p
+    | Reg r -> last_use.(r) <- max last_use.(r) p
     | Imm _ | Imm_f32 _ -> ()
-  in
-  let touch_def p r =
-    intervals.(r).def_pos <- min intervals.(r).def_pos p;
-    intervals.(r).last_use <- max intervals.(r).last_use p
   in
   let rec walk body =
     List.iter
@@ -66,7 +72,11 @@ let analyze (k : kernel) : usage =
         | I i ->
             let p = next_pos () in
             List.iter (touch_use p) (inst_uses i);
-            (match inst_def i with Some d -> touch_def p d | None -> ())
+            (match inst_def i with
+            | Some d ->
+                def_pos.(d) <- min def_pos.(d) p;
+                last_use.(d) <- max last_use.(d) p
+            | None -> ())
         | If (c, t, e) ->
             let p = next_pos () in
             touch_use p c;
@@ -82,33 +92,37 @@ let analyze (k : kernel) : usage =
       body
   in
   walk k.body;
-  (* Extend intervals across loops: a value defined before a loop and used
-     inside it stays live for the whole loop (the back edge may read it in
-     a later iteration). *)
   List.iter
     (fun (s, e) ->
-      Array.iter
-        (fun iv ->
-          if iv.def_pos < s && iv.last_use >= s && iv.last_use <= e then
-            iv.last_use <- e)
-        intervals)
+      Array.iteri
+        (fun r u -> if def_pos.(r) < s && u >= s && u <= e then last_use.(r) <- e)
+        last_use)
     !loops;
   let div = Uniformity.analyze k in
+  let acc = ref [] in
+  Array.iteri
+    (fun r d ->
+      if d < max_int && last_use.(r) >= 0 then
+        acc :=
+          { i_reg = r; i_start = d; i_end = last_use.(r); i_divergent = div.(r) }
+          :: !acc)
+    def_pos;
+  List.sort (fun a b -> compare a.i_start b.i_start) !acc
+
+let analyze (k : kernel) : usage =
   (* Sweep: +1 at def, -1 after last use, tracking the maxima separately
      for divergent and uniform registers. *)
-  let events = ref [] in
-  Array.iteri
-    (fun r iv ->
-      if iv.last_use >= 0 && iv.def_pos < max_int then begin
-        events := (iv.def_pos, 1, div.(r)) :: !events;
-        events := (iv.last_use + 1, -1, div.(r)) :: !events
-      end)
-    intervals;
+  let events =
+    List.concat_map
+      (fun iv ->
+        [ (iv.i_start, 1, iv.i_divergent); (iv.i_end + 1, -1, iv.i_divergent) ])
+      (intervals k)
+  in
   let sorted =
     List.sort
       (fun (p1, d1, _) (p2, d2, _) ->
         if p1 <> p2 then compare p1 p2 else compare d1 d2)
-      !events
+      events
   in
   let cur_v = ref 0 and max_v = ref 0 in
   let cur_s = ref 0 and max_s = ref 0 in

@@ -20,5 +20,20 @@ val sgpr_reserve : int
 val vgpr_slack : int -> int
 (** Allocator-slack adjustment applied to the live-interval maximum. *)
 
+type interval = {
+  i_reg : Types.reg;
+  i_start : int;  (** preorder position of the definition *)
+  i_end : int;
+      (** position of the last use, extended to the end of any loop the
+          value is live across *)
+  i_divergent : bool;  (** counts toward VGPRs, else SGPRs *)
+}
+
+val intervals : Types.kernel -> interval list
+(** The live interval of every defined register, sorted by start. *)
+
 val analyze : Types.kernel -> usage
+(** The maximum number of simultaneously live intervals per register
+    file, with {!vgpr_slack} and the reserves added. *)
+
 val pp_usage : usage -> string

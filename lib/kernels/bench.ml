@@ -105,6 +105,42 @@ let alloc_out dev words =
   Gpu_sim.Device.fill_i32 dev buf words 0;
   buf
 
+(* ------------------------------------------------------------------ *)
+(* Single-launch benchmarks from a kernel and argument specs            *)
+(* ------------------------------------------------------------------ *)
+
+type init = Zero | Index | Findex | Fill_i32 of int | Fill_f32 of float
+type arg_spec = Buf of int * init | I32 of int | F32 of float
+
+(** One launch of [make_kernel ()] over [global] items in groups of
+    [local], with the arguments [args] describe: each buffer is
+    allocated and filled in parameter order, each scalar passed as
+    given. [scale] is ignored. *)
+let of_kernel ~id ~name ~global ~local ~args ~verify make_kernel =
+  let prepare dev ~scale:_ =
+    let arg = function
+      | Buf (words, init) ->
+          let b = Gpu_sim.Device.alloc dev (words * 4) in
+          for j = 0 to words - 1 do
+            match init with
+            | Zero -> Gpu_sim.Device.write_i32 dev b j 0
+            | Index -> Gpu_sim.Device.write_i32 dev b j j
+            | Findex -> Gpu_sim.Device.write_f32 dev b j (float_of_int j)
+            | Fill_i32 v -> Gpu_sim.Device.write_i32 dev b j v
+            | Fill_f32 x -> Gpu_sim.Device.write_f32 dev b j x
+          done;
+          Gpu_sim.Device.A_buf b
+      | I32 v -> Gpu_sim.Device.A_i32 v
+      | F32 x -> Gpu_sim.Device.A_f32 x
+    in
+    let args = List.map arg args in
+    {
+      steps = [ { args; nd = Gpu_sim.Geom.make_ndrange global local } ];
+      verify = (fun dev -> verify dev args);
+    }
+  in
+  { id; name; character = Memory_bound; make_kernel; prepare }
+
 (* f32-exact CPU arithmetic, mirroring the device. *)
 module F = struct
   let r = Gpu_ir.F32.round

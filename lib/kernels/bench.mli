@@ -1,6 +1,8 @@
 (** Benchmark interface: one value per AMD OpenCL SDK sample kernel,
     with host-side preparation (buffers, inputs, launch schedule) and a
-    CPU-reference verifier. *)
+    CPU-reference verifier. Anything [Harness.Run.run] runs is a [t]:
+    {!of_kernel} makes one from any kernel and [rmtgpu runfile]'s
+    [--arg] vocabulary. *)
 
 type step = {
   args : Gpu_sim.Device.arg list;  (** original kernel arguments *)
@@ -51,6 +53,42 @@ val verify_i32_buffer :
 val upload_f32 : Gpu_sim.Device.t -> float array -> Gpu_sim.Device.buffer
 val upload_i32 : Gpu_sim.Device.t -> int array -> Gpu_sim.Device.buffer
 val alloc_out : Gpu_sim.Device.t -> int -> Gpu_sim.Device.buffer
+
+(** {1 Single-launch benchmarks from a kernel and argument specs} *)
+
+(** How a buffer's words start out. *)
+type init =
+  | Zero
+  | Index  (** word i holds i *)
+  | Findex  (** word i holds the f32 value i *)
+  | Fill_i32 of int  (** every word holds the integer *)
+  | Fill_f32 of float  (** every word holds the f32 value *)
+
+(** One kernel parameter's argument, in parameter order. *)
+type arg_spec =
+  | Buf of int * init  (** a global buffer of that many 32-bit words *)
+  | I32 of int
+  | F32 of float
+
+val of_kernel :
+  id:string ->
+  name:string ->
+  global:int ->
+  local:int ->
+  args:arg_spec list ->
+  verify:(Gpu_sim.Device.t -> Gpu_sim.Device.arg list -> bool) ->
+  (unit -> Gpu_ir.Types.kernel) ->
+  t
+(** [of_kernel ~id ~name ~global ~local ~args ~verify make_kernel] is a
+    benchmark of one launch of [make_kernel ()] over a one-dimensional
+    NDRange of [global] work-items in groups of [local]. Its [prepare]
+    allocates and fills each buffer of [args] in parameter order and
+    passes each scalar as given; it ignores [scale]. Its [verify] calls
+    [verify] with the device and the launch's arguments, each buffer as
+    its [A_buf]. Its [character] is [Memory_bound], which only the
+    registry's reports read.
+    @raise Gpu_sim.Device.Out_of_device_memory from [prepare] when the
+    buffers do not fit. *)
 
 (** f32-exact CPU arithmetic, mirroring the device. *)
 module F : sig

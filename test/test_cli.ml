@@ -152,7 +152,7 @@ let test_scale_usage_error () =
 
 (* A launch that does not finish is a failure of the command: a kernel
    loading far outside every buffer crashes, and runfile exits 1 after
-   printing the outcome. *)
+   printing the outcome line and no --show slice. *)
 let test_runfile_crash_exits_1 () =
   let dir = Filename.temp_dir "rmtgpu_cli" "" in
   let path = Filename.concat dir "oob.rgk" in
@@ -167,7 +167,8 @@ let test_runfile_crash_exits_1 () =
         \  store.global [r0], r2\n\
          }\n");
   let cmd =
-    Printf.sprintf "rmtgpu runfile %s --global 64 --local 64 --arg buf:64"
+    Printf.sprintf
+      "rmtgpu runfile %s --global 64 --local 64 --arg buf:64 --show 0:0:4"
       (Filename.quote path)
   in
   let result = run_shell cmd in
@@ -177,6 +178,8 @@ let test_runfile_crash_exits_1 () =
   | None -> Alcotest.failf "%S did not finish" cmd
   | Some (status, out, _) ->
       check Alcotest.bool "the run crashed" true (contains out "(crashed:");
+      check Alcotest.int "only the outcome line" 1
+        (List.length (String.split_on_char '\n' (String.trim out)));
       check Alcotest.bool "runfile exits 1" true (status = Unix.WEXITED 1)
 
 (* exp export checks its output directory before it simulates: where
@@ -249,6 +252,36 @@ let test_documented_commands () =
             cmds)
     files
 
+(* runfile goes through the harness's run path under every kernel
+   version: SAXPY (y <- 2.5 x + y, x[i] = i, y[i] = 1) finishes and shows
+   2.5 i + 1. *)
+let test_runfile_saxpy_every_variant () =
+  List.iter
+    (fun v ->
+      let cmd =
+        "rmtgpu runfile examples/kernels/saxpy.rgk --variant " ^ v
+        ^ " --global 1024 --local 64 --arg buf:1024:findex --arg \
+           buf:1024:f32=1.0 --show 1:0:8:f32"
+      in
+      match run_shell cmd with
+      | None -> Alcotest.failf "%S did not finish" cmd
+      | Some (status, out, err) -> (
+          if status <> Unix.WEXITED 0 then Alcotest.failf "%S failed:\n%s" cmd err;
+          match String.split_on_char '\n' out with
+          | [ outcome; slice; "" ] ->
+              check Alcotest.bool (v ^ ": finished") true
+                (contains outcome "(finished)");
+              check
+                Alcotest.(list (float 0.0))
+                (v ^ ": 2.5 i + 1")
+                (List.init 8 (fun i -> (2.5 *. float_of_int i) +. 1.0))
+                (List.map float_of_string
+                   (String.split_on_char ' '
+                      (String.trim
+                         (List.nth (String.split_on_char ':' slice) 1))))
+          | _ -> Alcotest.failf "%S printed:\n%s" cmd out))
+    [ "original"; "intra+lds"; "intra-lds"; "intra+lds-fast"; "intra-lds-fast"; "inter" ]
+
 let suite =
   [
     tc "inject -n below 1 is a usage error" `Quick test_inject_count_usage_error;
@@ -258,4 +291,6 @@ let suite =
       test_runfile_crash_exits_1;
     tc "exp export into a file fails before simulating" `Quick
       test_export_into_file_fails_first;
+    tc "runfile saxpy under every kernel version" `Quick
+      test_runfile_saxpy_every_variant;
   ]

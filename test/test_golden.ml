@@ -344,16 +344,18 @@ let campaign_case_runs ?(one_by_one = false) c =
   let bench = Kernels.Registry.find c.cc_bench in
   let v = List.assoc c.cc_version campaign_versions in
   let golden = Harness.Run.run bench v in
-  let max_cycles = (golden.Harness.Run.cycles * 10) + 50_000 in
+  let cfg =
+    { Sim.Config.default with max_cycles = (golden.Harness.Run.cycles * 10) + 50_000 }
+  in
   let sanitize = c.cc_sanitize in
   let plans = c.cc_plans bench ~golden in
   List.combine plans
     (if one_by_one then
        List.map
-         (fun inject -> Harness.Run.run ~max_cycles ~inject ~sanitize bench v)
+         (fun inject -> Harness.Run.run ~cfg ~inject ~sanitize bench v)
          plans
      else
-       Harness.Run.run_plans ~max_cycles ~sanitize
+       Harness.Run.run_plans ~cfg ~sanitize
          ~pool:(Harness.Pool.create ~jobs:2 ()) ~golden bench v plans)
 
 (* computed once for the two tests below *)

@@ -161,12 +161,105 @@ let test_csv_export () =
   check Alcotest.bool "2 kernels + header" true
     (List.length (String.split_on_char '\n' (String.trim csv)) = 3)
 
+(* ------------------------------------------------------------------ *)
+(* One-launch benchmarks from a kernel and argument specs               *)
+(* ------------------------------------------------------------------ *)
+
+(* y[i] <- a * x[i] + y[i] over the first n items *)
+let axpy_kernel () =
+  let open Gpu_ir in
+  let b = Builder.create "axpy" in
+  let x = Builder.buffer_param b "x" in
+  let y = Builder.buffer_param b "y" in
+  let a = Builder.scalar_param b "a" in
+  let n = Builder.scalar_param b "n" in
+  let gid = Builder.global_id b 0 in
+  Builder.when_ b (Builder.lt_s b gid n) (fun () ->
+      let xv = Builder.gload_elem b x gid in
+      let yv = Builder.gload_elem b y gid in
+      Builder.gstore_elem b y gid
+        (Builder.fma b (Builder.cvt b Types.Bitcast a) xv yv));
+  Builder.finish b
+
+let axpy_items = 1024
+let axpy_n = 1000
+
+let axpy_args =
+  Kernels.Bench.
+    [
+      Buf (axpy_items, Findex); Buf (axpy_items, Fill_f32 1.0); F32 2.5;
+      I32 axpy_n;
+    ]
+
+(* The host protocol [Run.run] replaces, written out: fill the buffers,
+   transform, launch on the variant's NDRange with the extra buffers
+   appended. *)
+let hand_launch variant =
+  let dev = Gpu_sim.Device.create Gpu_sim.Config.default in
+  let x = Gpu_sim.Device.alloc dev (axpy_items * 4) in
+  let y = Gpu_sim.Device.alloc dev (axpy_items * 4) in
+  for i = 0 to axpy_items - 1 do
+    Gpu_sim.Device.write_f32 dev x i (float_of_int i);
+    Gpu_sim.Device.write_f32 dev y i 1.0
+  done;
+  let nd0 = Gpu_sim.Geom.make_ndrange axpy_items 64 in
+  let k = T.apply variant ~local_items:64 (axpy_kernel ()) in
+  let extras = T.make_extras variant dev ~nd:nd0 in
+  let r =
+    Gpu_sim.Device.launch dev k ~nd:(T.map_ndrange variant nd0)
+      ~args:
+        ([ Gpu_sim.Device.A_buf x; A_buf y; A_f32 2.5; A_i32 axpy_n ]
+        @ extras.T.ex_args)
+  in
+  (r, List.map (fun b -> Gpu_sim.Device.read_i32_array dev b axpy_items) [ x; y ])
+
+let test_of_kernel_equals_hand_launch () =
+  List.iter
+    (fun variant ->
+      let what = T.name variant in
+      let outputs = ref [] in
+      let bench =
+        Kernels.Bench.of_kernel ~id:"axpy" ~name:"axpy" ~global:axpy_items
+          ~local:64 ~args:axpy_args
+          ~verify:(fun dev args ->
+            outputs :=
+              List.filter_map
+                (function
+                  | Gpu_sim.Device.A_buf b ->
+                      Some (Gpu_sim.Device.read_i32_array dev b (b.size / 4))
+                  | A_i32 _ | A_f32 _ -> None)
+                args;
+            true)
+          axpy_kernel
+      in
+      let s = Harness.Run.run bench variant in
+      let r, bufs = hand_launch variant in
+      check Alcotest.bool (what ^ ": finished") true
+        (s.Harness.Run.outcome = Gpu_sim.Device.Finished
+        && r.Gpu_sim.Device.outcome = Gpu_sim.Device.Finished);
+      check Alcotest.bool (what ^ ": verified") true s.Harness.Run.verified;
+      check Alcotest.int (what ^ ": cycles") r.Gpu_sim.Device.cycles
+        s.Harness.Run.cycles;
+      check
+        Alcotest.(list (pair string int))
+        (what ^ ": counters")
+        (Gpu_sim.Counters.to_fields r.Gpu_sim.Device.counters)
+        (Gpu_sim.Counters.to_fields s.Harness.Run.counters);
+      check Alcotest.(list (array int)) (what ^ ": buffers") bufs !outputs;
+      check (Alcotest.float 0.0) (what ^ ": y[999] = 2.5 * 999 + 1") 2498.5
+        (Gpu_ir.F32.to_float (List.nth !outputs 1).(axpy_n - 1));
+      check (Alcotest.float 0.0) (what ^ ": y[1000] untouched") 1.0
+        (Gpu_ir.F32.to_float (List.nth !outputs 1).(axpy_n)))
+    [ T.Original; T.inter_group ]
+
 let extension_suite =
   [
     tc "naive duplication" `Quick test_naive_duplication;
     tc "spearman" `Quick test_spearman;
     tc "sched policy" `Quick test_sched_policy_changes_schedule;
     tc "csv export" `Slow test_csv_export;
+    tc "of_kernel bench: Run.run equals a hand launch" `Quick
+      test_of_kernel_equals_hand_launch;
   ]
 
 let suite = base_suite @ extension_suite

@@ -138,14 +138,16 @@ let pool_suite =
 (* Regression: the old cache key was (bench, variant, tag, scale), so a
    windowed fig5-style run could collide with a fig2 run of the same
    bench/variant whenever callers forgot a distinguishing tag. The key
-   must fingerprint window_cycles and usage_override themselves. *)
+   must fingerprint the config's window_cycles (through its digest) and
+   usage_override themselves. *)
 let test_cache_key_window () =
   let ctx = Harness.Experiments.create_ctx ~jobs:1 () in
   let b = Kernels.Registry.find "PS" in
+  let cfg = { Gpu_sim.Config.default with window_cycles = 500 } in
   let s1 = Harness.Experiments.get ctx b T.Original in
-  let s2 = Harness.Experiments.get ctx ~window_cycles:500 b T.Original in
+  let s2 = Harness.Experiments.get ctx ~cfg b T.Original in
   let s3 = Harness.Experiments.get ctx b T.Original in
-  let s4 = Harness.Experiments.get ctx ~window_cycles:500 b T.Original in
+  let s4 = Harness.Experiments.get ctx ~cfg b T.Original in
   check Alcotest.bool "windowed run is a distinct summary" true (s1 != s2);
   check Alcotest.bool "un-windowed key still cached" true (s1 == s3);
   check Alcotest.bool "windowed key cached too" true (s2 == s4);

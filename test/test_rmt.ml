@@ -355,15 +355,12 @@ let launch_pooled ?san ~max_cycles ~pool_size ~n k0 =
   let variant = T.Inter (Rmt_core.Inter_group.Pooled pool_size) in
   let k = T.apply variant ~local_items:64 k0 in
   Verify.check k;
-  let dev = Sim.Device.create ?san Sim.Config.small in
+  let dev = Sim.Device.create ?san { Sim.Config.small with max_cycles } in
   let buf = Sim.Device.alloc dev (n * 4) in
   let nd0 = Sim.Geom.make_ndrange n 64 in
   let extras = T.make_extras variant dev ~nd:nd0 in
-  let opts =
-    { Sim.Device.default_opts with Sim.Device.max_cycles = Some max_cycles }
-  in
   let r =
-    Sim.Device.launch ~opts dev k ~nd:(T.map_ndrange variant nd0)
+    Sim.Device.launch dev k ~nd:(T.map_ndrange variant nd0)
       ~args:(Sim.Device.A_buf buf :: extras.T.ex_args)
   in
   (r, Sim.Device.read_i32_array dev buf n)

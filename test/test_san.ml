@@ -128,15 +128,14 @@ let test_pooled_inter_clean () =
   Verify.check k;
   let n = 256 in
   let san = Shadow.create () in
-  let dev = Sim.Device.create ~san Sim.Config.small in
+  let dev =
+    Sim.Device.create ~san { Sim.Config.small with max_cycles = 10_000_000 }
+  in
   let buf = Sim.Device.alloc dev (n * 4) in
   let nd0 = Sim.Geom.make_ndrange n 64 in
   let extras = T.make_extras variant dev ~nd:nd0 in
-  let opts =
-    { Sim.Device.default_opts with Sim.Device.max_cycles = Some 10_000_000 }
-  in
   let r =
-    Sim.Device.launch ~opts dev k ~nd:(T.map_ndrange variant nd0)
+    Sim.Device.launch dev k ~nd:(T.map_ndrange variant nd0)
       ~args:(Sim.Device.A_buf buf :: extras.T.ex_args)
   in
   check Alcotest.bool "finished" true

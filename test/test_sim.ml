@@ -352,11 +352,10 @@ let test_watchdog_hang () =
   let one = Builder.mov b (Builder.imm 1) in
   Builder.while_ b (fun () -> one) (fun () -> ());
   let k = Builder.finish b in
-  let dev = Sim.Device.create Sim.Config.small in
+  let dev = Sim.Device.create { Sim.Config.small with max_cycles = 5000 } in
   let buf = Sim.Device.alloc dev 16 in
-  let opts = { Sim.Device.default_opts with Sim.Device.max_cycles = Some 5000 } in
   let r =
-    Sim.Device.launch ~opts dev k ~nd:(Sim.Geom.make_ndrange 1 1)
+    Sim.Device.launch dev k ~nd:(Sim.Geom.make_ndrange 1 1)
       ~args:[ Sim.Device.A_buf buf ]
   in
   check Alcotest.bool "infinite loop hits watchdog" true
@@ -427,11 +426,10 @@ let test_windows_emitted () =
       Builder.set b acc (Builder.fadd b (Builder.get acc) (Builder.immf 1.0)));
   Builder.gstore_elem b out gid (Builder.f32_to_s32 b (Builder.get acc));
   let k = Builder.finish b in
-  let dev = Sim.Device.create Sim.Config.small in
+  let dev = Sim.Device.create { Sim.Config.small with window_cycles = 1000 } in
   let buf = Sim.Device.alloc dev (64 * 4) in
-  let opts = { Sim.Device.default_opts with Sim.Device.window_cycles = Some 1000 } in
   let r =
-    Sim.Device.launch ~opts dev k ~nd:(Sim.Geom.make_ndrange 64 64)
+    Sim.Device.launch dev k ~nd:(Sim.Geom.make_ndrange 64 64)
       ~args:[ Sim.Device.A_buf buf ]
   in
   check Alcotest.bool "several power windows" true
@@ -587,7 +585,7 @@ let test_image_bounds () =
   fault "unaligned store at address 6" (fun () -> Sim.Memsys.write32 ms 6 1);
   let dev = Sim.Device.create cfg in
   Alcotest.check_raises "allocation beyond the image"
-    (Failure "Device.alloc: out of device memory") (fun () ->
+    (Sim.Device.Out_of_device_memory size) (fun () ->
       ignore (Sim.Device.alloc dev size));
   ignore (Sim.Device.alloc dev (size - 256));
   check Alcotest.int "allocating materialises nothing" 0
@@ -700,8 +698,8 @@ let prop_occupancy_monotone_vgpr =
    copy. A kernel that outlasts [horizon] also runs whole
    ([full_launch]), so forks taken after groups have retired, with
    recycled waves and the last groups dispatched, are compared too. The
-   kernel is prepared once; every case and its uninterrupted launch run
-   on forks of that device. *)
+   kernel is prepared once per watchdog; every case and its
+   uninterrupted launch run on forks of that device. *)
 let horizon = 5_000
 let full_launch = [ "BlkSch" ]
 
@@ -740,46 +738,47 @@ let same_launch what ((a : Sim.Device.result), ab, av) ((b : Sim.Device.result),
   check Alcotest.bool (what ^ ": buffers") true (ab = bb);
   check Alcotest.(option bool) (what ^ ": verdict") av bv
 
-(* every case of one kernel, each on its own fork of one prepared device *)
+(* every case of one kernel, each on its own fork of a prepared device:
+   one device per watchdog, since the watchdog is the device config's *)
 let fork_cases (bench : Kernels.Bench.t) =
   let module T = Rmt_core.Transform in
-  let prepared = Sim.Device.create { Sim.Config.default with n_cus = 2 } in
-  let prep = bench.prepare prepared ~scale:1 in
-  let step = List.hd prep.Kernels.Bench.steps in
-  let case v max_cycles =
-    let dev = Sim.Device.fork prepared in
-    let k = Harness.Run.transformed_kernel bench v ~nd:step.Kernels.Bench.nd in
-    let extras = T.make_extras v dev ~nd:step.Kernels.Bench.nd in
-    let args = step.Kernels.Bench.args @ extras.T.ex_args in
-    let create dev =
-      Sim.Device.Launch.create
-        ~opts:{ Sim.Device.default_opts with max_cycles }
-        dev k
-        ~nd:(T.map_ndrange v step.Kernels.Bench.nd)
-        ~args
+  let cases ~whole =
+    let cfg = { Sim.Config.default with n_cus = 2 } in
+    let cfg = if whole then cfg else { cfg with max_cycles = horizon } in
+    let prepared = Sim.Device.create cfg in
+    let prep = bench.prepare prepared ~scale:1 in
+    let step = List.hd prep.Kernels.Bench.steps in
+    let case v =
+      let dev = Sim.Device.fork prepared in
+      let k = Harness.Run.transformed_kernel bench v ~nd:step.Kernels.Bench.nd in
+      let extras = T.make_extras v dev ~nd:step.Kernels.Bench.nd in
+      let args = step.Kernels.Bench.args @ extras.T.ex_args in
+      let create dev =
+        Sim.Device.Launch.create dev k
+          ~nd:(T.map_ndrange v step.Kernels.Bench.nd)
+          ~args
+      in
+      let reference = observe prep args (create (Sim.Device.fork dev)) in
+      let (r0 : Sim.Device.result), _, _ = reference in
+      let l = create dev in
+      let forks =
+        List.map
+          (fun q ->
+            let c = r0.cycles * q / 4 in
+            Sim.Device.Launch.run_until l c;
+            (c, Sim.Device.Launch.fork l))
+          [ 1; 2; 3 ]
+      in
+      let original = observe prep args l in
+      ( (bench.id ^ " " ^ T.name v ^ if whole then " whole" else ""),
+        reference,
+        original,
+        List.map (fun (c, f) -> (c, observe prep args f)) forks )
     in
-    let reference = observe prep args (create (Sim.Device.fork dev)) in
-    let (r0 : Sim.Device.result), _, _ = reference in
-    let l = create dev in
-    let forks =
-      List.map
-        (fun q ->
-          let c = r0.cycles * q / 4 in
-          Sim.Device.Launch.run_until l c;
-          (c, Sim.Device.Launch.fork l))
-        [ 1; 2; 3 ]
-    in
-    let original = observe prep args l in
-    ( (bench.id ^ " " ^ T.name v ^ if max_cycles = None then " whole" else ""),
-      reference,
-      original,
-      List.map (fun (c, f) -> (c, observe prep args f)) forks )
+    List.map case fork_versions
   in
-  List.concat_map
-    (fun v ->
-      case v (Some horizon)
-      :: (if List.mem bench.id full_launch then [ case v None ] else []))
-    fork_versions
+  cases ~whole:false
+  @ if List.mem bench.id full_launch then cases ~whole:true else []
 
 let test_fork_equals_uninterrupted () =
   Harness.Pool.map (Harness.Pool.create ~jobs:2 ()) fork_cases Kernels.Registry.all

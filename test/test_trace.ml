@@ -36,9 +36,10 @@ let busy_kernel ?(iters = 16) () =
 
 let traced = { Sim.Device.default_opts with trace = true }
 
-let launch_busy ?(opts = Sim.Device.default_opts) ?iters () =
+let launch_busy ?(opts = Sim.Device.default_opts) ?(cfg = Sim.Config.small)
+    ?iters () =
   let k = busy_kernel ?iters () in
-  let dev = Sim.Device.create Sim.Config.small in
+  let dev = Sim.Device.create cfg in
   let buf = Sim.Device.alloc dev (256 * 4) in
   Sim.Device.launch ~opts dev k
     ~nd:(Sim.Geom.make_ndrange 256 64)
@@ -266,8 +267,8 @@ let test_window_tail_flushed () =
   (* with a window period that does not divide the run length, the last
      partial window must still be emitted, and the windows must sum
      exactly to the whole-run counters — field by field *)
-  let opts = { Sim.Device.default_opts with window_cycles = Some 777 } in
-  let r = launch_busy ~opts ~iters:2000 () in
+  let cfg = { Sim.Config.small with window_cycles = 777 } in
+  let r = launch_busy ~cfg ~iters:2000 () in
   let ws = r.Sim.Device.windows in
   check Alcotest.bool "several windows" true (Array.length ws >= 2);
   let sum = Sim.Counters.create () in
